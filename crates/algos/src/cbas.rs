@@ -11,8 +11,9 @@
 //!
 //! [`Cbas`] is a thin configuration over the shared
 //! [`crate::engine::StagedEngine`]: uniform candidate distribution,
-//! uniform-OCBA allocation, serial execution. The stage loop itself lives
-//! in the engine, not here.
+//! uniform-OCBA allocation, serial or pooled per
+//! [`CbasConfig::threads`]. The stage loop itself lives in the engine,
+//! not here.
 
 use std::sync::Arc;
 
@@ -20,10 +21,9 @@ use waso_core::WasoInstance;
 use waso_graph::{BitSet, NodeId};
 
 use crate::engine::{Distribution, StagedEngine, StartMode};
-use crate::exec::{ExecBackend, SharedPool};
+use crate::exec::SharedPool;
 use crate::ocba::derive_stages;
 use crate::sampler::{default_num_start_nodes, select_start_nodes};
-use crate::spec::PoolMode;
 use crate::{SolveError, SolveResult, Solver};
 
 /// Configuration shared by CBAS and (via [`crate::CbasNdConfig`]) CBAS-ND.
@@ -60,6 +60,11 @@ pub struct CbasConfig {
     /// [`crate::Termination::Completed`] with `truncated` set). `None`
     /// runs every stage.
     pub patience: Option<u32>,
+    /// Worker count (§5.3.1, Figure 5(d)). `None` samples serially on
+    /// the calling thread; `Some(t)` deals each stage's samples across a
+    /// [`crate::SharedPool`] — the caller's, or one of `t` workers created
+    /// for the solve. Bit-identical to serial for every count.
+    pub threads: Option<usize>,
 }
 
 impl CbasConfig {
@@ -75,6 +80,7 @@ impl CbasConfig {
             blocked: None,
             deadline: None,
             patience: None,
+            threads: None,
         }
     }
 
@@ -87,8 +93,8 @@ impl CbasConfig {
     }
 
     /// The staged-sampling settings a [`crate::SolverSpec`] carries
-    /// (budget, stages, start-node count, pinned starts, the anytime
-    /// `deadline_ms=`/`patience=` knobs); everything else keeps the
+    /// (budget, stages, start-node count, pinned starts, `threads=`, the
+    /// anytime `deadline_ms=`/`patience=` knobs); everything else keeps the
     /// paper's defaults. Shared with [`crate::CbasNdConfig::from_spec`].
     ///
     /// `deadline_from_submit=` folds in by earliest-deadline-wins: a
@@ -108,6 +114,7 @@ impl CbasConfig {
                 .min()
                 .map(std::time::Duration::from_millis),
             patience: spec.patience,
+            threads: spec.threads,
             ..Self::with_budget(spec.budget_or_default())
         }
     }
@@ -141,41 +148,25 @@ impl CbasConfig {
 
 /// The CBAS solver: [`crate::engine::StagedEngine`] with the uniform
 /// candidate distribution — serial by default, pooled when a worker count
-/// is set (`cbas:threads=N`; the engine's `Uniform × Pool` cell,
-/// bit-identical to serial for every thread count).
+/// is set (`cbas:threads=N`), bit-identical to serial for every count.
 #[derive(Debug, Clone)]
 pub struct Cbas {
     config: CbasConfig,
-    threads: Option<usize>,
-    pool: PoolMode,
 }
 
 impl Cbas {
-    /// Creates the (serial) solver.
+    /// Creates the solver (serial unless `config.threads` is set).
     pub fn new(config: CbasConfig) -> Self {
-        Self {
-            config,
-            threads: None,
-            pool: PoolMode::default(),
-        }
+        Self { config }
     }
 
-    /// Creates the solver on the pooled backend with `threads` workers
-    /// (≥ 1). Same answer as serial CBAS for any count.
+    /// Creates the solver with `threads` pool workers. Same answer as
+    /// serial CBAS for any count.
     pub fn with_threads(config: CbasConfig, threads: usize) -> Self {
-        Self {
-            config,
-            threads: Some(threads.max(1)),
-            pool: PoolMode::default(),
-        }
-    }
-
-    /// Selects where a pooled solve's workers come from (`pool=shared`
-    /// routes through the session's [`SharedPool`], `pool=private` spawns
-    /// a per-solve pool). Scheduling only; the answer is identical.
-    pub fn pool_mode(mut self, pool: PoolMode) -> Self {
-        self.pool = pool;
-        self
+        Self::new(CbasConfig {
+            threads: Some(threads),
+            ..config
+        })
     }
 
     /// The configuration in use.
@@ -183,17 +174,13 @@ impl Cbas {
         &self.config
     }
 
-    /// Worker count, when the pooled backend is selected.
+    /// Worker count, when the solve runs on a pool.
     pub fn threads(&self) -> Option<usize> {
-        self.threads
+        self.config.threads
     }
 
     fn engine(&self) -> StagedEngine {
-        let engine = StagedEngine::new(self.config.clone(), Distribution::Uniform);
-        match self.threads {
-            Some(threads) => engine.backend(ExecBackend::Pool { threads }),
-            None => engine,
-        }
+        StagedEngine::new(self.config.clone(), Distribution::Uniform)
     }
 }
 
@@ -207,7 +194,7 @@ impl Solver for Cbas {
             randomized: true,
             // Instance-accurate: only a threads-configured CBAS actually
             // fans out (the registry entry advertises the knob itself).
-            parallel: self.threads.is_some(),
+            parallel: self.config.threads.is_some(),
             anytime: true,
             ..crate::Capabilities::default()
         }
@@ -222,32 +209,12 @@ impl Solver for Cbas {
     }
 
     fn pool_threads(&self) -> Option<usize> {
-        match self.pool {
-            // A private-pool solve never routes through the shared pool:
-            // solve_seeded spawns (and tears down) its own workers.
-            PoolMode::Private => None,
-            PoolMode::Shared => self.threads,
-        }
-    }
-
-    fn solve_pooled(
-        &mut self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: &SharedPool,
-    ) -> Result<SolveResult, SolveError> {
-        if !required.is_empty() {
-            // CBAS has no partial-solution growth; the session rejects
-            // this combination before building, this is the backstop.
-            return Err(SolveError::RequiredUnsupported { solver: "cbas" });
-        }
-        self.engine()
-            .solve_in_pool(pool, instance, StartMode::Fresh, seed)
+        self.config.threads
     }
 
     /// Anytime CBAS: the engine checks `control` at every stage boundary
-    /// (cancel/deadline), honours `patience=`, and streams incumbents.
+    /// (cancel/deadline), honours `patience=`, and streams incumbents —
+    /// as a job of `pool` when one is given and `threads` is set.
     fn solve_controlled(
         &mut self,
         instance: &Arc<WasoInstance>,
@@ -257,20 +224,12 @@ impl Solver for Cbas {
         control: &crate::JobControl,
     ) -> Result<SolveResult, SolveError> {
         if !required.is_empty() {
+            // CBAS has no partial-solution growth; the session rejects
+            // this combination before building, this is the backstop.
             return Err(SolveError::RequiredUnsupported { solver: "cbas" });
         }
-        match pool {
-            Some(pool) => self.engine().solve_in_pool_controlled(
-                pool,
-                instance,
-                StartMode::Fresh,
-                seed,
-                control,
-            ),
-            None => self
-                .engine()
-                .solve_controlled(instance, StartMode::Fresh, seed, control),
-        }
+        self.engine()
+            .solve_job(instance, StartMode::Fresh, seed, pool, control)
     }
 }
 
@@ -408,6 +367,19 @@ mod tests {
                 serial.stats.pruned_start_nodes
             );
         }
+        // As a job of an attached pool whose width differs from threads=.
+        let pool = SharedPool::new(3);
+        let attached = Cbas::with_threads(cfg, 2)
+            .solve_controlled(
+                &Arc::new(inst),
+                &[],
+                8,
+                Some(&pool),
+                &crate::JobControl::new(),
+            )
+            .unwrap();
+        assert_eq!(attached.group, serial.group);
+        assert_eq!(attached.stats.samples_drawn, serial.stats.samples_drawn);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use waso_graph::{label_propagation, NodeId, Partition};
 
 use crate::job::{JobControl, Termination};
 use crate::registry::SolverRegistry;
-use crate::spec::{Capabilities, PoolMode, SolverSpec, SpecError};
+use crate::spec::{Capabilities, SolverSpec, SpecError};
 use crate::{mix_seed, SharedPool, SolveError, SolveResult, Solver, SolverStats};
 
 /// Label-propagation round cap; propagation converges much earlier on
@@ -75,7 +75,6 @@ impl Decomp {
     /// [`SpecError`]s at build time, not surprises at solve time.
     pub fn from_spec(spec: &SolverSpec) -> Result<Self, SpecError> {
         spec.ensure_ce_ranges()?;
-        spec.ensure_pool_has_threads()?;
         if spec.top == Some(0) {
             return Err(SpecError::OutOfRange {
                 key: "top",
@@ -98,12 +97,11 @@ impl Decomp {
             });
         }
         // Forwarded tuning knobs must be honoured by the inner solver.
-        let forwarded: [(&'static str, bool); 9] = [
+        let forwarded: [(&'static str, bool); 8] = [
             ("budget", spec.budget.is_some()),
             ("stages", spec.stages.is_some()),
             ("start-nodes", spec.start_nodes.is_some()),
             ("threads", spec.threads.is_some()),
-            ("pool", spec.pool.is_some()),
             ("rho", spec.rho.is_some()),
             ("smoothing", spec.smoothing.is_some()),
             ("backtrack", spec.backtrack.is_some()),
@@ -145,9 +143,6 @@ impl Decomp {
         }
         if let Some(t) = self.spec.threads {
             s = s.threads(t);
-        }
-        if let Some(p) = self.spec.pool {
-            s = s.pool(p);
         }
         if let Some(rho) = self.spec.rho {
             s = s.rho(rho);
@@ -203,6 +198,16 @@ impl Decomp {
         if let Some(ms) = self.spec.deadline_ms {
             control.arm_deadline(Duration::from_millis(ms));
         }
+        // A threaded solve handed no pool runs every inner job on one
+        // pool of its own, created here and dropped when the solve ends.
+        let own_pool;
+        let pool = match (pool, self.spec.threads) {
+            (None, Some(threads)) => {
+                own_pool = SharedPool::new(threads);
+                Some(&own_pool)
+            }
+            (pool, _) => pool,
+        };
         let g = instance.graph();
         let k = instance.k();
 
@@ -498,20 +503,7 @@ impl Solver for Decomp {
     }
 
     fn pool_threads(&self) -> Option<usize> {
-        match self.spec.pool {
-            Some(PoolMode::Private) => None,
-            _ => self.spec.threads,
-        }
-    }
-
-    fn solve_pooled(
-        &mut self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: &SharedPool,
-    ) -> Result<SolveResult, SolveError> {
-        self.run(instance, required, seed, Some(pool), &JobControl::new())
+        self.spec.threads
     }
 
     fn solve_controlled(

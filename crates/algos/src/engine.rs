@@ -19,19 +19,20 @@
 //!   after every stage ([`crate::cross_entropy::update_vector`], CBAS-ND,
 //!   including the [`StartMode::Partial`] online-replanning path of
 //!   §4.4.1);
-//! * **execution backend** — [`ExecBackend::Serial`], or
-//!   [`ExecBackend::Pool`] with a persistent worker pool spawned once per
-//!   solve ([`crate::exec`]).
+//! * **execution** — serial on the calling thread, or, when
+//!   [`CbasConfig::threads`] is set, as a job of a [`SharedPool`] (the
+//!   caller's, or one created for the solve and dropped after it; see
+//!   [`crate::exec`]).
 //!
-//! [`crate::Cbas`], [`crate::CbasNd`] and [`crate::ParallelCbasNd`] are
-//! thin, registry-visible configurations over this engine.
+//! [`crate::Cbas`] and [`crate::CbasNd`] are thin, registry-visible
+//! configurations over this engine.
 //!
 //! ## Determinism contract
 //!
 //! Every `(start node, stage, sample)` triple draws from its own RNG
 //! stream ([`crate::sample_seed`]) and the merge processes results in
-//! sample order, so the outcome is **bit-identical for every backend and
-//! thread count**; `tests/determinism.rs` and the `tests/properties.rs`
+//! sample order, so the outcome is **bit-identical for every executor and
+//! pool width**; `tests/determinism.rs` and the `tests/properties.rs`
 //! proptest pin this down.
 //!
 //! ## Budget accounting
@@ -46,7 +47,7 @@
 //!
 //! Every stage ends with a feasible incumbent, so the engine is an
 //! *anytime* algorithm. [`StagedEngine::solve_controlled`] /
-//! [`StagedEngine::solve_in_pool_controlled`] expose that through a
+//! [`StagedEngine::solve_job`] expose that through a
 //! [`crate::JobControl`]: cancellation and the `deadline=` wall-clock
 //! budget are checked at every stage boundary **and between samples
 //! inside every executor** (a tripped control stops further draws
@@ -70,9 +71,7 @@ use waso_graph::NodeId;
 use crate::cbas::CbasConfig;
 use crate::cbasnd::CbasNdConfig;
 use crate::cross_entropy::{update_vector, ProbabilityVector};
-use crate::exec::{
-    ExecBackend, SerialExec, SharedPool, SolveCtx, StageExec, StageShared, WorkItem, WorkerPool,
-};
+use crate::exec::{SerialExec, SharedPool, SolveCtx, StageExec, StageShared, WorkItem};
 use crate::gaussian::{allocate_stage_gaussian, Allocation, GaussStats};
 use crate::job::{JobControl, Termination};
 use crate::ocba::{allocate_stage, stage_budgets, uniform_split, StartStats};
@@ -105,21 +104,19 @@ pub enum StartMode<'a> {
     /// Grow every sample from a fixed partial solution — the §4.4.1 online
     /// extension (confirmed attendees) and required-attendee solves.
     /// Samples are independent draws from the same seed set, so partial
-    /// solves run on every backend (serial, per-solve pool, session pool)
-    /// with bit-identical results.
+    /// solves run serially or on a pool with bit-identical results.
     Partial(&'a [NodeId]),
 }
 
 /// The unified staged-sampling engine. See the module docs for the three
 /// axes; construction is via [`StagedEngine::new`] (CBAS shape) or
-/// [`StagedEngine::from_cbasnd`] (CBAS-ND shape) plus the builder-style
-/// [`StagedEngine::backend`] override.
+/// [`StagedEngine::from_cbasnd`] (CBAS-ND shape). The worker count is
+/// [`CbasConfig::threads`].
 #[derive(Debug, Clone)]
 pub struct StagedEngine {
     base: CbasConfig,
     distribution: Distribution,
     allocation: Allocation,
-    backend: ExecBackend,
     /// An incumbent group offered via [`StagedEngine::warm_start`]; if it
     /// is feasible for the solved instance it seeds the best-so-far
     /// before the first sample is drawn.
@@ -127,14 +124,13 @@ pub struct StagedEngine {
 }
 
 impl StagedEngine {
-    /// An engine over `base` with the given candidate distribution,
-    /// uniform-OCBA allocation and serial execution.
+    /// An engine over `base` with the given candidate distribution and
+    /// uniform-OCBA allocation; `base.threads` selects the executor.
     pub fn new(base: CbasConfig, distribution: Distribution) -> Self {
         Self {
             base,
             distribution,
             allocation: Allocation::UniformOcba,
-            backend: ExecBackend::Serial,
             warm: None,
         }
     }
@@ -150,7 +146,6 @@ impl StagedEngine {
                 backtrack_threshold: cfg.backtrack_threshold,
             },
             allocation: cfg.allocation,
-            backend: ExecBackend::Serial,
             warm: None,
         }
     }
@@ -158,12 +153,6 @@ impl StagedEngine {
     /// Overrides the allocation policy.
     pub fn allocation(mut self, allocation: Allocation) -> Self {
         self.allocation = allocation;
-        self
-    }
-
-    /// Overrides the execution backend.
-    pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -205,6 +194,10 @@ impl StagedEngine {
     /// samples spent, improving incumbents) after every stage. A control
     /// that never trips is invisible: the result is bit-identical to
     /// [`StagedEngine::solve`].
+    ///
+    /// A threaded engine clones the instance here (pool workers own a
+    /// handle to it); callers that already hold an `Arc` use
+    /// [`StagedEngine::solve_job`] instead.
     pub fn solve_controlled(
         &self,
         instance: &WasoInstance,
@@ -212,77 +205,35 @@ impl StagedEngine {
         seed: u64,
         control: &JobControl,
     ) -> Result<SolveResult, SolveError> {
-        self.run(instance, mode, seed, control)
+        self.run(instance, None, mode, seed, None, control)
             .map(|(result, _)| result)
     }
 
-    /// Solves as one **job** of a [`SharedPool`]: the solve is submitted
-    /// to the pool's scheduler and its stages are dealt across the pool's
-    /// workers, concurrently with any other jobs (other solves, other
-    /// sessions) the pool is serving. Thread creation is amortized across
-    /// every job of the process, and a worker panic is healed by the pool
-    /// (respawn + re-issue) instead of poisoning it. The pool's worker
-    /// count and deal govern only the schedule; the determinism contract
-    /// makes both invisible — results are bit-identical to
-    /// [`StagedEngine::solve`] for every pool size, deal, and tenant mix.
-    /// Serial-backend engines ignore the pool and run on the caller's
-    /// thread.
-    pub fn solve_in_pool(
-        &self,
-        pool: &SharedPool,
-        instance: &Arc<WasoInstance>,
-        mode: StartMode<'_>,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_in_pool_controlled(pool, instance, mode, seed, &JobControl::new())
-    }
-
-    /// [`StagedEngine::solve_in_pool`] under a [`JobControl`] (see
-    /// [`StagedEngine::solve_controlled`]): a cancel or elapsed deadline
-    /// makes the pool's workers abandon this job's in-flight chunks
-    /// between samples and stops the job from dealing further ones — the
+    /// Solves as one **job** of a [`SharedPool`] (§5.3.1, Figure 5(d)):
+    /// the solve is submitted to the pool's scheduler and its stages are
+    /// dealt across the pool's workers, concurrently with any other jobs
+    /// (other solves, other sessions) the pool is serving. A worker panic
+    /// is healed by the pool (respawn + re-issue) instead of failing the
+    /// solve. With no `pool` given, a threaded engine creates a pool of
+    /// its `threads` workers for this solve and drops it at the end;
+    /// engines without a `threads` count run serially on the caller's
+    /// thread and ignore `pool`.
+    ///
+    /// The pool's worker count and deal govern only the schedule; the
+    /// determinism contract makes both invisible — results are
+    /// bit-identical to the serial solve for every pool size, deal, and
+    /// tenant mix. A cancel or elapsed deadline on `control` makes the
+    /// workers abandon this job's in-flight chunks between samples; the
     /// pool itself keeps serving its other jobs untouched.
-    pub fn solve_in_pool_controlled(
+    pub fn solve_job(
         &self,
-        pool: &SharedPool,
         instance: &Arc<WasoInstance>,
         mode: StartMode<'_>,
         seed: u64,
+        pool: Option<&SharedPool>,
         control: &JobControl,
     ) -> Result<SolveResult, SolveError> {
-        if self.backend == ExecBackend::Serial {
-            return self.solve_controlled(instance, mode, seed, control);
-        }
-        let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
-        self.validate()?;
-        if let Some(deadline) = self.base.deadline {
-            control.arm_deadline(deadline);
-        }
-        let (starts, budgets, shared) = self.prepare(instance, mode)?;
-        let ctx = Arc::new(SolveCtx {
-            instance: Arc::clone(instance),
-            blocked: self.base.blocked.clone(),
-            shared,
-            seed,
-            partial: match mode {
-                StartMode::Partial(seeds) => Some(seeds.to_vec()),
-                StartMode::Fresh => None,
-            },
-            stop: Some(control.stop_state()),
-        });
-        let outcome = {
-            let mut job = pool.submit(Arc::clone(&ctx));
-            self.stage_loop(
-                instance,
-                mode,
-                &starts,
-                &budgets,
-                &ctx.shared,
-                &mut job,
-                control,
-            )
-        };
-        self.finalize(instance, mode, t0, starts.len(), outcome)
+        self.run(instance, Some(instance), mode, seed, pool, control)
             .map(|(result, _)| result)
     }
 
@@ -350,11 +301,15 @@ impl StagedEngine {
 
     /// The full solve, also returning the per-start-node statistics (test
     /// hook for the `spent == drawn` budget-accounting invariant).
+    /// `shared_instance` is `instance` behind an `Arc`, when the caller
+    /// holds one; a threaded solve without it clones the instance.
     fn run(
         &self,
         instance: &WasoInstance,
+        shared_instance: Option<&Arc<WasoInstance>>,
         mode: StartMode<'_>,
         seed: u64,
+        pool: Option<&SharedPool>,
         control: &JobControl,
     ) -> Result<(SolveResult, Vec<StartStats>), SolveError> {
         let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
@@ -365,51 +320,57 @@ impl StagedEngine {
         let (starts, budgets, shared) = self.prepare(instance, mode)?;
 
         // Partial-mode samples grow from the same seed set but are
-        // independent draws, so every mode follows the configured backend.
+        // independent draws, so every mode runs on either executor.
         let partial: Option<&[NodeId]> = match mode {
             StartMode::Partial(seeds) => Some(seeds),
             StartMode::Fresh => None,
         };
-        let outcome = match self.backend {
-            ExecBackend::Serial => {
+        let outcome = match self.base.threads {
+            None => {
                 let mut sampler = Sampler::for_instance(instance);
                 sampler.set_blocked(self.base.blocked.clone());
+                let mut exec = SerialExec {
+                    instance,
+                    shared: &shared,
+                    sampler,
+                    seed,
+                    partial,
+                    stop: Some(control.stop_state()),
+                };
+                self.stage_loop(
+                    instance, mode, &starts, &budgets, &shared, &mut exec, control,
+                )
+            }
+            Some(threads) => {
+                let ctx = Arc::new(SolveCtx {
+                    instance: shared_instance
+                        .map_or_else(|| Arc::new(instance.clone()), Arc::clone),
+                    blocked: self.base.blocked.clone(),
+                    shared,
+                    seed,
+                    partial: partial.map(<[NodeId]>::to_vec),
+                    stop: Some(control.stop_state()),
+                });
+                // No pool handed in: this solve's own, joined on drop.
+                let own_pool;
+                let pool = match pool {
+                    Some(pool) => pool,
+                    None => {
+                        own_pool = SharedPool::new(threads);
+                        &own_pool
+                    }
+                };
+                let mut job = pool.submit(Arc::clone(&ctx));
                 self.stage_loop(
                     instance,
                     mode,
                     &starts,
                     &budgets,
-                    &shared,
-                    &mut SerialExec {
-                        instance,
-                        shared: &shared,
-                        sampler,
-                        seed,
-                        partial,
-                        stop: Some(control.stop_state()),
-                    },
+                    &ctx.shared,
+                    &mut job,
                     control,
                 )
             }
-            ExecBackend::Pool { threads } => std::thread::scope(|scope| {
-                // Spawned ONCE per solve; stages only exchange channel
-                // messages with the parked workers. (Sessions amortize
-                // further: `solve_in_pool` borrows an already-spawned
-                // session pool instead.)
-                let mut pool = WorkerPool::spawn(
-                    scope,
-                    threads,
-                    instance,
-                    &self.base.blocked,
-                    &shared,
-                    seed,
-                    partial,
-                    Some(control.stop_state()),
-                );
-                self.stage_loop(
-                    instance, mode, &starts, &budgets, &shared, &mut pool, control,
-                )
-            }),
         };
         self.finalize(instance, mode, t0, starts.len(), outcome)
     }
@@ -518,8 +479,8 @@ impl StagedEngine {
         let mut results: Vec<Option<Sample>> = Vec::new();
         let mut stage_samples: Vec<Sample> = Vec::new();
         // Spent samples' node buffers, fed back to the executor each stage
-        // (and from there to the samplers — across the job channels for
-        // pooled backends), so steady-state sampling allocates nothing.
+        // (and from there to the samplers — inside the chunk messages on
+        // a pool), so steady-state sampling allocates nothing.
         let mut slab: Vec<Vec<NodeId>> = Vec::new();
         // Consecutive stages without an incumbent improvement (patience).
         let mut non_improving = 0u32;
@@ -599,7 +560,7 @@ impl StagedEngine {
             }
 
             // Merge in (start node, sample) order — identical for every
-            // backend, including the stop-at-first-stall accounting (a
+            // executor, including the stop-at-first-stall accounting (a
             // stall is a property of the start node's component, so sample
             // 0 stalls iff they all do).
             let mut idx = 0usize;
@@ -776,22 +737,39 @@ mod tests {
         StagedEngine::new(base, dist)
     }
 
+    fn threaded(mut eng: StagedEngine, threads: Option<usize>) -> StagedEngine {
+        eng.base.threads = threads;
+        eng
+    }
+
+    /// Every way a solve executes: serial, a threaded solve on a pool of
+    /// its own, and a threaded solve as a job of the attached `pool`.
+    fn executors(pool: &SharedPool) -> [(Option<usize>, Option<&SharedPool>); 3] {
+        [(None, None), (Some(3), None), (Some(3), Some(pool))]
+    }
+
+    const CE: Distribution = Distribution::CrossEntropy {
+        rho: 0.3,
+        smoothing: 0.9,
+        backtrack_threshold: None,
+    };
+
     #[test]
     fn stalled_starts_are_charged_only_drawn_samples() {
         // Budget-accounting regression: the stalled start breaks out of
         // its loop after one failed draw; `spent` must equal the draws
         // actually made, summing to `samples_drawn` exactly.
-        for dist in [
-            Distribution::Uniform,
-            Distribution::CrossEntropy {
-                rho: 0.3,
-                smoothing: 0.9,
-                backtrack_threshold: None,
-            },
-        ] {
+        for dist in [Distribution::Uniform, CE] {
             let eng = engine(60, 2, 3, dist);
             let (result, stats) = eng
-                .run(&stalled_instance(), StartMode::Fresh, 0, &JobControl::new())
+                .run(
+                    &stalled_instance(),
+                    None,
+                    StartMode::Fresh,
+                    0,
+                    None,
+                    &JobControl::new(),
+                )
                 .unwrap();
             let spent: u64 = stats.iter().map(|s| s.spent).sum();
             assert_eq!(spent, result.stats.samples_drawn, "{dist:?}");
@@ -808,49 +786,46 @@ mod tests {
     }
 
     #[test]
-    fn pooled_backend_charges_identically() {
-        let eng = engine(
-            60,
-            2,
-            3,
-            Distribution::CrossEntropy {
-                rho: 0.3,
-                smoothing: 0.9,
-                backtrack_threshold: None,
-            },
-        );
-        let (serial, s_stats) = eng
-            .run(&stalled_instance(), StartMode::Fresh, 0, &JobControl::new())
-            .unwrap();
-        let pooled = eng.clone().backend(ExecBackend::Pool { threads: 4 });
-        let (par, p_stats) = pooled
-            .run(&stalled_instance(), StartMode::Fresh, 0, &JobControl::new())
-            .unwrap();
-        assert_eq!(serial.group, par.group);
-        assert_eq!(serial.stats.samples_drawn, par.stats.samples_drawn);
-        for (a, b) in s_stats.iter().zip(&p_stats) {
-            assert_eq!(a.spent, b.spent);
-            assert_eq!(a.pruned, b.pruned);
+    fn every_executor_charges_identically() {
+        let inst = Arc::new(stalled_instance());
+        let pool = SharedPool::new(4);
+        let run = |threads, pool| {
+            threaded(engine(60, 2, 3, CE), threads)
+                .run(
+                    &inst,
+                    Some(&inst),
+                    StartMode::Fresh,
+                    0,
+                    pool,
+                    &JobControl::new(),
+                )
+                .unwrap()
+        };
+        let (serial, s_stats) = run(None, None);
+        for (threads, pool) in executors(&pool) {
+            let (par, p_stats) = run(threads, pool);
+            assert_eq!(serial.group, par.group, "{threads:?}");
+            assert_eq!(serial.stats.samples_drawn, par.stats.samples_drawn);
+            for (a, b) in s_stats.iter().zip(&p_stats) {
+                assert_eq!(a.spent, b.spent);
+                assert_eq!(a.pruned, b.pruned);
+            }
         }
     }
 
     #[test]
     fn axes_compose_independently() {
-        // Every (distribution, allocation, backend) combination solves and
-        // spends the full budget on a feasible graph.
-        let inst = random_instance(60, 5, 1);
-        let ce = Distribution::CrossEntropy {
-            rho: 0.3,
-            smoothing: 0.9,
-            backtrack_threshold: None,
-        };
-        for dist in [Distribution::Uniform, ce] {
+        // Every (distribution, allocation, executor) combination solves
+        // and spends the full budget on a feasible graph.
+        let inst = Arc::new(random_instance(60, 5, 1));
+        let pool = SharedPool::new(2);
+        for dist in [Distribution::Uniform, CE] {
             for allocation in [Allocation::UniformOcba, Allocation::Gaussian] {
-                for backend in [ExecBackend::Serial, ExecBackend::Pool { threads: 3 }] {
-                    let eng = engine(80, 4, 6, dist)
-                        .allocation(allocation)
-                        .backend(backend);
-                    let res = eng.solve(&inst, StartMode::Fresh, 7).unwrap();
+                for (threads, pool) in executors(&pool) {
+                    let eng = threaded(engine(80, 4, 6, dist).allocation(allocation), threads);
+                    let res = eng
+                        .solve_job(&inst, StartMode::Fresh, 7, pool, &JobControl::new())
+                        .unwrap();
                     assert_eq!(res.stats.samples_drawn, 80, "{dist:?}/{allocation:?}");
                     assert_eq!(res.group.len(), 5);
                 }
@@ -859,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_choice_never_changes_the_answer() {
+    fn thread_count_never_changes_the_answer() {
         let inst = random_instance(80, 6, 2);
         let ce = Distribution::CrossEntropy {
             rho: 0.3,
@@ -870,8 +845,7 @@ mod tests {
             .solve(&inst, StartMode::Fresh, 42)
             .unwrap();
         for threads in [1, 2, 4, 8] {
-            let par = engine(120, 4, 8, ce)
-                .backend(ExecBackend::Pool { threads })
+            let par = threaded(engine(120, 4, 8, ce), Some(threads))
                 .solve(&inst, StartMode::Fresh, 42)
                 .unwrap();
             assert_eq!(par.group, serial.group, "threads={threads}");
@@ -885,34 +859,36 @@ mod tests {
     }
 
     #[test]
-    fn partial_mode_is_backend_invariant() {
-        // Partial solves are served by the pool too; every backend (and
-        // the session-held pool) must agree bit-for-bit.
-        let inst = random_instance(50, 6, 8);
+    fn partial_mode_is_executor_invariant() {
+        // Partial solves are served by the pool too; every executor must
+        // agree bit-for-bit.
+        let inst = Arc::new(random_instance(50, 6, 8));
         let seeds = [NodeId(0), NodeId(1)];
-        let ce = Distribution::CrossEntropy {
-            rho: 0.3,
-            smoothing: 0.9,
-            backtrack_threshold: None,
-        };
-        let a = engine(60, 3, 4, ce)
+        let a = engine(60, 3, 4, CE)
             .solve(&inst, StartMode::Partial(&seeds), 2)
             .unwrap();
-        for threads in [1, 2, 4] {
-            let b = engine(60, 3, 4, ce)
-                .backend(ExecBackend::Pool { threads })
-                .solve(&inst, StartMode::Partial(&seeds), 2)
+        let pool = SharedPool::new(2);
+        for (threads, pool) in executors(&pool) {
+            let b = threaded(engine(60, 3, 4, CE), threads)
+                .solve_job(
+                    &inst,
+                    StartMode::Partial(&seeds),
+                    2,
+                    pool,
+                    &JobControl::new(),
+                )
                 .unwrap();
-            assert_eq!(a.group, b.group, "threads={threads}");
+            assert_eq!(a.group, b.group, "threads={threads:?}");
             assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
         }
         assert!(a.group.contains(NodeId(0)) && a.group.contains(NodeId(1)));
     }
 
     #[test]
-    fn session_pool_solves_are_bit_identical_and_reusable() {
+    fn attached_pool_solves_are_bit_identical_and_reusable() {
         // One SharedPool serving many solves — fresh and partial, across
-        // different instances — must match the per-solve paths exactly.
+        // different instances, with a worker count unrelated to the
+        // engine's `threads` — must match the serial solve exactly.
         let pool = SharedPool::new(3);
         let ce = Distribution::CrossEntropy {
             rho: 0.3,
@@ -921,39 +897,57 @@ mod tests {
         };
         for seed in 0..3u64 {
             let inst = Arc::new(random_instance(60, 5, seed));
-            let eng = engine(80, 4, 6, ce).backend(ExecBackend::Pool { threads: 7 });
-            let direct = eng.solve(&inst, StartMode::Fresh, seed).unwrap();
+            let serial = engine(80, 4, 6, ce);
+            let eng = threaded(serial.clone(), Some(7));
+            let direct = serial.solve(&inst, StartMode::Fresh, seed).unwrap();
             let pooled = eng
-                .solve_in_pool(&pool, &inst, StartMode::Fresh, seed)
+                .solve_job(
+                    &inst,
+                    StartMode::Fresh,
+                    seed,
+                    Some(&pool),
+                    &JobControl::new(),
+                )
                 .unwrap();
             assert_eq!(direct.group, pooled.group, "seed={seed}");
             assert_eq!(direct.stats.samples_drawn, pooled.stats.samples_drawn);
 
             let seeds = [NodeId(0), NodeId(1)];
-            let direct = eng.solve(&inst, StartMode::Partial(&seeds), seed).unwrap();
+            let direct = serial
+                .solve(&inst, StartMode::Partial(&seeds), seed)
+                .unwrap();
             let pooled = eng
-                .solve_in_pool(&pool, &inst, StartMode::Partial(&seeds), seed)
+                .solve_job(
+                    &inst,
+                    StartMode::Partial(&seeds),
+                    seed,
+                    Some(&pool),
+                    &JobControl::new(),
+                )
                 .unwrap();
             assert_eq!(direct.group, pooled.group, "partial seed={seed}");
             assert_eq!(direct.stats.backtracks, pooled.stats.backtracks);
         }
+        assert_eq!(pool.stats().active_jobs, 0, "every job detached");
     }
 
     #[test]
     fn cancel_before_the_first_stage_returns_no_incumbent() {
-        let inst = random_instance(40, 4, 1);
-        for backend in [ExecBackend::Serial, ExecBackend::Pool { threads: 2 }] {
-            let eng = engine(200, 4, 3, Distribution::Uniform).backend(backend);
+        let inst = Arc::new(random_instance(40, 4, 1));
+        let pool = SharedPool::new(2);
+        for (threads, pool) in executors(&pool) {
+            let eng = threaded(engine(200, 4, 3, Distribution::Uniform), threads);
             let control = JobControl::new();
             control.cancel();
             let err = eng
-                .solve_controlled(&inst, StartMode::Fresh, 0, &control)
+                .solve_job(&inst, StartMode::Fresh, 0, pool, &control)
                 .unwrap_err();
             assert_eq!(
                 err,
                 SolveError::NoIncumbent {
                     reason: Termination::Cancelled
-                }
+                },
+                "{threads:?}"
             );
             // Nothing was sampled: progress never moved.
             assert_eq!(control.progress().samples_spent, 0);
@@ -982,56 +976,35 @@ mod tests {
         // deadline time — not after millions of further draws. The solve
         // stopped "before its first completed stage", so the typed
         // NoIncumbent error carries the deadline reason.
-        let inst = random_instance(120, 6, 6);
-        for backend in [ExecBackend::Serial, ExecBackend::Pool { threads: 3 }] {
-            let eng = engine(3_000_000, 1, 4, Distribution::Uniform).backend(backend);
+        let inst = Arc::new(random_instance(120, 6, 6));
+        let pool = SharedPool::new(2);
+        for (threads, pool) in executors(&pool) {
+            let eng = threaded(engine(3_000_000, 1, 4, Distribution::Uniform), threads);
             let control = JobControl::new();
             control.arm_deadline(std::time::Duration::from_millis(40));
             let t0 = Instant::now();
             let err = eng
-                .solve_controlled(&inst, StartMode::Fresh, 1, &control)
+                .solve_job(&inst, StartMode::Fresh, 1, pool, &control)
                 .unwrap_err();
+            let label = format!("threads={threads:?} attached={}", pool.is_some());
             assert!(
                 t0.elapsed() < std::time::Duration::from_secs(5),
-                "{backend:?}: deadline overshoot was not bounded mid-stage"
+                "{label}: deadline overshoot was not bounded mid-stage"
             );
             assert_eq!(
                 err,
                 SolveError::NoIncumbent {
                     reason: Termination::Deadline
                 },
-                "{backend:?}"
+                "{label}"
             );
             // The abandoned stage never merged: no samples were charged.
-            assert_eq!(control.progress().samples_spent, 0, "{backend:?}");
+            assert_eq!(control.progress().samples_spent, 0, "{label}");
         }
-        // Same contract as a job of a SharedPool: the workers abandon the
-        // job's chunks between samples; the pool stays serviceable.
-        let pool = SharedPool::new(2);
-        let inst = Arc::new(inst);
-        let eng = engine(3_000_000, 1, 4, Distribution::Uniform)
-            .backend(ExecBackend::Pool { threads: 2 });
-        let control = JobControl::new();
-        control.arm_deadline(std::time::Duration::from_millis(40));
-        let t0 = Instant::now();
-        let err = eng
-            .solve_in_pool_controlled(&pool, &inst, StartMode::Fresh, 1, &control)
-            .unwrap_err();
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(5),
-            "shared pool"
-        );
-        assert_eq!(
-            err,
-            SolveError::NoIncumbent {
-                reason: Termination::Deadline
-            }
-        );
-        // The pool keeps serving jobs after the abandoned one.
-        let small =
-            engine(200, 2, 4, Distribution::Uniform).backend(ExecBackend::Pool { threads: 2 });
+        // The attached pool keeps serving jobs after the abandoned one.
+        let small = threaded(engine(200, 2, 4, Distribution::Uniform), Some(2));
         let res = small
-            .solve_in_pool(&pool, &inst, StartMode::Fresh, 2)
+            .solve_job(&inst, StartMode::Fresh, 2, Some(&pool), &JobControl::new())
             .unwrap();
         assert_eq!(res.stats.samples_drawn, 200);
     }

@@ -1,40 +1,37 @@
-//! Execution backends for the [`crate::engine::StagedEngine`].
+//! Stage executors for the [`crate::engine::StagedEngine`].
 //!
-//! The engine's stage loop is backend-agnostic: it describes one stage as a
-//! flat list of [`WorkItem`]s (one per sample to draw) and asks an executor
-//! to fill a result slot per item. Three executors exist:
+//! The engine's stage loop is executor-agnostic: it describes one stage as
+//! a flat list of [`WorkItem`]s (one per sample to draw) and asks an
+//! executor to fill a result slot per item. Two executors exist:
 //!
-//! * [`ExecBackend::Serial`] — one reusable [`Sampler`] on the calling
-//!   thread;
-//! * [`ExecBackend::Pool`] — a pool of workers spawned once per solve
-//!   (scoped threads borrowing the solve's state). Workers park on a job
-//!   channel between stages; the per-stage cost is two channel messages
-//!   per worker, not a thread spawn.
-//! * [`SharedPool`] (module [`shared`]) — a **process-wide** pool of owned
+//! * [`SerialExec`] — one reusable [`Sampler`] on the calling thread
+//!   (engines without a `threads` count);
+//! * a job of a [`SharedPool`] (module [`shared`]) — a pool of owned
 //!   threads that any number of sessions and solves attach to
 //!   concurrently, with a job-level scheduler and self-healing workers.
-//!   [`SolverPool`] is its historical (session-held) name.
+//!   A threaded solve that is handed no pool creates a `SharedPool` of
+//!   its own and drops it when the solve ends.
 //!
-//! All pooled paths serve [`crate::engine::StartMode::Partial`] too: a
+//! The pooled path serves [`crate::engine::StartMode::Partial`] too: a
 //! partial solve's samples are independent draws growing from the same
 //! seed set, so they deal across workers exactly like fresh samples.
 //!
-//! Each worker owns its `Sampler` (and thus its `GrowthWorkspace` and
-//! weight buffer) for the whole solve, result buffers are recycled through
-//! the job channel, and the per-sample `Vec<NodeId>` node lists flow
-//! coordinator → worker → coordinator through a slab (job messages carry
-//! spent buffers back; see [`StageExec::run_stage`]) — steady-state stages
-//! allocate nothing.
+//! Each worker owns one `Sampler` (and thus its `GrowthWorkspace` and
+//! weight buffer) per attached job, result buffers are recycled through
+//! the chunk messages, and the per-sample `Vec<NodeId>` node lists flow
+//! coordinator → worker → coordinator through a slab (chunk messages
+//! carry spent buffers back; see [`StageExec::run_stage`]) — steady-state
+//! stages allocate nothing.
 //!
 //! Determinism: every `(start node, stage, sample)` triple draws from its
 //! own RNG stream ([`crate::sample_seed`]), and results are keyed by item
 //! index, so *which* worker draws a sample — and in *what deal pattern*
-//! ([`Deal`]) — is irrelevant: any thread count (including the serial
-//! executor) produces bit-identical solves.
+//! ([`Deal`]) — is irrelevant: any pool width (and the serial executor)
+//! produces bit-identical solves.
 //!
 //! Stall cutoff: a failed draw means the start's component is smaller than
 //! `k` (or the seed set cannot be completed), so every other draw of that
-//! start fails too (deterministically). All executors publish stalls in
+//! start fails too (deterministically). Both executors publish stalls in
 //! [`StageShared::stalled`] and skip the start's remaining items — their
 //! result slots stay `None`, which is exactly what drawing them would
 //! produce, so the cutoff is invisible to the merge. This keeps the
@@ -45,13 +42,7 @@ mod shared;
 
 pub use shared::{Deal, PoolStats, SharedPool, WorkerStats};
 
-/// Historical name of the owned worker pool. Since the SharedPool
-/// scheduler landed, a "session-held" pool is simply a [`SharedPool`]
-/// with a single tenant — the type is one and the same.
-pub type SolverPool = SharedPool;
-
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use rand::rngs::StdRng;
@@ -62,20 +53,6 @@ use waso_graph::{BitSet, NodeId};
 use crate::cross_entropy::ProbabilityVector;
 use crate::job::StopState;
 use crate::sampler::{Sample, Sampler};
-
-/// How a [`crate::engine::StagedEngine`] executes a stage's samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// Draw every sample on the calling thread (CBAS / CBAS-ND).
-    Serial,
-    /// Fan samples out across a persistent pool of `threads` workers
-    /// (§5.3.1, Figure 5(d)). Bit-identical to [`ExecBackend::Serial`] for
-    /// every thread count.
-    Pool {
-        /// Worker count (clamped to ≥ 1 by the solvers that build this).
-        threads: usize,
-    },
-}
 
 /// One unit of stage work: draw sample `q` of start node `start_index`.
 #[derive(Debug, Clone, Copy)]
@@ -236,9 +213,8 @@ impl Span {
     }
 }
 
-/// Draws one span of the current stage into `buf`. Shared verbatim by the
-/// scoped per-solve workers and the shared-pool workers so the two can
-/// never drift behaviourally.
+/// Draws one span of the current stage into `buf` (a shared-pool
+/// worker's share of one chunk).
 ///
 /// Returns `false` when `stop` tripped before the span finished: the
 /// partial draws in `buf` belong to a stage the engine will abandon
@@ -307,8 +283,8 @@ pub(crate) struct SerialExec<'a> {
     /// Online-replanning / required-attendee mode: grow every sample from
     /// this partial solution instead of the item's start node (§4.4.1).
     pub partial: Option<&'a [NodeId]>,
-    /// The job's stop signal, checked between samples like the pooled
-    /// executors do.
+    /// The job's stop signal, checked between samples like pool workers
+    /// do.
     pub stop: Option<Arc<StopState>>,
 }
 
@@ -345,200 +321,5 @@ impl StageExec for SerialExec<'_> {
             }
         }
         true
-    }
-}
-
-/// One per-stage assignment sent to a parked worker. Carries a recycled
-/// output buffer and a share of the spent node-buffer slab, so
-/// steady-state stages perform no allocation at all.
-struct Job {
-    stage: u64,
-    buf: Vec<(usize, Option<Sample>)>,
-    /// Spent `Sample::nodes` buffers flowing back to the worker's sampler.
-    recycled: Vec<Vec<NodeId>>,
-}
-
-/// One worker's per-stage answer: its span's results, plus the emptied
-/// recycling container going back to the coordinator's spares.
-struct SpanResult {
-    buf: Vec<(usize, Option<Sample>)>,
-    empties: Vec<Vec<NodeId>>,
-    /// Whether the span was drawn in full (`false`: the job's stop signal
-    /// tripped mid-span and the stage must be abandoned).
-    complete: bool,
-}
-
-/// Splits up to `per_worker` node buffers off `slab` into a recycled
-/// container from `spares`.
-fn take_share(
-    slab: &mut Vec<Vec<NodeId>>,
-    spares: &mut Vec<Vec<Vec<NodeId>>>,
-    per_worker: usize,
-) -> Vec<Vec<NodeId>> {
-    let mut share = spares.pop().unwrap_or_default();
-    let cut = slab.len().saturating_sub(per_worker);
-    share.extend(slab.drain(cut..));
-    share
-}
-
-/// The coordinator's handle to one scoped pool worker: its job sender and
-/// its dedicated result channel. Per-worker result channels (rather than
-/// one shared channel) make worker death observable — a panicked worker
-/// drops its sender, so the coordinator's `recv` errors instead of
-/// blocking forever on a channel kept open by the surviving workers.
-struct WorkerHandle {
-    job_tx: Sender<Job>,
-    result_rx: Receiver<SpanResult>,
-}
-
-/// Buffer spares a pooled coordinator keeps between stages.
-#[derive(Default)]
-struct PoolSpares {
-    bufs: Vec<Vec<(usize, Option<Sample>)>>,
-    recycle_containers: Vec<Vec<Vec<NodeId>>>,
-}
-
-/// The worker half of one stage: absorb the recycled buffers, draw the
-/// span, send the batch back. Returns `false` when the coordinator is
-/// gone and the worker should stop.
-#[allow(clippy::too_many_arguments)]
-fn work_stage(
-    sampler: &mut Sampler,
-    instance: &WasoInstance,
-    shared: &StageShared,
-    partial: Option<&[NodeId]>,
-    seed: u64,
-    span: Span,
-    stop: Option<&StopState>,
-    job: Job,
-    result_tx: &Sender<SpanResult>,
-) -> bool {
-    let Job {
-        stage,
-        mut buf,
-        mut recycled,
-    } = job;
-    buf.clear();
-    for spent in recycled.drain(..) {
-        sampler.recycle(spent);
-    }
-    let complete = draw_span(
-        sampler, instance, shared, partial, stage, seed, span, stop, &mut buf,
-    );
-    result_tx
-        .send(SpanResult {
-            buf,
-            empties: recycled,
-            complete,
-        })
-        .is_ok()
-}
-
-/// The per-solve worker pool: spawned once per solve inside a
-/// `std::thread::scope`, fed one [`Job`] per worker per stage. One-shot
-/// solves use this (it borrows the solve's state, so the instance is
-/// never cloned); sessions and batch solves amortize further with the
-/// owned [`SharedPool`].
-pub(crate) struct WorkerPool {
-    workers: Vec<WorkerHandle>,
-    spares: PoolSpares,
-}
-
-impl WorkerPool {
-    /// Spawns `threads` workers onto `scope`. Each worker builds its
-    /// sampler **once**, then loops: receive job → read-lock the stage's
-    /// items and vectors → draw its stripe (items `w, w+T, w+2T, …`) →
-    /// send the batch back. Workers exit when the pool (and with it the
-    /// job senders) is dropped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn spawn<'scope, 'env: 'scope>(
-        scope: &'scope std::thread::Scope<'scope, 'env>,
-        threads: usize,
-        instance: &'env WasoInstance,
-        blocked: &'env Option<BitSet>,
-        shared: &'env StageShared,
-        seed: u64,
-        partial: Option<&'env [NodeId]>,
-        stop: Option<Arc<StopState>>,
-    ) -> Self {
-        let threads = threads.max(1);
-        let mut workers = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (job_tx, job_rx) = channel::<Job>();
-            let (result_tx, result_rx) = channel();
-            let stop = stop.clone();
-            workers.push(WorkerHandle { job_tx, result_rx });
-            scope.spawn(move || {
-                let mut sampler = Sampler::for_instance(instance);
-                sampler.set_blocked(blocked.clone());
-                let span = Span::stripe(w, threads);
-                while let Ok(job) = job_rx.recv() {
-                    if !work_stage(
-                        &mut sampler,
-                        instance,
-                        shared,
-                        partial,
-                        seed,
-                        span,
-                        stop.as_deref(),
-                        job,
-                        &result_tx,
-                    ) {
-                        break; // coordinator gone mid-stage
-                    }
-                }
-            });
-        }
-        Self {
-            workers,
-            spares: PoolSpares::default(),
-        }
-    }
-}
-
-impl StageExec for WorkerPool {
-    /// Sends one stage's jobs to the workers and merges their stripes into
-    /// `results`. A dead worker surfaces as a recv error (its sender is
-    /// dropped on unwind), and the resulting coordinator panic propagates
-    /// the failure instead of deadlocking — per-solve pools are scoped to
-    /// the solve, so there is nothing to heal (the [`SharedPool`] is the
-    /// self-healing flavour).
-    fn run_stage(
-        &mut self,
-        stage: u64,
-        results: &mut [Option<Sample>],
-        slab: &mut Vec<Vec<NodeId>>,
-    ) -> bool {
-        let per_worker = slab.len().div_ceil(self.workers.len().max(1));
-        for worker in &self.workers {
-            let buf = self.spares.bufs.pop().unwrap_or_default();
-            let recycled = take_share(slab, &mut self.spares.recycle_containers, per_worker);
-            worker
-                .job_tx
-                .send(Job {
-                    stage,
-                    buf,
-                    recycled,
-                })
-                .expect("per-solve pool worker panicked");
-        }
-        let mut all_complete = true;
-        for worker in &self.workers {
-            let SpanResult {
-                mut buf,
-                empties,
-                complete,
-            } = worker
-                .result_rx
-                .recv()
-                .expect("per-solve pool worker panicked");
-            all_complete &= complete;
-            for (j, s) in buf.drain(..) {
-                results[j] = s;
-            }
-            self.spares.bufs.push(buf);
-            self.spares.recycle_containers.push(empties);
-        }
-        all_complete
     }
 }

@@ -44,7 +44,7 @@ use std::thread::JoinHandle;
 
 use waso_graph::NodeId;
 
-use super::{draw_span, take_share, PoolSpares, SolveCtx, Span, StageExec};
+use super::{draw_span, SolveCtx, Span, StageExec};
 use crate::sampler::{Sample, Sampler};
 
 /// How many consecutive instant worker deaths a coordinator tolerates
@@ -497,7 +497,8 @@ impl SharedPool {
             ctx,
             id,
             links: Vec::with_capacity(self.threads),
-            spares: PoolSpares::default(),
+            spare_bufs: Vec::new(),
+            spare_containers: Vec::new(),
         };
         for s in 0..self.threads {
             job.relink(s, None);
@@ -572,7 +573,11 @@ pub(crate) struct PoolJob<'p> {
     ctx: Arc<SolveCtx>,
     id: u64,
     links: Vec<Link>,
-    spares: PoolSpares,
+    /// Result buffers returned by collected chunks, reused by the next
+    /// stage's dispatches.
+    spare_bufs: Vec<Vec<(usize, Option<Sample>)>>,
+    /// Emptied node-buffer containers, refilled from the slab on dispatch.
+    spare_containers: Vec<Vec<Vec<NodeId>>>,
 }
 
 impl PoolJob<'_> {
@@ -627,8 +632,11 @@ impl PoolJob<'_> {
         slab: &mut Vec<Vec<NodeId>>,
         per_worker: usize,
     ) {
-        let buf = self.spares.bufs.pop().unwrap_or_default();
-        let recycled = take_share(slab, &mut self.spares.recycle_containers, per_worker);
+        let buf = self.spare_bufs.pop().unwrap_or_default();
+        // Up to `per_worker` spent node buffers ride along to the worker.
+        let mut recycled = self.spare_containers.pop().unwrap_or_default();
+        let cut = slab.len().saturating_sub(per_worker);
+        recycled.extend(slab.drain(cut..));
         let mut msg = WorkerMsg::Chunk {
             job: self.id,
             stage,
@@ -688,8 +696,8 @@ impl PoolJob<'_> {
                             *r = s;
                         }
                     }
-                    self.spares.bufs.push(buf);
-                    self.spares.recycle_containers.push(empties);
+                    self.spare_bufs.push(buf);
+                    self.spare_containers.push(empties);
                     self.pool.track_depth(self.id, Some(-1));
                     return complete;
                 }

@@ -187,7 +187,7 @@ impl JobControl {
         }
     }
 
-    /// The shared stop signal, for execution backends that check it
+    /// The shared stop signal, for stage executors that check it
     /// between samples.
     pub(crate) fn stop_state(&self) -> Arc<StopState> {
         Arc::clone(&self.stop)

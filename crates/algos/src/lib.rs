@@ -8,22 +8,22 @@
 //! | [`rgreedy`] | §4.1 | `RGreedy`, randomized greedy with willingness-proportional selection |
 //! | [`sampler`] | §3.1 | random growth of partial solutions (uniform / probability-vector weighted) |
 //! | [`ocba`] | §3.1–3.2 | computational-budget allocation across start nodes, stage derivation |
-//! | [`engine`] | §3–§4, §5.3.1 | **the** staged-sampling loop: allocation × distribution × backend |
-//! | [`exec`] | §5.3.1 | execution backends: serial, per-solve worker pool, the process-wide self-healing [`SharedPool`] |
+//! | [`engine`] | §3–§4, §5.3.1 | **the** staged-sampling loop: allocation × distribution × execution |
+//! | [`exec`] | §5.3.1 | stage executors: serial, or a job of the self-healing [`SharedPool`] |
 //! | [`cbas`] | §3 | `Cbas` — the engine with uniform candidate selection |
 //! | [`cross_entropy`] | §4.2–4.3 | sparse node-selection probability vectors, elite updates, smoothing |
 //! | [`cbasnd`] | §4 | `CbasNd` — the engine with cross-entropy neighbour differentiation |
 //! | [`gaussian`] | Appendix A | Gaussian budget allocation (`CBAS-ND-G`) |
 //! | [`decomp`] | §5.3 scaling | `Decomp` — community-partitioned solves with boundary repair |
 //! | [`online`] | §4.4.1 | replanning after declines, keeping confirmed attendees |
-//! | [`parallel`] | §5.3.1 | `ParallelCbasNd` — the engine on the pooled backend (Fig 5(d)) |
 //! | [`theory`] | §3.2, §4.3 | the approximation-ratio and `P_b` formulas of Theorems 3–5 |
 //!
 //! All solvers implement [`Solver`]: deterministic given `(instance, seed)`,
 //! returning a validated [`waso_core::Group`] plus run statistics. The
-//! staged family (CBAS, CBAS-ND, CBAS-ND-G, parallel) shares one stage
-//! loop — [`engine::StagedEngine`] — whose execution backend, allocation
-//! policy and candidate distribution are orthogonal axes.
+//! staged family (CBAS, CBAS-ND, CBAS-ND-G, each serial or with
+//! `threads=N`) shares one stage loop — [`engine::StagedEngine`] — whose
+//! execution, allocation policy and candidate distribution are orthogonal
+//! axes.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,7 +39,6 @@ pub mod greedy;
 pub mod job;
 pub mod ocba;
 pub mod online;
-pub mod parallel;
 pub mod registry;
 pub mod rgreedy;
 pub mod sampler;
@@ -56,15 +55,14 @@ pub use cbasnd::{CbasNd, CbasNdConfig};
 pub use cross_entropy::ProbabilityVector;
 pub use decomp::Decomp;
 pub use engine::{Distribution, StagedEngine, StartMode};
-pub use exec::{Deal, ExecBackend, PoolStats, SharedPool, SolverPool, WorkerStats};
+pub use exec::{Deal, PoolStats, SharedPool, WorkerStats};
 pub use gaussian::Allocation;
 pub use greedy::DGreedy;
 pub use job::{Incumbent, JobControl, JobProgress, Termination};
 pub use online::OnlinePlanner;
-pub use parallel::ParallelCbasNd;
 pub use registry::{BuildFn, RegistryEntry, SolverRegistry};
 pub use rgreedy::{RGreedy, RGreedyConfig};
-pub use spec::{Capabilities, PoolMode, SolverSpec, SpecError, DEFAULT_BUDGET};
+pub use spec::{Capabilities, SolverSpec, SpecError, DEFAULT_BUDGET};
 
 /// Why a solver could not produce a group.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,8 +167,7 @@ pub struct SolverStats {
 impl SolverStats {
     /// Sampling throughput of the solve: `samples_drawn / elapsed`
     /// (0 when the run was too fast to time or drew nothing). The
-    /// perf-trajectory figure the bench harness tracks per backend and
-    /// thread count.
+    /// perf-trajectory figure the bench harness tracks per thread count.
     pub fn samples_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 && self.samples_drawn > 0 {
@@ -224,8 +221,8 @@ impl std::fmt::Display for SolveResult {
 ///
 /// Implementations are deterministic functions of `(instance, seed)` —
 /// rerunning with the same arguments yields the same group. This also makes
-/// the parallel driver bit-identical to the serial one (per-start-node RNG
-/// streams; see [`parallel`]).
+/// pooled solves bit-identical to serial ones (per-sample RNG streams; see
+/// [`exec`]).
 ///
 /// Beyond the core [`Solver::solve_seeded`], the trait carries the uniform
 /// constraint surface the [`SolverRegistry`] and the `waso::WasoSession`
@@ -282,48 +279,30 @@ pub trait Solver {
     }
 
     /// The worker count this solver would like from a [`SharedPool`], or
-    /// `None` for inherently serial solvers (and for solvers configured
-    /// with [`PoolMode::Private`], which spawn their own workers).
-    /// Sessions use this to decide whether a solve is worth routing
-    /// through (and lazily spawning) their shared pool.
+    /// `None` for serial solvers. Sessions use this to decide whether a
+    /// solve is worth routing through (and lazily spawning) their shared
+    /// pool.
     fn pool_threads(&self) -> Option<usize> {
         None
     }
 
-    /// [`Solver::solve_with_required`] as a job of a [`SharedPool`]:
-    /// pooled solvers submit their stages to the already-spawned workers
-    /// instead of spawning their own, amortizing thread creation across
-    /// every job the pool serves — concurrently with other jobs and
-    /// sessions. Results are bit-identical to the non-pooled paths for
-    /// every worker count and tenant mix (per-sample RNG streams,
-    /// index-keyed merge). The default ignores the pool — correct for
-    /// serial solvers.
-    fn solve_pooled(
-        &mut self,
-        instance: &std::sync::Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: &SharedPool,
-    ) -> Result<SolveResult, SolveError> {
-        let _ = pool;
-        self.solve_with_required(instance, required, seed)
-    }
-
     /// The job-handle entry point: solve under a [`JobControl`] that can
     /// cancel the run, bound it with a deadline, and observe its progress
-    /// and incumbents ([`Capabilities::anytime`]).
+    /// and incumbents ([`Capabilities::anytime`]). Pooled solvers run as a
+    /// job of `pool` when one is given, sharing its workers with every
+    /// other job it serves.
     ///
     /// The determinism contract extends here: a solve whose control never
-    /// trips is **bit-identical** to [`Solver::solve_with_required`] /
-    /// [`Solver::solve_pooled`] with the same arguments — the control only
-    /// ever decides *how many stages run*, never what a stage computes.
+    /// trips is **bit-identical** to [`Solver::solve_with_required`] with
+    /// the same arguments, for every `pool` — the control only ever
+    /// decides *how many stages run*, never what a stage computes.
     ///
     /// The default is the right behaviour for single-pass solvers (greedy,
     /// exact): honour a stop request that arrived before work started
-    /// (returning [`SolveError::NoIncumbent`]), run the blocking solve,
-    /// then publish the final result's progress. Staged solvers override
-    /// this to check the control at every stage boundary and stream
-    /// incumbents.
+    /// (returning [`SolveError::NoIncumbent`]), run the blocking solve
+    /// (ignoring `pool`), then publish the final result's progress. Staged
+    /// solvers override this to check the control at every stage boundary
+    /// and stream incumbents.
     fn solve_controlled(
         &mut self,
         instance: &std::sync::Arc<WasoInstance>,
@@ -332,13 +311,11 @@ pub trait Solver {
         pool: Option<&SharedPool>,
         control: &JobControl,
     ) -> Result<SolveResult, SolveError> {
+        let _ = pool;
         if let Some(reason) = control.stop_reason() {
             return Err(SolveError::NoIncumbent { reason });
         }
-        let result = match pool {
-            Some(pool) => self.solve_pooled(instance, required, seed, pool),
-            None => self.solve_with_required(instance, required, seed),
-        };
+        let result = self.solve_with_required(instance, required, seed);
         if let Ok(res) = &result {
             control.publish_stage(
                 res.stats.stages,

@@ -13,18 +13,17 @@
 //!   paper's comparison-roster order, and cost warnings.
 //!
 //! [`SolverRegistry::builtin`] registers the `waso-algos` family
-//! (DGreedy, RGreedy, CBAS, CBAS-ND, CBAS-ND-G, parallel CBAS-ND). The
-//! staged entries are all configurations of the one
-//! [`crate::engine::StagedEngine`]; a spec's `threads` knob selects its
-//! pooled execution backend without changing the answer.
+//! (DGreedy, RGreedy, CBAS, CBAS-ND, CBAS-ND-G, decomposition, and
+//! `cbas-nd-par` — CBAS-ND with `threads` defaulted to the core count).
+//! The staged entries are all configurations of the one
+//! [`crate::engine::StagedEngine`]; a spec's `threads` knob runs it on a
+//! [`crate::SharedPool`] without changing the answer.
 //! Downstream crates append their own entries — `waso-exact` registers
 //! the branch-and-bound under `exact`, and the `waso` facade exposes the
 //! fully-populated registry via `waso::registry()`.
 
 use crate::spec::{Capabilities, SolverSpec, SpecError};
-use crate::{
-    Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, ParallelCbasNd, RGreedy, RGreedyConfig, Solver,
-};
+use crate::{Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, RGreedy, RGreedyConfig, Solver};
 
 /// Builds a solver from a spec, or explains why the spec is unusable.
 /// Built solvers are `Send` so sessions can run them on job threads
@@ -108,7 +107,7 @@ impl SolverRegistry {
             summary: "budget-allocated uniform random sampling (§3)",
             capabilities: Capabilities {
                 randomized: true,
-                parallel: true, // threads=N selects the pooled backend
+                parallel: true, // threads=N runs on a SharedPool
                 anytime: true,
                 ..Capabilities::default()
             },
@@ -138,7 +137,7 @@ impl SolverRegistry {
             summary: "CBAS with cross-entropy neighbour differentiation (§4)",
             capabilities: Capabilities {
                 required_attendees: true,
-                parallel: true, // threads=N builds the parallel driver
+                parallel: true, // threads=N runs on a SharedPool
                 randomized: true,
                 anytime: true,
                 warm_start: true,
@@ -188,9 +187,9 @@ impl SolverRegistry {
             name: "cbas-nd-par",
             aliases: &["parallel"],
             label: "CBAS-ND (parallel)",
-            summary: "CBAS-ND on a persistent worker pool, bit-identical to serial (§5.3.1)",
+            summary: "CBAS-ND with threads= defaulted to the core count, bit-identical to serial (§5.3.1)",
             capabilities: Capabilities {
-                required_attendees: true, // honoured by routing to serial
+                required_attendees: true, // partial-mode growth on the pool
                 parallel: true,
                 randomized: true,
                 anytime: true,
@@ -292,7 +291,6 @@ const CBAS_KEYS: &[&str] = &[
     "start-nodes",
     "starts",
     "threads",
-    "pool",
     "deadline_ms",
     "deadline_from_submit",
     "patience",
@@ -314,13 +312,7 @@ fn build_rgreedy(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError>
 
 fn build_cbas(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas", CBAS_KEYS)?;
-    spec.ensure_pool_has_threads()?;
-    let cfg = CbasConfig::from_spec(spec);
-    let pool = spec.pool.unwrap_or_default();
-    Ok(Box::new(match spec.threads {
-        Some(t) => Cbas::with_threads(cfg, t).pool_mode(pool),
-        None => Cbas::new(cfg),
-    }))
+    Ok(Box::new(Cbas::new(CbasConfig::from_spec(spec))))
 }
 
 const CBASND_KEYS: &[&str] = &[
@@ -329,7 +321,6 @@ const CBASND_KEYS: &[&str] = &[
     "start-nodes",
     "starts",
     "threads",
-    "pool",
     "rho",
     "smoothing",
     "backtrack",
@@ -341,23 +332,15 @@ const CBASND_KEYS: &[&str] = &[
 fn build_cbasnd(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas-nd", CBASND_KEYS)?;
     spec.ensure_ce_ranges()?;
-    spec.ensure_pool_has_threads()?;
-    let cfg = CbasNdConfig::from_spec(spec);
-    Ok(match spec.threads {
-        Some(t) => Box::new(ParallelCbasNd::new(cfg, t).pool_mode(spec.pool.unwrap_or_default())),
-        None => Box::new(CbasNd::new(cfg)),
-    })
+    Ok(Box::new(CbasNd::new(CbasNdConfig::from_spec(spec))))
 }
 
 fn build_cbasnd_g(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas-nd-g", CBASND_KEYS)?;
     spec.ensure_ce_ranges()?;
-    spec.ensure_pool_has_threads()?;
-    let cfg = CbasNdConfig::from_spec(spec).gaussian();
-    Ok(match spec.threads {
-        Some(t) => Box::new(ParallelCbasNd::new(cfg, t).pool_mode(spec.pool.unwrap_or_default())),
-        None => Box::new(CbasNd::new(cfg)),
-    })
+    Ok(Box::new(CbasNd::new(
+        CbasNdConfig::from_spec(spec).gaussian(),
+    )))
 }
 
 const DECOMP_KEYS: &[&str] = &[
@@ -365,7 +348,6 @@ const DECOMP_KEYS: &[&str] = &[
     "stages",
     "start-nodes",
     "threads",
-    "pool",
     "rho",
     "smoothing",
     "backtrack",
@@ -382,18 +364,20 @@ fn build_decomp(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> 
     Ok(Box::new(crate::Decomp::from_spec(spec)?))
 }
 
+/// `cbas-nd-par`: the `cbas-nd` builder with `threads` defaulted to the
+/// machine's available parallelism.
 fn build_parallel(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
+    // Checked here too so a rejection names the entry the caller asked for.
     spec.ensure_only("cbas-nd-par", CBASND_KEYS)?;
-    spec.ensure_ce_ranges()?;
-    let threads = spec.threads.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1)
-    });
-    Ok(Box::new(
-        ParallelCbasNd::new(CbasNdConfig::from_spec(spec), threads)
-            .pool_mode(spec.pool.unwrap_or_default()),
-    ))
+    let mut spec = spec.clone();
+    spec.threads.get_or_insert_with(default_threads);
+    build_cbasnd(&spec)
+}
+
+fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|c| c.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -484,8 +468,7 @@ mod tests {
 
     #[test]
     fn cbas_threads_knob_is_bit_identical_to_serial() {
-        // The registry-level pin of the engine's `Uniform × Pool` cell
-        // (ROADMAP: "CBAS on the pooled backend").
+        // The registry-level pin of CBAS on a SharedPool.
         let registry = SolverRegistry::builtin();
         let serial = registry
             .build(&SolverSpec::cbas().budget(90).stages(3))
@@ -504,62 +487,25 @@ mod tests {
     }
 
     #[test]
-    fn pool_knob_selects_private_pools_without_changing_answers() {
+    fn cbas_nd_par_is_cbas_nd_with_threads_defaulted_to_the_core_count() {
         let registry = SolverRegistry::builtin();
-        let base = SolverSpec::cbas_nd().budget(80).stages(3).threads(2);
-        let shared = registry.build(&base).unwrap();
-        assert_eq!(shared.pool_threads(), Some(2));
-        let private = registry
-            .build(&base.clone().pool(crate::spec::PoolMode::Private))
+        let cores = default_threads();
+        let par = registry
+            .build(&SolverSpec::new("cbas-nd-par").budget(80).stages(3))
             .unwrap();
-        assert_eq!(
-            private.pool_threads(),
-            None,
-            "private solves skip the shared pool"
-        );
-        let a = registry
-            .build(&base)
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 4)
+        assert_eq!(par.pool_threads(), Some(cores));
+        let explicit = registry
+            .build(&SolverSpec::cbas_nd().budget(80).stages(3).threads(cores))
             .unwrap();
-        let b = registry
-            .build(&base.clone().pool(crate::spec::PoolMode::Private))
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 4)
+        assert_eq!(explicit.pool_threads(), Some(cores));
+        // An explicit threads= wins over the default.
+        let pinned = registry
+            .build(&SolverSpec::new("cbas-nd-par").threads(2))
             .unwrap();
-        assert_eq!(a.group, b.group);
-        // Solvers without the knob keep rejecting it.
-        let err = registry
-            .build(&SolverSpec::dgreedy().pool(crate::spec::PoolMode::Private))
-            .err()
-            .unwrap();
-        assert_eq!(
-            err,
-            SpecError::UnsupportedOption {
-                algorithm: "dgreedy",
-                key: "pool"
-            }
-        );
-        // pool= with no threads= would be silently inert — rejected
-        // instead, for every builder that doesn't default its threads.
-        for spec in [
-            SolverSpec::cbas().pool(crate::spec::PoolMode::Private),
-            SolverSpec::cbas_nd().pool(crate::spec::PoolMode::Shared),
-            SolverSpec::cbas_nd_g().pool(crate::spec::PoolMode::Private),
-        ] {
-            assert_eq!(
-                registry.build(&spec).err().unwrap(),
-                SpecError::RequiresOption {
-                    key: "pool",
-                    needs: "threads"
-                },
-                "{spec}"
-            );
-        }
-        // cbas-nd-par defaults its thread count, so bare pool= is fine.
-        assert!(registry
-            .build(&SolverSpec::new("cbas-nd-par").pool(crate::spec::PoolMode::Private))
-            .is_ok());
+        assert_eq!(pinned.pool_threads(), Some(2));
+        // Serial specs ask for no pool.
+        let serial = registry.build(&SolverSpec::cbas_nd()).unwrap();
+        assert_eq!(serial.pool_threads(), None);
     }
 
     #[test]
@@ -589,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_build_the_parallel_driver_bit_identically() {
+    fn threads_run_cbas_nd_on_a_pool_bit_identically() {
         let registry = SolverRegistry::builtin();
         let serial = registry
             .build(&SolverSpec::cbas_nd().budget(80).stages(3))

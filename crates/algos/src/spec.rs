@@ -15,18 +15,17 @@
 //! spec       := name [ ":" option ("," option)* ]
 //! option     := key "=" value
 //! key        := budget | stages | start-nodes | starts | threads
-//!             | pool | require | rho | smoothing | backtrack | cap
+//!             | require | rho | smoothing | backtrack | cap
 //!             | inner | communities | top
 //!             | deadline_ms | deadline_from_submit | patience
-//! value      := integer | float | "shared" | "private"
+//! value      := integer | float
 //!             | name                                 (solver name for inner)
 //!             | "auto"                               (communities)
 //!             | id ("+" id)*                        (ids for starts/require)
 //! ```
 //!
 //! Examples: `dgreedy`, `cbas-nd:budget=2000,stages=10`,
-//! `cbas-nd:threads=8`, `cbas-nd:threads=8,pool=private`,
-//! `cbas-nd:require=3+17`, `exact:cap=1000000`,
+//! `cbas-nd:threads=8`, `cbas-nd:require=3+17`, `exact:cap=1000000`,
 //! `cbas-nd:budget=100000,stages=50,deadline_ms=250,patience=5`,
 //! `decomp:inner=cbas-nd,communities=auto,top=4`.
 //!
@@ -42,32 +41,6 @@ use waso_graph::NodeId;
 /// Default sampling budget `T` when a spec does not set one (the
 /// `waso-solve` CLI default since the first release).
 pub const DEFAULT_BUDGET: u64 = 2000;
-
-/// Where a parallel solver's workers come from (`pool=shared|private`).
-/// A scheduling knob only: results are bit-identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoolMode {
-    /// Route the solve through the session's [`crate::SharedPool`] (the
-    /// default): worker threads are spawned once and shared by every
-    /// pooled solve — and, with an attached pool, by every session of
-    /// the process.
-    #[default]
-    Shared,
-    /// Spawn a private worker pool for this solve alone and tear it down
-    /// after — the pre-SharedPool behaviour, kept as the baseline the
-    /// `--figure pool` benchmark compares against (and as an isolation
-    /// hatch: a private solve never queues behind other jobs).
-    Private,
-}
-
-impl fmt::Display for PoolMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PoolMode::Shared => write!(f, "shared"),
-            PoolMode::Private => write!(f, "private"),
-        }
-    }
-}
 
 /// What a solver can honour. Declared per registry entry and per solver
 /// ([`crate::Solver::capabilities`]); the session facade uses these to
@@ -125,15 +98,6 @@ pub enum SpecError {
         /// The rejected key.
         key: &'static str,
     },
-    /// An option that is only meaningful in combination with another
-    /// option the spec did not set (`pool=` without `threads=`).
-    /// Rejected — not silently ignored — like every other unusable knob.
-    RequiresOption {
-        /// The option that was set.
-        key: &'static str,
-        /// The option it needs.
-        needs: &'static str,
-    },
     /// An option value outside its valid range (e.g. `rho=0`). Rejected
     /// at build time so a malformed spec string can never reach — let
     /// alone panic — a running solver.
@@ -166,9 +130,6 @@ impl fmt::Display for SpecError {
             }
             SpecError::UnsupportedOption { algorithm, key } => {
                 write!(f, "solver '{algorithm}' does not honour option '{key}'")
-            }
-            SpecError::RequiresOption { key, needs } => {
-                write!(f, "solver option '{key}' requires '{needs}' to be set")
             }
             SpecError::OutOfRange {
                 key,
@@ -211,9 +172,6 @@ pub struct SolverSpec {
     pub starts: Option<Vec<NodeId>>,
     /// Worker threads (parallel solvers).
     pub threads: Option<usize>,
-    /// Worker provenance for pooled solves: the session's shared pool
-    /// (default) or a private per-solve pool.
-    pub pool: Option<PoolMode>,
     /// Attendees that must appear in the answer.
     pub required: Vec<NodeId>,
     /// Elite fraction ρ of the cross-entropy update (CBAS-ND).
@@ -263,7 +221,6 @@ impl SolverSpec {
             start_nodes: None,
             starts: None,
             threads: None,
-            pool: None,
             required: Vec::new(),
             rho: None,
             smoothing: None,
@@ -347,12 +304,6 @@ impl SolverSpec {
     /// Sets the worker-thread count.
     pub fn threads(mut self, t: usize) -> Self {
         self.threads = Some(t);
-        self
-    }
-
-    /// Sets the pool mode (shared session pool vs private per-solve pool).
-    pub fn pool(mut self, mode: PoolMode) -> Self {
-        self.pool = Some(mode);
         self
     }
 
@@ -475,18 +426,6 @@ impl SolverSpec {
             "start-nodes" => self.start_nodes = Some(num("start-nodes", value)?),
             "starts" => self.starts = Some(ids("starts", value)?),
             "threads" => self.threads = Some(num("threads", value)?),
-            "pool" => {
-                self.pool = Some(match value {
-                    "shared" => PoolMode::Shared,
-                    "private" => PoolMode::Private,
-                    other => {
-                        return Err(SpecError::BadValue {
-                            key: "pool",
-                            value: other.to_string(),
-                        })
-                    }
-                })
-            }
             "require" => self.required = ids("require", value)?,
             "rho" => self.rho = Some(num("rho", value)?),
             "smoothing" => self.smoothing = Some(num("smoothing", value)?),
@@ -537,9 +476,6 @@ impl SolverSpec {
         }
         if self.threads.is_some() {
             keys.push("threads");
-        }
-        if self.pool.is_some() {
-            keys.push("pool");
         }
         if !self.required.is_empty() {
             keys.push("require");
@@ -604,20 +540,6 @@ impl SolverSpec {
         Ok(())
     }
 
-    /// Rejects a `pool=` setting on a spec with no `threads=`: without a
-    /// worker count the built solver is serial and the knob would be
-    /// silently inert, which this workspace never allows. (The
-    /// `cbas-nd-par` builder defaults its thread count and skips this.)
-    pub(crate) fn ensure_pool_has_threads(&self) -> Result<(), SpecError> {
-        if self.pool.is_some() && self.threads.is_none() {
-            return Err(SpecError::RequiresOption {
-                key: "pool",
-                needs: "threads",
-            });
-        }
-        Ok(())
-    }
-
     /// Rejects any set option that is not in `allowed` — the mechanism
     /// behind "reject instead of silently ignore". `require` is always
     /// allowed at the spec level: whether the *solver* honours it is
@@ -670,9 +592,6 @@ impl fmt::Display for SolverSpec {
         }
         if let Some(t) = self.threads {
             emit(f, "threads", t.to_string())?;
-        }
-        if let Some(p) = self.pool {
-            emit(f, "pool", p.to_string())?;
         }
         if !self.required.is_empty() {
             emit(f, "require", ids(&self.required))?;
@@ -736,7 +655,6 @@ mod tests {
             .start_nodes(16)
             .starts([NodeId(3), NodeId(9)])
             .threads(4)
-            .pool(PoolMode::Private)
             .require([NodeId(1), NodeId(2)])
             .rho(0.3)
             .smoothing(0.9)
@@ -861,19 +779,16 @@ mod tests {
     }
 
     #[test]
-    fn pool_modes_parse_and_reject_garbage() {
-        let spec = SolverSpec::parse("cbas-nd:threads=4,pool=private").unwrap();
-        assert_eq!(spec.pool, Some(PoolMode::Private));
-        let spec = SolverSpec::parse("cbas-nd:pool=shared").unwrap();
-        assert_eq!(spec.pool, Some(PoolMode::Shared));
-        assert_eq!(spec.to_string(), "cbas-nd:pool=shared");
-        assert_eq!(
-            SolverSpec::parse("cbas-nd:pool=nope"),
-            Err(SpecError::BadValue {
-                key: "pool",
-                value: "nope".into()
-            })
-        );
+    fn the_retired_pool_key_is_an_unknown_option() {
+        // `pool=shared|private` once picked a per-solve pool; threaded
+        // solves now always run on a SharedPool, so the key is gone.
+        for text in ["cbas-nd:threads=4,pool=private", "cbas-nd:pool=shared"] {
+            assert_eq!(
+                SolverSpec::parse(text),
+                Err(SpecError::UnknownOption("pool".into())),
+                "{text}"
+            );
+        }
     }
 
     #[test]

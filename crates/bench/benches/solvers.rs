@@ -4,9 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waso_algos::{
-    Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, ParallelCbasNd, RGreedy, RGreedyConfig, Solver,
-};
+use waso_algos::{Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, RGreedy, RGreedyConfig, Solver};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 
@@ -66,7 +64,7 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             b.iter(|| {
                 black_box(
-                    ParallelCbasNd::new(nd_cfg.clone(), t)
+                    CbasNd::with_threads(nd_cfg.clone(), t)
                         .solve_seeded(&inst, 1)
                         .unwrap(),
                 )

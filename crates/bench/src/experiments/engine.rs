@@ -1,7 +1,7 @@
 //! Engine throughput — the perf trajectory (`BENCH_engine.json`).
 //!
-//! Sweeps the staged engine's execution backend (serial, pooled with
-//! 1/2/4/8 workers) over two workloads:
+//! Sweeps the staged engine's execution (serial, then `threads=` 1/2/4/8
+//! on a per-solve [`SharedPool`]) over two workloads:
 //!
 //! * the Figure 5(d) thread-sweep workload (Facebook-like, k = 10) — the
 //!   paper's own parallel benchmark;
@@ -11,22 +11,24 @@
 //!   heavy-tailed BA-style graphs.
 //!
 //! A third measurement targets the **serving regime**: a batch of
-//! identical 20-stage pooled solves run (a) the per-solve-spawn way —
-//! build the solver, clone the instance, spawn a fresh worker pool for
-//! every job — and (b) through one `WasoSession::solve_batch`, where the
-//! instance is validated once and every job borrows the session-held
-//! [`waso_algos::SolverPool`]. The samples/sec gap between the two rows
-//! is the amortization the session pool buys.
+//! 20-stage pooled solves run (a) the per-solve-spawn way — build the
+//! solver, clone the instance, spawn a fresh worker pool for every job —
+//! and (b) through one `WasoSession::solve_batch`, where the instance is
+//! validated once and every job runs on the session-held [`SharedPool`].
+//! The samples/sec gap between the two rows is the amortization the
+//! session pool buys. The batch, pool and handle rows give each of their
+//! [`BATCH_SOLVES`] jobs a distinct budget ([`distinct_budgets`]) and
+//! assert that no job was a memo hit, so every row times real solves.
 //!
 //! Results are returned both as a markdown/CSV [`TableSet`] (like every
 //! figure driver) and as machine-readable [`BenchRecord`]s; the
 //! `waso-experiments` binary writes the latter to `BENCH_engine.json`.
 //! The committed copy of that file is the yardstick future perf PRs diff
-//! against (measured on a **1-core** box — it captures pool overhead,
+//! against (measured on a **2-core** VM — it captures pool overhead,
 //! not scaling) — regenerate it with
-//! `waso-experiments --figure engine --scale smoke`.
+//! `waso-experiments --figure engine --figure decomp --scale smoke`.
 
-use waso::algos::{PoolMode, PoolStats, SharedPool};
+use waso::algos::{PoolStats, SharedPool};
 use waso::{SolverSpec, WasoSession};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
@@ -52,7 +54,17 @@ pub const BATCH_SOLVES: usize = 16;
 /// Worker count of the batch workload's pooled solver.
 pub const BATCH_THREADS: usize = 4;
 
-/// Measures both workloads across the backend sweep.
+/// `BATCH_SOLVES` copies of `spec` with budgets `budget`, `budget + 1`,
+/// …: repeats of one spec would be memo hits after the first solve,
+/// timing a cache replay instead of a solve. Records label the batch
+/// with the first spec.
+pub fn distinct_budgets(spec: &SolverSpec, budget: u64) -> Vec<SolverSpec> {
+    (0..BATCH_SOLVES as u64)
+        .map(|i| spec.clone().budget(budget + i))
+        .collect()
+}
+
+/// Measures both workloads across the thread sweep.
 pub fn throughput_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let registry = waso::registry();
     let k = 10;
@@ -76,7 +88,7 @@ pub fn throughput_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         let m = Some(ctx.harness_m(n));
         let workload = format!("{name}/n={n}/k={k}");
 
-        // The serial solver, then the pooled backend at each thread count.
+        // The serial solver, then a per-solve pool at each thread count.
         let serial_spec = cbasnd_spec(budget, m);
         let mut specs = vec![(0usize, serial_spec.clone())];
         specs.extend(
@@ -125,8 +137,8 @@ pub fn large_n(scale: waso_datasets::Scale) -> usize {
     }
 }
 
-/// Measures the batch workload: `BATCH_SOLVES` identical 20-stage pooled
-/// solves, per-solve-spawn vs. one session-held pool. Two records whose
+/// Measures the batch workload: `BATCH_SOLVES` 20-stage pooled solves,
+/// per-solve-spawn vs. one session-held pool. Two records whose
 /// `samples_per_sec` difference is the spawn/clone amortization.
 pub fn batch_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let registry = waso::registry();
@@ -141,9 +153,10 @@ pub fn batch_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .threads(BATCH_THREADS);
     let workload = format!("facebook-like/n={n}/k={k}/batch={BATCH_SOLVES}x{BATCH_STAGES}-stage");
 
-    let baseline = measure_spec_batch_baseline(&registry, &spec, &inst, ctx.seed, BATCH_SOLVES);
+    let specs = distinct_budgets(&spec, ctx.budget());
+    let baseline = measure_spec_batch_baseline(&registry, &specs, &inst, ctx.seed);
     let session = WasoSession::new(graph).k(k).seed(ctx.seed);
-    let batched = measure_session_batch(&session, &vec![spec.clone(); BATCH_SOLVES]);
+    let batched = measure_session_batch(&session, &specs);
 
     [("per-solve spawn", baseline), ("session pool", batched)]
         .into_iter()
@@ -175,7 +188,7 @@ pub fn handle_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .budget(ctx.budget())
         .stages(BATCH_STAGES)
         .start_nodes(ctx.harness_m(n));
-    let specs = vec![spec.clone(); BATCH_SOLVES];
+    let specs = distinct_budgets(&spec, ctx.budget());
     let workload = format!("facebook-like/n={n}/k={k}/batch={BATCH_SOLVES}x{BATCH_STAGES}-stage");
 
     let rows = [
@@ -334,13 +347,12 @@ pub fn memo_table(records: &[BenchRecord]) -> Table {
 }
 
 /// The `--figure pool` comparison: the same `BATCH_SOLVES`-job workload
-/// run (a) with `pool=private` — every job spawns and tears down its own
-/// worker pool, the pre-SharedPool behaviour; (b) sequentially over one
-/// shared pool — amortized spawns, one job at a time; (c) as one
-/// concurrent `solve_batch` over the shared pool — the job-level
-/// scheduler keeping every worker busy across jobs. Three records whose
-/// `samples_per_sec` column is the private → shared → concurrent ladder;
-/// quality is identical across all three by the determinism contract.
+/// run (a) sequentially over one session-held pool — amortized spawns,
+/// one job at a time; (b) as one concurrent `solve_batch` over that pool
+/// — the job-level scheduler keeping every worker busy across jobs. Two
+/// records whose `samples_per_sec` column is the sequential → concurrent
+/// step; quality is identical across both by the determinism contract.
+/// (Per-solve pools are the "per-solve spawn" row of [`batch_records`].)
 pub fn pool_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let k = 10;
     let graph = synthetic::facebook_like(ctx.scale, ctx.seed);
@@ -352,28 +364,17 @@ pub fn pool_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .threads(BATCH_THREADS);
     let workload = format!("facebook-like/n={n}/k={k}/batch={BATCH_SOLVES}x{BATCH_STAGES}-stage");
 
-    let private_specs = vec![spec.clone().pool(PoolMode::Private); BATCH_SOLVES];
-    let shared_specs = vec![spec.clone(); BATCH_SOLVES];
+    let specs = distinct_budgets(&spec, ctx.budget());
     // A fresh session per mode: no warm pool or cached instance leaks
     // from one row into the next.
     let rows = [
         (
-            "private pool",
-            measure_session_each(
-                &WasoSession::new(graph.clone()).k(k).seed(ctx.seed),
-                &private_specs,
-            ),
-        ),
-        (
             "shared pool",
-            measure_session_each(
-                &WasoSession::new(graph.clone()).k(k).seed(ctx.seed),
-                &shared_specs,
-            ),
+            measure_session_each(&WasoSession::new(graph.clone()).k(k).seed(ctx.seed), &specs),
         ),
         (
             "concurrent batch",
-            measure_session_batch(&WasoSession::new(graph).k(k).seed(ctx.seed), &shared_specs),
+            measure_session_batch(&WasoSession::new(graph).k(k).seed(ctx.seed), &specs),
         ),
     ];
     rows.into_iter()
@@ -394,18 +395,18 @@ pub fn pool_table(records: &[BenchRecord]) -> Table {
         .first()
         .map(|r| {
             format!(
-                "private vs shared vs concurrent-batch pool ({})",
+                "shared pool: sequential vs concurrent batch ({})",
                 r.workload
             )
         })
-        .unwrap_or_else(|| "private vs shared vs concurrent-batch pool".to_string());
+        .unwrap_or_else(|| "shared pool: sequential vs concurrent batch".to_string());
     let mut t = Table::new(
         "engine-pool",
         title,
         &["mode", "wall s/solve", "samples/s", "mean quality"],
     );
     for r in records {
-        let mode = ["private pool", "shared pool", "concurrent batch"]
+        let mode = ["shared pool", "concurrent batch"]
             .into_iter()
             .find(|m| r.solver.ends_with(&format!("({m})")))
             .unwrap_or("?");
@@ -478,8 +479,7 @@ pub fn pool_health_table(stats: &PoolStats) -> Table {
 }
 
 /// Tables-only entry point for the `pool` figure id: the
-/// private/shared/concurrent throughput ladder plus the pool health
-/// snapshot.
+/// sequential/concurrent throughput pair plus the pool health snapshot.
 pub fn pool_comparison(ctx: &ExperimentContext) -> TableSet {
     let mut set = TableSet::new();
     set.push(pool_table(&pool_records(ctx)));
@@ -554,7 +554,7 @@ pub fn throughput(ctx: &ExperimentContext) -> TableSet {
 }
 
 /// Measures once, returning the tables and the machine-readable records
-/// (backend sweep + batch + pool-mode + handle + warm-vs-cold rows) — the
+/// (thread sweep + batch + pool-mode + handle + warm-vs-cold rows) — the
 /// `waso-experiments --figure engine` / `--figure pool` path. The binary
 /// folds these records, together with any other record-emitting figures
 /// run in the same invocation (`--figure decomp`), into one
@@ -623,16 +623,12 @@ mod tests {
     }
 
     #[test]
-    fn pool_records_cover_all_three_modes_with_identical_quality() {
+    fn pool_records_cover_both_modes_with_identical_quality() {
         let mut ctx = ExperimentContext::new(Scale::Smoke);
         ctx.repeats = 1;
         let records = pool_records(&ctx);
-        assert_eq!(records.len(), 3);
-        for (r, mode) in
-            records
-                .iter()
-                .zip(["(private pool)", "(shared pool)", "(concurrent batch)"])
-        {
+        assert_eq!(records.len(), 2);
+        for (r, mode) in records.iter().zip(["(shared pool)", "(concurrent batch)"]) {
             assert!(r.solver.ends_with(mode), "{}", r.solver);
             assert!(r.samples_per_sec > 0.0, "{}: no throughput", r.solver);
             assert!(r.workload.contains("batch="));
@@ -640,9 +636,8 @@ mod tests {
         // The determinism contract at bench level: every mode solves the
         // identical workload, so mean quality matches exactly.
         assert_eq!(records[0].mean_quality, records[1].mean_quality);
-        assert_eq!(records[1].mean_quality, records[2].mean_quality);
         let table = pool_table(&records);
-        assert_eq!(table.rows.len(), 3);
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]
@@ -699,6 +694,15 @@ mod tests {
         assert!(worked > 0, "the warm-up batch ran over the pool");
         let table = pool_health_table(&stats);
         assert!(table.rows.len() >= 5 + BATCH_THREADS);
+    }
+
+    #[test]
+    fn distinct_budgets_make_every_job_a_distinct_memo_key() {
+        let specs = distinct_budgets(&SolverSpec::cbas_nd().stages(3), 100);
+        assert_eq!(specs.len(), BATCH_SOLVES);
+        let mut keys: Vec<String> = specs.iter().map(|s| s.to_string()).collect();
+        keys.dedup();
+        assert_eq!(keys.len(), BATCH_SOLVES);
     }
 
     #[test]

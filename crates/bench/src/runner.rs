@@ -180,25 +180,24 @@ pub fn measure_spec(
     measure(solver.as_mut(), instance, seed)
 }
 
-/// The per-solve-spawn baseline for batch comparisons: `jobs` identical
-/// solves, each building the solver anew and (for pooled specs) spawning
-/// a fresh worker pool — exactly what a caller without a session pays.
+/// The per-solve-spawn baseline for batch comparisons: one solve per
+/// spec, each building the solver anew and (for pooled specs) spawning a
+/// fresh worker pool — exactly what a caller without a session pays.
 /// Quality is the mean over feasible jobs, `seconds` the mean per job,
 /// `samples_per_sec` the aggregate throughput.
 pub fn measure_spec_batch_baseline(
     registry: &SolverRegistry,
-    spec: &SolverSpec,
+    specs: &[SolverSpec],
     instance: &WasoInstance,
     seed: u64,
-    jobs: usize,
 ) -> Measurement {
-    assert!(jobs >= 1);
+    assert!(!specs.is_empty());
     let mut q_sum = 0.0;
     let mut q_count = 0u32;
     let mut t_sum = 0.0;
     let mut samples = 0u64;
     let mut truncated = false;
-    for _ in 0..jobs {
+    for spec in specs {
         let m = measure_spec(registry, spec, instance, seed);
         if let Some(q) = m.quality {
             q_sum += q;
@@ -210,11 +209,27 @@ pub fn measure_spec_batch_baseline(
     }
     Measurement {
         quality: (q_count > 0).then(|| q_sum / q_count as f64),
-        seconds: t_sum / jobs as f64,
+        seconds: t_sum / specs.len() as f64,
         samples,
         truncated,
         samples_per_sec: throughput(samples, t_sum),
     }
+}
+
+/// Runs `jobs` on `session` and times them, panicking if any job was
+/// answered from the session memo: a memo hit replays a cached result in
+/// O(1), so a measurement that includes one times a lookup, not a solve.
+fn time_real_solves<T>(session: &waso::WasoSession, jobs: impl FnOnce() -> T) -> (T, f64) {
+    let hits = session.memo_stats().hits;
+    let t0 = Instant::now();
+    let out = jobs();
+    let seconds = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        session.memo_stats().hits,
+        hits,
+        "a measured job was a memo hit — give every job a distinct spec"
+    );
+    (out, seconds)
 }
 
 /// Aggregates a slice of per-job session outcomes measured over
@@ -258,11 +273,11 @@ fn aggregate_session_jobs(
 /// its scheduler — and measures the whole batch.
 pub fn measure_session_batch(session: &waso::WasoSession, specs: &[SolverSpec]) -> Measurement {
     assert!(!specs.is_empty());
-    let t0 = Instant::now();
-    let outcomes = session
-        .solve_batch(specs)
-        .unwrap_or_else(|e| panic!("harness built an unusable batch session: {e}"));
-    let seconds = t0.elapsed().as_secs_f64();
+    let (outcomes, seconds) = time_real_solves(session, || {
+        session
+            .solve_batch(specs)
+            .unwrap_or_else(|e| panic!("harness built an unusable batch session: {e}"))
+    });
     aggregate_session_jobs(specs, outcomes, seconds)
 }
 
@@ -272,9 +287,9 @@ pub fn measure_session_batch(session: &waso::WasoSession, specs: &[SolverSpec]) 
 /// the two rows is what the concurrent scheduler buys.
 pub fn measure_session_each(session: &waso::WasoSession, specs: &[SolverSpec]) -> Measurement {
     assert!(!specs.is_empty());
-    let t0 = Instant::now();
-    let outcomes: Vec<_> = specs.iter().map(|spec| session.solve(spec)).collect();
-    let seconds = t0.elapsed().as_secs_f64();
+    let (outcomes, seconds) = time_real_solves(session, || {
+        specs.iter().map(|spec| session.solve(spec)).collect()
+    });
     aggregate_session_jobs(specs, outcomes, seconds)
 }
 
@@ -290,12 +305,12 @@ pub fn measure_session_submit_wait(
     specs: &[SolverSpec],
 ) -> Measurement {
     assert!(!specs.is_empty());
-    let t0 = Instant::now();
-    let outcomes: Vec<_> = specs
-        .iter()
-        .map(|spec| session.submit(spec).and_then(|handle| handle.wait()))
-        .collect();
-    let seconds = t0.elapsed().as_secs_f64();
+    let (outcomes, seconds) = time_real_solves(session, || {
+        specs
+            .iter()
+            .map(|spec| session.submit(spec).and_then(|handle| handle.wait()))
+            .collect()
+    });
     aggregate_session_jobs(specs, outcomes, seconds)
 }
 

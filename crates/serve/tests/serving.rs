@@ -403,6 +403,13 @@ fn protocol_errors_carry_distinct_codes_over_tcp() {
         client.submit("alice", "dgreedy:budget=5").unwrap(),
         ErrCode::BadSpec,
     );
+    // The retired `pool=` knob is refused at admission.
+    expect_err(
+        client
+            .submit("alice", "cbas-nd:threads=2,pool=private")
+            .unwrap(),
+        ErrCode::BadSpec,
+    );
     expect_err(client.poll(999).unwrap(), ErrCode::UnknownJob);
     expect_err(client.cancel(999).unwrap(), ErrCode::UnknownJob);
 

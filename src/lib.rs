@@ -11,10 +11,9 @@
 //! The whole staged family (CBAS, CBAS-ND, CBAS-ND-G, the §5.3.1
 //! parallel runs) executes through **one** stage loop —
 //! [`waso_algos::engine::StagedEngine`] — whose budget-allocation policy,
-//! candidate distribution and execution backend (serial, a per-solve
-//! worker pool, or a job of the process-wide self-healing
-//! [`waso_algos::SharedPool`] that any number of sessions share) are
-//! orthogonal axes. Every solver is a pure function of
+//! candidate distribution and execution (serial, or a job of the
+//! self-healing [`waso_algos::SharedPool`] that any number of sessions
+//! share) are orthogonal axes. Every solver is a pure function of
 //! `(instance, seed)`, bit-identical across thread counts, deals,
 //! concurrent batches and even worker panics; see the Architecture
 //! section of the README.
@@ -81,7 +80,7 @@
 //! |---|---|
 //! | [`graph`] | CSR social graphs, builders, generators, traversal, I/O |
 //! | [`core`] | WASO instances, the willingness objective, groups, scenarios |
-//! | [`algos`] | the `StagedEngine` + DGreedy, RGreedy, CBAS, CBAS-ND(-G), online replanning, parallel, [`SolverSpec`]/[`SolverRegistry`] |
+//! | [`algos`] | the `StagedEngine` + DGreedy, RGreedy, CBAS, CBAS-ND(-G), decomposition, online replanning, [`SolverSpec`]/[`SolverRegistry`] |
 //! | [`exact`] | ESU enumeration, branch-and-bound, the Appendix-B IP model |
 //! | [`datasets`] | Facebook/DBLP/Flickr-like synthetics, simulated user study |
 //! | [`stats`] | numerics: normal distribution, power laws, quantiles, quadrature |
@@ -103,9 +102,8 @@ pub mod prelude {
     pub use crate::session::{registry, MemoStats, SessionError, SolveHandle, WasoSession};
     pub use waso_algos::{
         Capabilities, Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, Deal, Incumbent, JobControl,
-        JobProgress, OnlinePlanner, ParallelCbasNd, PoolMode, PoolStats, RGreedy, RGreedyConfig,
-        SharedPool, SolveError, SolveResult, Solver, SolverRegistry, SolverSpec, SpecError,
-        Termination,
+        JobProgress, OnlinePlanner, PoolStats, RGreedy, RGreedyConfig, SharedPool, SolveError,
+        SolveResult, Solver, SolverRegistry, SolverSpec, SpecError, Termination,
     };
     pub use waso_core::{scenario, willingness, Group, WasoInstance};
     pub use waso_graph::{GraphBuilder, NodeId, SocialGraph};

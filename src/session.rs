@@ -10,11 +10,11 @@
 //!
 //! Under the hood the staged specs (`cbas`, `cbas-nd`, `cbas-nd-g`,
 //! `cbas-nd-par`, and any `threads=N` variant) all resolve to the single
-//! `waso_algos::engine::StagedEngine`; a spec's `threads` knob selects
-//! the engine's pooled execution backend without changing the answer —
-//! solves are bit-identical for every thread count, so the session's
-//! reproducibility guarantee (same `(instance, spec, seed)` → same group)
-//! holds regardless of parallelism.
+//! `waso_algos::engine::StagedEngine`; a spec's `threads` knob runs the
+//! engine as a job of the session's [`SharedPool`] without changing the
+//! answer — solves are bit-identical for every thread count, so the
+//! session's reproducibility guarantee (same `(instance, spec, seed)` →
+//! same group) holds regardless of parallelism.
 //!
 //! Pooled solves share one [`SharedPool`]: worker threads are spawned on
 //! first use (or attached via [`WasoSession::attach_pool`], in which case
@@ -167,9 +167,10 @@ pub struct MemoStats {
     /// populated the memo). Wall-clock-bounded specs (`deadline_ms=`,
     /// `deadline_from_submit=`) bypass the memo and count as neither.
     pub misses: u64,
-    /// Cached entries dropped by [`WasoSession::apply`] because a delta
-    /// touched their group or its one-hop frontier. Each stashes its
-    /// group as a warm-start incumbent for the next matching solve.
+    /// Cached entries dropped by [`WasoSession::apply`]: a delta
+    /// invalidates every entry solved on the pre-delta graph. Each
+    /// stashes its group as a warm-start incumbent for the next matching
+    /// solve.
     pub invalidated: u64,
 }
 
@@ -189,39 +190,15 @@ struct MemoKey {
 /// whatever its digest.
 type WarmKey = (String, Vec<u32>, u64);
 
-/// One cached solve.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    result: SolveResult,
-    /// The group's members plus their one-hop frontier, sorted. A delta
-    /// whose endpoints avoid this set cannot change the group's
-    /// willingness or feasibility, so the entry survives it.
-    touch: Vec<u32>,
-}
-
 /// The session's solve memo: completed results keyed by
 /// ([`InstanceFingerprint`], spec, constraints, seed), plus the
 /// warm-start incumbents of delta-invalidated entries. Shared (`Arc`)
 /// with job coordinators so finished solves insert their results.
 #[derive(Debug, Default)]
 struct SolveMemo {
-    entries: BTreeMap<MemoKey, MemoEntry>,
+    entries: BTreeMap<MemoKey, SolveResult>,
     warm: BTreeMap<WarmKey, Vec<NodeId>>,
     stats: MemoStats,
-}
-
-/// The sorted touch set of a cached result: the group's members plus
-/// their one-hop neighbourhood in the *solved* (λ-applied) graph.
-fn touch_set(instance: &WasoInstance, nodes: &[NodeId]) -> Vec<u32> {
-    let g = instance.graph();
-    let mut touch: Vec<u32> = Vec::new();
-    for &v in nodes {
-        touch.push(v.0);
-        touch.extend(g.neighbors(v).iter().copied());
-    }
-    touch.sort_unstable();
-    touch.dedup();
-    touch
 }
 
 /// A configured solving context: graph + constraints + seed policy +
@@ -615,7 +592,7 @@ impl WasoSession {
         let memo_key = self.memo_key(instance, spec, &required);
         if let Some(key) = &memo_key {
             let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(result) = memo.entries.get(key).map(|e| e.result.clone()) {
+            if let Some(result) = memo.entries.get(key).cloned() {
                 memo.stats.hits += 1;
                 drop(memo);
                 return Ok((None, SolveHandle::cached(result)));
@@ -724,10 +701,14 @@ impl WasoSession {
 
     /// Applies a [`GraphDelta`] to the session's graph **in place**:
     /// re-fingerprints incrementally (only the delta's endpoints are
-    /// re-hashed), and sweeps the memo — entries whose group or one-hop
-    /// frontier touches the delta are invalidated (their groups stashed
-    /// as warm-start incumbents for the next matching solve), every
-    /// other entry survives, re-keyed to the new fingerprint.
+    /// re-hashed), and invalidates every memo entry solved on the
+    /// pre-delta graph, stashing each entry's group as a warm-start
+    /// incumbent for the next matching solve.
+    ///
+    /// No entry survives a delta, however far from its group the delta
+    /// lands: a staged solve's start nodes are the top `η + Σ τ` scores
+    /// of the *whole* graph, so any edit can move the sample stream and
+    /// with it the answer.
     ///
     /// The delta is validated first and a rejected delta
     /// ([`SessionError::Delta`]) changes nothing. Node count and
@@ -764,7 +745,6 @@ impl WasoSession {
         for v in delta.touched() {
             new_fp.update_node(&instance, v);
         }
-        let new_digest = new_fp.digest();
         *self
             .fingerprint_cache
             .get_mut()
@@ -774,31 +754,19 @@ impl WasoSession {
         // digests (older configurations) are left alone: their keys can
         // only match again if the configuration reverts *and* the graph
         // fingerprints back to that exact state.
-        let touched: Vec<u32> = delta.touched().iter().map(|v| v.0).collect();
         let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let keys: Vec<MemoKey> = memo
+        let stale: Vec<MemoKey> = memo
             .entries
             .keys()
             .filter(|k| k.digest == old_digest)
             .cloned()
             .collect();
-        for key in keys {
-            let Some(entry) = memo.entries.remove(&key) else {
-                continue;
-            };
-            if touched.iter().any(|t| entry.touch.binary_search(t).is_ok()) {
+        for key in stale {
+            if let Some(result) = memo.entries.remove(&key) {
                 memo.stats.invalidated += 1;
                 memo.warm.insert(
                     (key.spec, key.required, key.seed),
-                    entry.result.group.nodes().to_vec(),
-                );
-            } else {
-                memo.entries.insert(
-                    MemoKey {
-                        digest: new_digest,
-                        ..key
-                    },
-                    entry,
+                    result.group.nodes().to_vec(),
                 );
             }
         }
@@ -859,8 +827,7 @@ struct JobTask {
     control: Arc<JobControl>,
     result_tx: Sender<Result<SolveResult, SessionError>>,
     /// Memo insertion slot: when present, a cleanly-completed result is
-    /// cached under `key`, with its touch set computed over the solved
-    /// instance.
+    /// cached under `key`.
     memo: Option<(Arc<Mutex<SolveMemo>>, MemoKey)>,
 }
 
@@ -892,15 +859,10 @@ impl JobTask {
         // uninterrupted solve would break the bit-identity contract.
         if let (Some((memo, key)), Ok(result)) = (&self.memo, &outcome) {
             if result.stats.termination == Termination::Completed {
-                let touch = touch_set(&self.instance, result.group.nodes());
-                let entry = MemoEntry {
-                    result: result.clone(),
-                    touch,
-                };
                 memo.lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .entries
-                    .insert(key.clone(), entry);
+                    .insert(key.clone(), result.clone());
             }
         }
         // Release the job's resources — above all its pool Arc — BEFORE
@@ -1373,7 +1335,7 @@ mod tests {
     #[test]
     fn sessions_share_one_pool_across_different_graphs() {
         // Two sessions over *different* instances attached to one
-        // process-wide pool: every solve matches a fresh private-pool
+        // process-wide pool: every solve matches a fresh
         // session bit-for-bit, and no worker is ever respawned.
         let pool = Arc::new(SharedPool::new(2));
         let g1 = waso_datasets::synthetic::facebook_like_n(60, 3);

@@ -76,7 +76,7 @@ fn parallel_driver_is_thread_count_invariant() {
 
     let serial = CbasNd::new(cfg.clone()).solve_seeded(&inst, 9).unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let par = ParallelCbasNd::new(cfg.clone(), threads)
+        let par = CbasNd::with_threads(cfg.clone(), threads)
             .solve_seeded(&inst, 9)
             .unwrap();
         assert_eq!(
@@ -84,6 +84,18 @@ fn parallel_driver_is_thread_count_invariant() {
             "{threads} threads diverged from serial"
         );
     }
+    // A job of an attached pool whose width is not the spec's threads=.
+    let pool = SharedPool::new(3);
+    let attached = CbasNd::with_threads(cfg, 8)
+        .solve_controlled(
+            &std::sync::Arc::new(inst),
+            &[],
+            9,
+            Some(&pool),
+            &JobControl::new(),
+        )
+        .unwrap();
+    assert_eq!(attached.group, serial.group, "attached pool diverged");
 }
 
 #[test]

@@ -62,9 +62,10 @@ proptest! {
     }
 
     /// The staged engine's determinism contract, generalized from the
-    /// hand-picked cases in `parallel.rs`: for random instances, budgets
-    /// and stage counts, the pooled backend is bit-identical to the serial
-    /// solver at every thread count — same group, same samples drawn, same
+    /// hand-picked cases in `cbasnd.rs`: for random instances, budgets
+    /// and stage counts, a threaded solve — on its own pool or as a job
+    /// of an attached one — is bit-identical to the serial solver at
+    /// every thread count: same group, same samples drawn, same
     /// pruned-start and backtrack counts.
     #[test]
     fn parallel_engine_is_bit_identical_to_serial(
@@ -83,8 +84,11 @@ proptest! {
             cfg = cfg.with_backtracking(0.05);
         }
         let serial = CbasNd::new(cfg.clone()).solve_seeded(&inst, seed);
-        for threads in [1usize, 2, 4, 8] {
-            let par = ParallelCbasNd::new(cfg.clone(), threads).solve_seeded(&inst, seed);
+        let inst = std::sync::Arc::new(inst);
+        let pool = SharedPool::new(3);
+        for (threads, attached) in [(1usize, None), (2, None), (4, None), (8, None), (2, Some(&pool))] {
+            let par = CbasNd::with_threads(cfg.clone(), threads)
+                .solve_controlled(&inst, &[], seed, attached, &JobControl::new());
             match (&serial, &par) {
                 (Ok(s), Ok(p)) => {
                     prop_assert_eq!(&s.group, &p.group, "threads={}", threads);
@@ -123,9 +127,11 @@ proptest! {
         let mut cfg = CbasNdConfig::with_budget(budget);
         cfg.base.stages = Some(stages);
         let serial = CbasNd::new(cfg.clone()).solve_with_required(&inst, &required, seed);
-        for threads in [1usize, 2, 4, 8] {
-            let par = ParallelCbasNd::new(cfg.clone(), threads)
-                .solve_with_required(&inst, &required, seed);
+        let inst = std::sync::Arc::new(inst);
+        let pool = SharedPool::new(3);
+        for (threads, attached) in [(1usize, None), (2, None), (4, None), (8, None), (2, Some(&pool))] {
+            let par = CbasNd::with_threads(cfg.clone(), threads)
+                .solve_controlled(&inst, &required, seed, attached, &JobControl::new());
             match (&serial, &par) {
                 (Ok(s), Ok(p)) => {
                     prop_assert_eq!(&s.group, &p.group, "threads={}", threads);
@@ -302,9 +308,11 @@ proptest! {
     /// The tentpole determinism pin: `submit` + `wait` is bit-identical
     /// to the blocking `solve` — and both to a direct registry-built
     /// solver run with no session machinery at all — for random
-    /// instances, thread counts 1–8, and both pool modes (shared pool
-    /// jobs and private per-solve pools). The handle plumbing (job
-    /// thread, channels, control) must be invisible in results.
+    /// instances, thread counts 1–8, and both pool sources (a pool the
+    /// session spawns on first use, or one attached up front with a
+    /// different width; the direct solve runs on a pool of its own). The
+    /// handle plumbing (job thread, channels, control) must be invisible
+    /// in results.
     #[test]
     fn submit_wait_is_bit_identical_to_blocking_solve(
         seed in 0u64..10_000,
@@ -313,16 +321,18 @@ proptest! {
         k in 2usize..6,
         budget in 8u64..100,
         threads in 1usize..9,
-        private_pool: bool,
+        attach_pool: bool,
     ) {
         use std::sync::Arc;
 
         let inst = random_instance(seed, n, extra, k, true);
         let graph = inst.graph().clone();
-        let mut spec = SolverSpec::cbas_nd().budget(budget).stages(3).threads(threads);
-        if private_pool {
-            spec = spec.pool(PoolMode::Private);
-        }
+        let spec = SolverSpec::cbas_nd().budget(budget).stages(3).threads(threads);
+        let pool = Arc::new(SharedPool::new(threads % 3 + 1));
+        let session = || {
+            let s = WasoSession::new(graph.clone()).k(k).seed(seed);
+            if attach_pool { s.attach_pool(Arc::clone(&pool)) } else { s }
+        };
 
         // Ground truth: the raw solver, no session, no threads spawned
         // by the harness.
@@ -330,10 +340,8 @@ proptest! {
         let direct = registry.build(&spec).unwrap()
             .solve_with_required(&Arc::new(inst), &[], seed);
 
-        let blocking = WasoSession::new(graph.clone()).k(k).seed(seed).solve(&spec);
-        let handled = WasoSession::new(graph).k(k).seed(seed)
-            .submit(&spec)
-            .and_then(SolveHandle::wait);
+        let blocking = session().solve(&spec);
+        let handled = session().submit(&spec).and_then(SolveHandle::wait);
         match (&direct, &blocking, &handled) {
             (Ok(d), Ok(b), Ok(h)) => {
                 prop_assert_eq!(&d.group, &b.group, "direct vs blocking");

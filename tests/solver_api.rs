@@ -35,7 +35,7 @@ fn test_spec(entry: &waso_algos::RegistryEntry) -> SolverSpec {
 fn registry_is_complete_every_spec_solves_the_quickstart_graph() {
     let registry = waso::registry();
     // The full family is registered: the four roster solvers, both
-    // CBAS-ND variants, the parallel driver, and the exact solver.
+    // CBAS-ND variants, cbas-nd-par, and the exact solver.
     let names = registry.names();
     for expected in [
         "dgreedy",
@@ -237,6 +237,22 @@ fn parallel_spec_is_bit_identical_to_serial_through_the_session() {
             .unwrap();
         assert_eq!(par.group, serial.group, "threads={threads}");
     }
+    // `cbas-nd-par` is `cbas-nd` with threads= defaulted to the cores.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let par = session
+        .solve_str("cbas-nd-par:budget=160,stages=4")
+        .unwrap();
+    let explicit = session
+        .solve_str(&format!("cbas-nd:budget=160,stages=4,threads={cores}"))
+        .unwrap();
+    assert_eq!(par.group.nodes(), explicit.group.nodes());
+    assert_eq!(
+        par.group.willingness().to_bits(),
+        explicit.group.willingness().to_bits()
+    );
+    assert_eq!(par.stats.samples_drawn, explicit.stats.samples_drawn);
+    assert_eq!(par.stats.backtracks, explicit.stats.backtracks);
+    assert_eq!(par.group, serial.group);
 }
 
 #[test]
@@ -254,4 +270,15 @@ fn sessions_reject_unknown_options_and_algorithms() {
         session.solve_str("annealing"),
         Err(SessionError::Spec(SpecError::UnknownAlgorithm { .. }))
     ));
+    // The retired per-solve pool knob is an unknown option, not ignored.
+    for spec in [
+        "cbas-nd:threads=2,pool=private",
+        "cbas:threads=2,pool=shared",
+    ] {
+        assert_eq!(
+            session.solve_str(spec).unwrap_err(),
+            SessionError::Spec(SpecError::UnknownOption("pool".into())),
+            "{spec}"
+        );
+    }
 }
