@@ -9,22 +9,16 @@
 //! answer; Theorem 5 lower-bounds its expected quality
 //! ([`crate::theory::expected_quality_ratio`]).
 //!
-//! [`Cbas`] is a thin configuration over the shared
-//! [`crate::engine::StagedEngine`]: uniform candidate distribution,
-//! uniform-OCBA allocation, serial or pooled per
-//! [`CbasConfig::threads`]. The stage loop itself lives in the engine,
-//! not here.
-
-use std::sync::Arc;
+//! CBAS is [`crate::engine::StagedEngine::new`] over a [`CbasConfig`]
+//! with [`crate::Distribution::Uniform`]: uniform-OCBA allocation,
+//! serial or pooled per [`CbasConfig::threads`]. This module holds the
+//! configuration; the stage loop lives in the engine.
 
 use waso_core::WasoInstance;
 use waso_graph::{BitSet, NodeId};
 
-use crate::engine::{Distribution, StagedEngine, StartMode};
-use crate::exec::SharedPool;
 use crate::ocba::derive_stages;
 use crate::sampler::{default_num_start_nodes, select_start_nodes};
-use crate::{SolveError, SolveResult, Solver};
 
 /// Configuration shared by CBAS and (via [`crate::CbasNdConfig`]) CBAS-ND.
 #[derive(Debug, Clone)]
@@ -146,100 +140,24 @@ impl CbasConfig {
     }
 }
 
-/// The CBAS solver: [`crate::engine::StagedEngine`] with the uniform
-/// candidate distribution — serial by default, pooled when a worker count
-/// is set (`cbas:threads=N`), bit-identical to serial for every count.
-#[derive(Debug, Clone)]
-pub struct Cbas {
-    config: CbasConfig,
-}
-
-impl Cbas {
-    /// Creates the solver (serial unless `config.threads` is set).
-    pub fn new(config: CbasConfig) -> Self {
-        Self { config }
-    }
-
-    /// Creates the solver with `threads` pool workers. Same answer as
-    /// serial CBAS for any count.
-    pub fn with_threads(config: CbasConfig, threads: usize) -> Self {
-        Self::new(CbasConfig {
-            threads: Some(threads),
-            ..config
-        })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CbasConfig {
-        &self.config
-    }
-
-    /// Worker count, when the solve runs on a pool.
-    pub fn threads(&self) -> Option<usize> {
-        self.config.threads
-    }
-
-    fn engine(&self) -> StagedEngine {
-        StagedEngine::new(self.config.clone(), Distribution::Uniform)
-    }
-}
-
-impl Solver for Cbas {
-    fn name(&self) -> &'static str {
-        "cbas"
-    }
-
-    fn capabilities(&self) -> crate::Capabilities {
-        crate::Capabilities {
-            randomized: true,
-            // Instance-accurate: only a threads-configured CBAS actually
-            // fans out (the registry entry advertises the knob itself).
-            parallel: self.config.threads.is_some(),
-            anytime: true,
-            ..crate::Capabilities::default()
-        }
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.engine().solve(instance, StartMode::Fresh, seed)
-    }
-
-    fn pool_threads(&self) -> Option<usize> {
-        self.config.threads
-    }
-
-    /// Anytime CBAS: the engine checks `control` at every stage boundary
-    /// (cancel/deadline), honours `patience=`, and streams incumbents —
-    /// as a job of `pool` when one is given and `threads` is set.
-    fn solve_controlled(
-        &mut self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &crate::JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        if !required.is_empty() {
-            // CBAS has no partial-solution growth; the session rejects
-            // this combination before building, this is the backstop.
-            return Err(SolveError::RequiredUnsupported { solver: "cbas" });
-        }
-        self.engine()
-            .solve_job(instance, StartMode::Fresh, seed, pool, control)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Distribution, SolveError, SolveRequest, SolveResult, Solver, StagedEngine};
     use rand::SeedableRng;
+    use std::sync::Arc;
     use waso_graph::{generate, GraphBuilder, ScoreModel};
 
-    fn figure1_instance() -> WasoInstance {
+    /// Solves `instance` with CBAS over `cfg`.
+    fn cbas(
+        cfg: CbasConfig,
+        instance: &Arc<WasoInstance>,
+        seed: u64,
+    ) -> Result<SolveResult, SolveError> {
+        StagedEngine::new(cfg, Distribution::Uniform).solve(&SolveRequest::new(instance, seed))
+    }
+
+    fn figure1_instance() -> Arc<WasoInstance> {
         let mut b = GraphBuilder::new();
         let v1 = b.add_node(8.0);
         let v2 = b.add_node(7.0);
@@ -248,13 +166,12 @@ mod tests {
         b.add_edge_symmetric(v1, v2, 1.0).unwrap();
         b.add_edge_symmetric(v2, v3, 2.0).unwrap();
         b.add_edge_symmetric(v3, v4, 4.0).unwrap();
-        WasoInstance::new(b.build(), 3).unwrap()
+        Arc::new(WasoInstance::new(b.build(), 3).unwrap())
     }
 
     #[test]
     fn finds_the_figure1_optimum() {
-        let mut solver = Cbas::new(CbasConfig::fast());
-        let res = solver.solve_seeded(&figure1_instance(), 1).unwrap();
+        let res = cbas(CbasConfig::fast(), &figure1_instance(), 1).unwrap();
         assert_eq!(res.group.willingness(), 30.0);
         assert_eq!(res.group.nodes(), &[NodeId(1), NodeId(2), NodeId(3)]);
     }
@@ -264,13 +181,13 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let topo = generate::barabasi_albert(80, 4, &mut rng);
         let g = ScoreModel::paper_default().realize(&topo, &mut rng);
-        let inst = WasoInstance::new(g, 6).unwrap();
-        let mut solver = Cbas::new(CbasConfig {
+        let inst = Arc::new(WasoInstance::new(g, 6).unwrap());
+        let cfg = CbasConfig {
             budget: 150,
             stages: Some(3),
             ..CbasConfig::with_budget(150)
-        });
-        let res = solver.solve_seeded(&inst, 2).unwrap();
+        };
+        let res = cbas(cfg, &inst, 2).unwrap();
         assert_eq!(res.stats.samples_drawn, 150);
         assert_eq!(res.stats.stages, 3);
     }
@@ -278,12 +195,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = figure1_instance();
-        let a = Cbas::new(CbasConfig::fast())
-            .solve_seeded(&inst, 11)
-            .unwrap();
-        let b = Cbas::new(CbasConfig::fast())
-            .solve_seeded(&inst, 11)
-            .unwrap();
+        let a = cbas(CbasConfig::fast(), &inst, 11).unwrap();
+        let b = cbas(CbasConfig::fast(), &inst, 11).unwrap();
         assert_eq!(a.group, b.group);
         assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
     }
@@ -295,19 +208,25 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let topo = generate::watts_strogatz(60, 3, 0.2, &mut rng);
         let g = ScoreModel::paper_default().realize(&topo, &mut rng);
-        let inst = WasoInstance::new(g, 5).unwrap();
+        let inst = Arc::new(WasoInstance::new(g, 5).unwrap());
 
-        let small = Cbas::new(CbasConfig {
-            stages: Some(1),
-            ..CbasConfig::with_budget(4)
-        })
-        .solve_seeded(&inst, 3)
+        let small = cbas(
+            CbasConfig {
+                stages: Some(1),
+                ..CbasConfig::with_budget(4)
+            },
+            &inst,
+            3,
+        )
         .unwrap();
-        let large = Cbas::new(CbasConfig {
-            stages: Some(4),
-            ..CbasConfig::with_budget(400)
-        })
-        .solve_seeded(&inst, 3)
+        let large = cbas(
+            CbasConfig {
+                stages: Some(4),
+                ..CbasConfig::with_budget(400)
+            },
+            &inst,
+            3,
+        )
         .unwrap();
         assert!(large.group.willingness() >= small.group.willingness());
     }
@@ -317,11 +236,11 @@ mod tests {
         let inst = figure1_instance();
         let mut blocked = BitSet::new(4);
         blocked.insert(3); // exclude v4 — the optimum must become 27
-        let mut solver = Cbas::new(CbasConfig {
+        let cfg = CbasConfig {
             blocked: Some(blocked),
             ..CbasConfig::fast()
-        });
-        let res = solver.solve_seeded(&inst, 1).unwrap();
+        };
+        let res = cbas(cfg, &inst, 1).unwrap();
         assert!(!res.group.contains(NodeId(3)));
         assert_eq!(res.group.willingness(), 27.0);
     }
@@ -336,50 +255,15 @@ mod tests {
             b.add_edge_symmetric(w[0], w[1], 1.0).unwrap();
         }
         let _ = hub;
-        let inst = WasoInstance::new(b.build(), 3).unwrap();
-        let mut solver = Cbas::new(CbasConfig {
+        let inst = Arc::new(WasoInstance::new(b.build(), 3).unwrap());
+        let cfg = CbasConfig {
             num_start_nodes: Some(3),
             stages: Some(2),
             ..CbasConfig::with_budget(60)
-        });
-        let res = solver.solve_seeded(&inst, 0).unwrap();
+        };
+        let res = cbas(cfg, &inst, 0).unwrap();
         assert!(!res.group.contains(NodeId(0)));
         assert!(res.stats.pruned_start_nodes >= 1);
-    }
-
-    #[test]
-    fn pooled_cbas_is_bit_identical_to_serial() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let topo = generate::barabasi_albert(70, 3, &mut rng);
-        let g = ScoreModel::paper_default().realize(&topo, &mut rng);
-        let inst = WasoInstance::new(g, 5).unwrap();
-        let mut cfg = CbasConfig::with_budget(120);
-        cfg.stages = Some(4);
-        let serial = Cbas::new(cfg.clone()).solve_seeded(&inst, 8).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let pooled = Cbas::with_threads(cfg.clone(), threads)
-                .solve_seeded(&inst, 8)
-                .unwrap();
-            assert_eq!(pooled.group, serial.group, "threads={threads}");
-            assert_eq!(pooled.stats.samples_drawn, serial.stats.samples_drawn);
-            assert_eq!(
-                pooled.stats.pruned_start_nodes,
-                serial.stats.pruned_start_nodes
-            );
-        }
-        // As a job of an attached pool whose width differs from threads=.
-        let pool = SharedPool::new(3);
-        let attached = Cbas::with_threads(cfg, 2)
-            .solve_controlled(
-                &Arc::new(inst),
-                &[],
-                8,
-                Some(&pool),
-                &crate::JobControl::new(),
-            )
-            .unwrap();
-        assert_eq!(attached.group, serial.group);
-        assert_eq!(attached.stats.samples_drawn, serial.stats.samples_drawn);
     }
 
     #[test]
@@ -388,10 +272,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_node(1.0);
         b.add_node(1.0);
-        let inst = WasoInstance::new(b.build(), 2).unwrap();
-        let err = Cbas::new(CbasConfig::fast())
-            .solve_seeded(&inst, 0)
-            .unwrap_err();
+        let inst = Arc::new(WasoInstance::new(b.build(), 2).unwrap());
+        let err = cbas(CbasConfig::fast(), &inst, 0).unwrap_err();
         assert_eq!(err, SolveError::NoFeasibleGroup);
     }
 

@@ -39,8 +39,8 @@ use waso_graph::{label_propagation, NodeId, Partition};
 
 use crate::job::{JobControl, Termination};
 use crate::registry::SolverRegistry;
-use crate::spec::{Capabilities, SolverSpec, SpecError};
-use crate::{mix_seed, SharedPool, SolveError, SolveResult, Solver, SolverStats};
+use crate::spec::{SolverSpec, SpecError};
+use crate::{mix_seed, SharedPool, SolveError, SolveRequest, SolveResult, Solver, SolverStats};
 
 /// Label-propagation round cap; propagation converges much earlier on
 /// clustered graphs, this only bounds adversarial inputs. Kept tight
@@ -168,30 +168,24 @@ impl Decomp {
     /// Whole-graph inner solve — the fallback whenever decomposition
     /// cannot help (one community, none large enough for a `k`-group, or
     /// required attendees straddling a boundary).
-    fn solve_whole(
-        &self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &JobControl,
-        t0: Instant,
-    ) -> Result<SolveResult, SolveError> {
+    fn solve_whole(&self, req: &SolveRequest<'_>, t0: Instant) -> Result<SolveResult, SolveError> {
         let mut inner = self.build_inner(self.spec.budget_or_default());
-        let mut res = inner.solve_controlled(instance, required, seed, pool, control)?;
+        let mut res = inner.solve(req)?;
         res.stats.elapsed = t0.elapsed();
         Ok(res)
     }
 
-    fn run(
-        &self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &JobControl,
-    ) -> Result<SolveResult, SolveError> {
+    fn run(&self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
         let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
+        let (instance, required, seed) = (req.instance, req.required, req.seed);
+        let unobserved;
+        let control = match req.control {
+            Some(control) => control,
+            None => {
+                unobserved = JobControl::new();
+                &unobserved
+            }
+        };
         if let Some(reason) = control.stop_reason() {
             return Err(SolveError::NoIncumbent { reason });
         }
@@ -201,13 +195,19 @@ impl Decomp {
         // A threaded solve handed no pool runs every inner job on one
         // pool of its own, created here and dropped when the solve ends.
         let own_pool;
-        let pool = match (pool, self.spec.threads) {
+        let pool = match (req.pool, self.spec.threads) {
             (None, Some(threads)) => {
                 own_pool = SharedPool::new(threads);
                 Some(&own_pool)
             }
             (pool, _) => pool,
         };
+        // The whole-graph fallback: the caller's request, with this
+        // solve's pool and control.
+        let whole = SolveRequest::new(instance, seed)
+            .required(required)
+            .pool(pool)
+            .control(control);
         let g = instance.graph();
         let k = instance.k();
 
@@ -234,11 +234,11 @@ impl Decomp {
             if together && partition.members(home).len() >= k {
                 candidates = vec![home];
             } else {
-                return self.solve_whole(instance, required, seed, pool, control, t0);
+                return self.solve_whole(&whole, t0);
             }
         }
         if partition.num_communities() < 2 || candidates.is_empty() {
-            return self.solve_whole(instance, required, seed, pool, control, t0);
+            return self.solve_whole(&whole, t0);
         }
 
         // Score = Σ interests + Σ intra-community directed tightness, which
@@ -297,13 +297,12 @@ impl Decomp {
 
             let mut inner = self.build_inner(per_budget);
             let seed_c = mix_seed(seed, rank as u64 + 1, cid as u64);
-            match inner.solve_controlled(
-                &Arc::new(sub_instance),
-                &sub_required,
-                seed_c,
-                pool,
-                control,
-            ) {
+            let sub_instance = Arc::new(sub_instance);
+            let sub_req = SolveRequest::new(&sub_instance, seed_c)
+                .required(&sub_required)
+                .pool(pool)
+                .control(control);
+            match inner.solve(&sub_req) {
                 Ok(res) => {
                     agg.samples_drawn += res.stats.samples_drawn;
                     agg.stages += res.stats.stages;
@@ -348,7 +347,7 @@ impl Decomp {
                 if let Some(reason) = stopped {
                     return Err(SolveError::NoIncumbent { reason });
                 }
-                return self.solve_whole(instance, required, seed, pool, control, t0);
+                return self.solve_whole(&whole, t0);
             }
         };
         let repaired = boundary_repair(instance, &partition, best, required);
@@ -474,47 +473,12 @@ impl Solver for Decomp {
         "decomp"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            required_attendees: true,
-            parallel: true,
-            randomized: true,
-            anytime: true,
-            ..Capabilities::default()
-        }
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_with_required(instance, &[], seed)
-    }
-
-    fn solve_with_required(
-        &mut self,
-        instance: &WasoInstance,
-        required: &[NodeId],
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        let arc = Arc::new(instance.clone());
-        self.run(&arc, required, seed, None, &JobControl::new())
-    }
-
     fn pool_threads(&self) -> Option<usize> {
         self.spec.threads
     }
 
-    fn solve_controlled(
-        &mut self,
-        instance: &Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        self.run(instance, required, seed, pool, control)
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        self.run(req)
     }
 }
 
@@ -523,7 +487,7 @@ mod tests {
     use super::*;
     use waso_graph::GraphBuilder;
 
-    fn build_clustered(k: usize) -> WasoInstance {
+    fn build_clustered(k: usize) -> Arc<WasoInstance> {
         // Deterministic hand-rolled two-community graph: nodes 0..8 form a
         // tight clique-ish block, 8..16 another, one weak bridge 7–8.
         let mut b = GraphBuilder::new();
@@ -541,7 +505,7 @@ mod tests {
             }
         }
         b.add_edge_symmetric(NodeId(7), NodeId(8), 0.1).unwrap();
-        WasoInstance::new(b.build(), k).unwrap()
+        Arc::new(WasoInstance::new(b.build(), k).unwrap())
     }
 
     fn decomp(spec: SolverSpec) -> Decomp {
@@ -579,8 +543,10 @@ mod tests {
     fn solves_clustered_graph_deterministically() {
         let inst = build_clustered(4);
         let spec = SolverSpec::new("decomp").budget(200).stages(3).top(2);
-        let a = decomp(spec.clone()).solve_seeded(&inst, 11).unwrap();
-        let b = decomp(spec).solve_seeded(&inst, 11).unwrap();
+        let a = decomp(spec.clone())
+            .solve(&SolveRequest::new(&inst, 11))
+            .unwrap();
+        let b = decomp(spec).solve(&SolveRequest::new(&inst, 11)).unwrap();
         assert_eq!(a.group, b.group);
         assert_eq!(a.group.len(), 4);
         a.group.validate(&inst).unwrap();
@@ -592,13 +558,13 @@ mod tests {
         let spec = SolverSpec::new("decomp").budget(200).stages(3);
         // All required in one community.
         let res = decomp(spec.clone())
-            .solve_with_required(&inst, &[NodeId(9), NodeId(10)], 3)
+            .solve(&SolveRequest::new(&inst, 3).required(&[NodeId(9), NodeId(10)]))
             .unwrap();
         assert!(res.group.contains(NodeId(9)) && res.group.contains(NodeId(10)));
         // Straddling the boundary forces the whole-graph fallback, which
         // must still honour the constraint.
         let res = decomp(spec)
-            .solve_with_required(&inst, &[NodeId(7), NodeId(8)], 3)
+            .solve(&SolveRequest::new(&inst, 3).required(&[NodeId(7), NodeId(8)]))
             .unwrap();
         assert!(res.group.contains(NodeId(7)) && res.group.contains(NodeId(8)));
     }
@@ -609,7 +575,7 @@ mod tests {
         // whole-graph fallback must still answer.
         let inst = build_clustered(10);
         let res = decomp(SolverSpec::new("decomp").budget(200).stages(2))
-            .solve_seeded(&inst, 5)
+            .solve(&SolveRequest::new(&inst, 5))
             .unwrap();
         assert_eq!(res.group.len(), 10);
         res.group.validate(&inst).unwrap();
@@ -621,7 +587,7 @@ mod tests {
         let control = JobControl::new();
         control.cancel();
         let err = decomp(SolverSpec::new("decomp").budget(100))
-            .solve_controlled(&Arc::new(inst), &[], 1, None, &control)
+            .solve(&SolveRequest::new(&inst, 1).control(&control))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -684,7 +650,9 @@ mod tests {
         let inst = build_clustered(4);
         let spec = SolverSpec::new("decomp").budget(150).stages(2);
         let req = [NodeId(0)];
-        let res = decomp(spec).solve_with_required(&inst, &req, 7).unwrap();
+        let res = decomp(spec)
+            .solve(&SolveRequest::new(&inst, 7).required(&req))
+            .unwrap();
         assert!(res.group.contains(NodeId(0)));
     }
 }

@@ -17,22 +17,27 @@
 //! * **candidate distribution** — [`Distribution::Uniform`] (CBAS) or
 //!   [`Distribution::CrossEntropy`] per-start probability vectors updated
 //!   after every stage ([`crate::cross_entropy::update_vector`], CBAS-ND,
-//!   including the [`StartMode::Partial`] online-replanning path of
-//!   §4.4.1);
+//!   including growth from a required partial solution, the
+//!   online-replanning path of §4.4.1);
 //! * **execution** — serial on the calling thread, or, when
 //!   [`CbasConfig::threads`] is set, as a job of a [`SharedPool`] (the
 //!   caller's, or one created for the solve and dropped after it; see
 //!   [`crate::exec`]).
 //!
-//! [`crate::Cbas`] and [`crate::CbasNd`] are thin, registry-visible
-//! configurations over this engine.
+//! The engine is the one staged [`Solver`]: the [`crate::SolverRegistry`]
+//! builds `cbas` as [`StagedEngine::new`] with [`Distribution::Uniform`],
+//! and `cbas-nd`, `cbas-nd-g` and `cbas-nd-par` with
+//! [`StagedEngine::from_cbasnd`]; [`Solver::name`] derives the paper's
+//! name from the axes. A request's incumbent, when feasible, seeds the
+//! best-so-far before the first sample (the online planner's replan from
+//! the current plan).
 //!
 //! ## Determinism contract
 //!
 //! Every `(start node, stage, sample)` triple draws from its own RNG
-//! stream ([`crate::sample_seed`]) and the merge processes results in
-//! sample order, so the outcome is **bit-identical for every executor and
-//! pool width**; `tests/determinism.rs` and the `tests/properties.rs`
+//! stream (derived from the seed by SplitMix64) and the merge processes
+//! results in sample order, so the outcome is **bit-identical for every
+//! executor and pool width**; `tests/determinism.rs` and the `tests/properties.rs`
 //! proptest pin this down.
 //!
 //! ## Budget accounting
@@ -46,10 +51,9 @@
 //! ## Anytime control
 //!
 //! Every stage ends with a feasible incumbent, so the engine is an
-//! *anytime* algorithm. [`StagedEngine::solve_controlled`] /
-//! [`StagedEngine::solve_job`] expose that through a
-//! [`crate::JobControl`]: cancellation and the `deadline=` wall-clock
-//! budget are checked at every stage boundary **and between samples
+//! *anytime* algorithm. A request's [`crate::JobControl`]
+//! ([`crate::SolveRequest::control`]) exposes that: cancellation and the
+//! `deadline=` wall-clock budget are checked at every stage boundary **and between samples
 //! inside every executor** (a tripped control stops further draws
 //! mid-chunk, abandons the in-flight stage, and returns the incumbent of
 //! the last completed stage tagged with a typed [`crate::Termination`]),
@@ -76,7 +80,7 @@ use crate::gaussian::{allocate_stage_gaussian, Allocation, GaussStats};
 use crate::job::{JobControl, Termination};
 use crate::ocba::{allocate_stage, stage_budgets, uniform_split, StartStats};
 use crate::sampler::{Sample, Sampler};
-use crate::{SolveError, SolveResult, SolverStats};
+use crate::{SolveError, SolveRequest, SolveResult, Solver, SolverStats};
 
 /// The candidate-distribution axis: how a stage's samples pick the next
 /// node from the frontier `VA`.
@@ -98,7 +102,7 @@ pub enum Distribution {
 
 /// Where a solve's samples grow from.
 #[derive(Clone, Copy)]
-pub enum StartMode<'a> {
+enum StartMode<'a> {
     /// Phase-1 start-node selection (normal solving).
     Fresh,
     /// Grow every sample from a fixed partial solution — the §4.4.1 online
@@ -108,19 +112,15 @@ pub enum StartMode<'a> {
     Partial(&'a [NodeId]),
 }
 
-/// The unified staged-sampling engine. See the module docs for the three
-/// axes; construction is via [`StagedEngine::new`] (CBAS shape) or
-/// [`StagedEngine::from_cbasnd`] (CBAS-ND shape). The worker count is
-/// [`CbasConfig::threads`].
+/// The unified staged-sampling engine, and the one staged [`Solver`]. See
+/// the module docs for the three axes; construction is via
+/// [`StagedEngine::new`] (CBAS shape) or [`StagedEngine::from_cbasnd`]
+/// (CBAS-ND shape). The worker count is [`CbasConfig::threads`].
 #[derive(Debug, Clone)]
 pub struct StagedEngine {
     base: CbasConfig,
     distribution: Distribution,
     allocation: Allocation,
-    /// An incumbent group offered via [`StagedEngine::warm_start`]; if it
-    /// is feasible for the solved instance it seeds the best-so-far
-    /// before the first sample is drawn.
-    warm: Option<Vec<NodeId>>,
 }
 
 impl StagedEngine {
@@ -131,7 +131,6 @@ impl StagedEngine {
             base,
             distribution,
             allocation: Allocation::UniformOcba,
-            warm: None,
         }
     }
 
@@ -146,95 +145,7 @@ impl StagedEngine {
                 backtrack_threshold: cfg.backtrack_threshold,
             },
             allocation: cfg.allocation,
-            warm: None,
         }
-    }
-
-    /// Overrides the allocation policy.
-    pub fn allocation(mut self, allocation: Allocation) -> Self {
-        self.allocation = allocation;
-        self
-    }
-
-    /// Offers an incumbent group to seed the best-so-far. If the
-    /// incumbent is feasible for the instance being solved (right size,
-    /// valid and distinct members, not blocked, contains the partial-mode
-    /// seeds, connected when required) the solve starts from its
-    /// willingness instead of from nothing — samples then only replace it
-    /// by strictly improving on it. An infeasible incumbent is ignored: a
-    /// warm start is an optimization hint, never a constraint.
-    ///
-    /// Determinism: the sample stream is untouched — a warm-started solve
-    /// is a pure function of (instance, config, seed, incumbent).
-    pub fn warm_start(mut self, incumbent: Vec<NodeId>) -> Self {
-        self.warm = Some(incumbent);
-        self
-    }
-
-    /// The staged-CBAS parameters in use.
-    pub fn base(&self) -> &CbasConfig {
-        &self.base
-    }
-
-    /// Solves `instance`, deriving all randomness from `seed`.
-    pub fn solve(
-        &self,
-        instance: &WasoInstance,
-        mode: StartMode<'_>,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        self.solve_controlled(instance, mode, seed, &JobControl::new())
-    }
-
-    /// [`StagedEngine::solve`] under a [`JobControl`]: the engine checks
-    /// the control at every stage boundary *and between samples* — a
-    /// cancel or an elapsed deadline abandons the in-flight stage and
-    /// returns the incumbent of the last completed stage, tagged with the
-    /// [`Termination`] reason — and publishes progress (stages done,
-    /// samples spent, improving incumbents) after every stage. A control
-    /// that never trips is invisible: the result is bit-identical to
-    /// [`StagedEngine::solve`].
-    ///
-    /// A threaded engine clones the instance here (pool workers own a
-    /// handle to it); callers that already hold an `Arc` use
-    /// [`StagedEngine::solve_job`] instead.
-    pub fn solve_controlled(
-        &self,
-        instance: &WasoInstance,
-        mode: StartMode<'_>,
-        seed: u64,
-        control: &JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        self.run(instance, None, mode, seed, None, control)
-            .map(|(result, _)| result)
-    }
-
-    /// Solves as one **job** of a [`SharedPool`] (§5.3.1, Figure 5(d)):
-    /// the solve is submitted to the pool's scheduler and its stages are
-    /// dealt across the pool's workers, concurrently with any other jobs
-    /// (other solves, other sessions) the pool is serving. A worker panic
-    /// is healed by the pool (respawn + re-issue) instead of failing the
-    /// solve. With no `pool` given, a threaded engine creates a pool of
-    /// its `threads` workers for this solve and drops it at the end;
-    /// engines without a `threads` count run serially on the caller's
-    /// thread and ignore `pool`.
-    ///
-    /// The pool's worker count and deal govern only the schedule; the
-    /// determinism contract makes both invisible — results are
-    /// bit-identical to the serial solve for every pool size, deal, and
-    /// tenant mix. A cancel or elapsed deadline on `control` makes the
-    /// workers abandon this job's in-flight chunks between samples; the
-    /// pool itself keeps serving its other jobs untouched.
-    pub fn solve_job(
-        &self,
-        instance: &Arc<WasoInstance>,
-        mode: StartMode<'_>,
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        self.run(instance, Some(instance), mode, seed, pool, control)
-            .map(|(result, _)| result)
     }
 
     /// Rejects out-of-range distribution parameters. A typed error — not
@@ -301,23 +212,35 @@ impl StagedEngine {
 
     /// The full solve, also returning the per-start-node statistics (test
     /// hook for the `spent == drawn` budget-accounting invariant).
-    /// `shared_instance` is `instance` behind an `Arc`, when the caller
-    /// holds one; a threaded solve without it clones the instance.
-    fn run(
-        &self,
-        instance: &WasoInstance,
-        shared_instance: Option<&Arc<WasoInstance>>,
-        mode: StartMode<'_>,
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &JobControl,
-    ) -> Result<(SolveResult, Vec<StartStats>), SolveError> {
+    fn run(&self, req: &SolveRequest<'_>) -> Result<(SolveResult, Vec<StartStats>), SolveError> {
+        let instance = req.instance;
+        let mode = match req.required {
+            [] => StartMode::Fresh,
+            // Uniform sampling has no partial-solution growth; the
+            // registry entry does not advertise required attendees.
+            _ if self.distribution == Distribution::Uniform => {
+                return Err(SolveError::RequiredUnsupported {
+                    solver: self.name(),
+                })
+            }
+            required if required.len() > instance.k() => return Err(SolveError::NoFeasibleGroup),
+            required => StartMode::Partial(required),
+        };
+        let unobserved;
+        let control = match req.control {
+            Some(control) => control,
+            None => {
+                unobserved = JobControl::new();
+                &unobserved
+            }
+        };
         let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
         self.validate()?;
         if let Some(deadline) = self.base.deadline {
             control.arm_deadline(deadline);
         }
         let (starts, budgets, shared) = self.prepare(instance, mode)?;
+        let seed = req.seed;
 
         // Partial-mode samples grow from the same seed set but are
         // independent draws, so every mode runs on either executor.
@@ -338,13 +261,19 @@ impl StagedEngine {
                     stop: Some(control.stop_state()),
                 };
                 self.stage_loop(
-                    instance, mode, &starts, &budgets, &shared, &mut exec, control,
+                    instance,
+                    mode,
+                    &starts,
+                    &budgets,
+                    &shared,
+                    &mut exec,
+                    control,
+                    req.incumbent,
                 )
             }
             Some(threads) => {
                 let ctx = Arc::new(SolveCtx {
-                    instance: shared_instance
-                        .map_or_else(|| Arc::new(instance.clone()), Arc::clone),
+                    instance: Arc::clone(instance),
                     blocked: self.base.blocked.clone(),
                     shared,
                     seed,
@@ -353,7 +282,7 @@ impl StagedEngine {
                 });
                 // No pool handed in: this solve's own, joined on drop.
                 let own_pool;
-                let pool = match pool {
+                let pool = match req.pool {
                     Some(pool) => pool,
                     None => {
                         own_pool = SharedPool::new(threads);
@@ -369,6 +298,7 @@ impl StagedEngine {
                     &ctx.shared,
                     &mut job,
                     control,
+                    req.incumbent,
                 )
             }
         };
@@ -418,25 +348,32 @@ impl StagedEngine {
         Ok((result, stats))
     }
 
-    /// Validates the offered incumbent (if any) against this solve's
+    /// Validates the request's incumbent (if any) against this solve's
     /// instance, mode and blocked set, returning it as the initial
-    /// best-so-far. Infeasible incumbents — wrong size, unknown or
-    /// duplicate members, missing partial-mode seeds, blocked nodes,
-    /// disconnected where connectivity is required — are silently
-    /// dropped: the solve then cold-starts exactly as without the hint.
-    fn warm_seed(&self, instance: &WasoInstance, mode: StartMode<'_>) -> BestSolution {
-        let warm = self.warm.as_ref()?;
-        if warm.len() != instance.k() {
+    /// best-so-far; samples then only replace it by strictly improving on
+    /// it. Infeasible incumbents — wrong size, unknown or duplicate
+    /// members, missing partial-mode seeds, blocked nodes, disconnected
+    /// where connectivity is required — are silently dropped: the solve
+    /// then cold-starts exactly as without the hint. The sample stream is
+    /// untouched either way.
+    fn incumbent_seed(
+        &self,
+        instance: &WasoInstance,
+        mode: StartMode<'_>,
+        incumbent: Option<&Group>,
+    ) -> BestSolution {
+        let nodes = incumbent?.nodes();
+        if nodes.len() != instance.k() {
             return None;
         }
         if let StartMode::Partial(seeds) = mode {
-            if !seeds.iter().all(|s| warm.contains(s)) {
+            if !seeds.iter().all(|s| nodes.contains(s)) {
                 return None;
             }
         }
         // Validates bounds, distinctness and (when required)
         // connectivity, and computes the incumbent's willingness.
-        let group = Group::new(instance, warm.clone()).ok()?;
+        let group = Group::new(instance, nodes.to_vec()).ok()?;
         if let Some(blocked) = &self.base.blocked {
             if group.nodes().iter().any(|v| blocked.contains(v.index())) {
                 return None;
@@ -460,6 +397,7 @@ impl StagedEngine {
         shared: &StageShared,
         exec: &mut dyn StageExec,
         control: &JobControl,
+        incumbent: Option<&Group>,
     ) -> (BestSolution, Vec<StartStats>, Counters) {
         let g = instance.graph();
         let m = starts.len();
@@ -472,7 +410,7 @@ impl StagedEngine {
             Vec::new()
         };
         let mut gammas = vec![f64::NEG_INFINITY; m];
-        let mut best: BestSolution = self.warm_seed(instance, mode);
+        let mut best: BestSolution = self.incumbent_seed(instance, mode, incumbent);
         let mut counters = Counters::default();
         // Reused across stages: the flattened work list lives in `shared`
         // (workers read it), results and the per-start sample buffer here.
@@ -683,6 +621,42 @@ impl StagedEngine {
     }
 }
 
+impl Solver for StagedEngine {
+    /// The paper's name for this configuration: uniform candidates are
+    /// CBAS, cross-entropy ones CBAS-ND, or CBAS-ND-G under the Gaussian
+    /// allocation rule.
+    fn name(&self) -> &'static str {
+        match (self.distribution, self.allocation) {
+            (Distribution::Uniform, _) => "cbas",
+            (Distribution::CrossEntropy { .. }, Allocation::UniformOcba) => "cbas-nd",
+            (Distribution::CrossEntropy { .. }, Allocation::Gaussian) => "cbas-nd-g",
+        }
+    }
+
+    fn pool_threads(&self) -> Option<usize> {
+        self.base.threads
+    }
+
+    /// Runs the stage loop. The control is checked at every stage
+    /// boundary *and between samples* — a cancel or an elapsed deadline
+    /// abandons the in-flight stage and returns the incumbent of the last
+    /// completed stage, tagged with the [`Termination`] reason — and
+    /// progress (stages done, samples spent, improving incumbents) is
+    /// published after every stage. A threaded engine runs as one job of
+    /// `req.pool`, sharing its workers with every other job it serves
+    /// (§5.3.1, Figure 5(d)); with no pool it creates one of its
+    /// `threads` workers for the solve and drops it at the end. A worker
+    /// panic is healed by the pool instead of failing the solve.
+    ///
+    /// Required attendees seed every sample's growth (CBAS-ND only;
+    /// uniform CBAS rejects them). The required set need not be connected
+    /// — samples that fail to bridge it are discarded, and
+    /// [`SolveError::NoFeasibleGroup`] reports when none could.
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        self.run(req).map(|(result, _)| result)
+    }
+}
+
 type BestSolution = Option<(f64, Vec<NodeId>)>;
 
 #[derive(Debug, Default)]
@@ -708,16 +682,16 @@ mod tests {
     use rand::SeedableRng;
     use waso_graph::{generate, GraphBuilder, ScoreModel};
 
-    fn random_instance(n: usize, k: usize, seed: u64) -> WasoInstance {
+    fn random_instance(n: usize, k: usize, seed: u64) -> Arc<WasoInstance> {
         let mut rng = StdRng::seed_from_u64(seed);
         let topo = generate::barabasi_albert(n, 3, &mut rng);
         let g = ScoreModel::paper_default().realize(&topo, &mut rng);
-        WasoInstance::new(g, k).unwrap()
+        Arc::new(WasoInstance::new(g, k).unwrap())
     }
 
     /// A graph with an isolated high-score node that attracts a start slot
     /// but stalls every draw.
-    fn stalled_instance() -> WasoInstance {
+    fn stalled_instance() -> Arc<WasoInstance> {
         let mut b = GraphBuilder::new();
         let hub = b.add_node(100.0);
         let ids: Vec<NodeId> = (0..6).map(|i| b.add_node(i as f64 * 0.1)).collect();
@@ -725,7 +699,7 @@ mod tests {
             b.add_edge_symmetric(w[0], w[1], 1.0).unwrap();
         }
         let _ = hub;
-        WasoInstance::new(b.build(), 3).unwrap()
+        Arc::new(WasoInstance::new(b.build(), 3).unwrap())
     }
 
     fn engine(budget: u64, stages: u32, m: usize, dist: Distribution) -> StagedEngine {
@@ -761,16 +735,7 @@ mod tests {
         // actually made, summing to `samples_drawn` exactly.
         for dist in [Distribution::Uniform, CE] {
             let eng = engine(60, 2, 3, dist);
-            let (result, stats) = eng
-                .run(
-                    &stalled_instance(),
-                    None,
-                    StartMode::Fresh,
-                    0,
-                    None,
-                    &JobControl::new(),
-                )
-                .unwrap();
+            let (result, stats) = eng.run(&SolveRequest::new(&stalled_instance(), 0)).unwrap();
             let spent: u64 = stats.iter().map(|s| s.spent).sum();
             assert_eq!(spent, result.stats.samples_drawn, "{dist:?}");
             // The stalled start really was charged less than its stage-0
@@ -787,18 +752,11 @@ mod tests {
 
     #[test]
     fn every_executor_charges_identically() {
-        let inst = Arc::new(stalled_instance());
+        let inst = stalled_instance();
         let pool = SharedPool::new(4);
         let run = |threads, pool| {
             threaded(engine(60, 2, 3, CE), threads)
-                .run(
-                    &inst,
-                    Some(&inst),
-                    StartMode::Fresh,
-                    0,
-                    pool,
-                    &JobControl::new(),
-                )
+                .run(&SolveRequest::new(&inst, 0).pool(pool))
                 .unwrap()
         };
         let (serial, s_stats) = run(None, None);
@@ -817,15 +775,14 @@ mod tests {
     fn axes_compose_independently() {
         // Every (distribution, allocation, executor) combination solves
         // and spends the full budget on a feasible graph.
-        let inst = Arc::new(random_instance(60, 5, 1));
+        let inst = random_instance(60, 5, 1);
         let pool = SharedPool::new(2);
         for dist in [Distribution::Uniform, CE] {
             for allocation in [Allocation::UniformOcba, Allocation::Gaussian] {
                 for (threads, pool) in executors(&pool) {
-                    let eng = threaded(engine(80, 4, 6, dist).allocation(allocation), threads);
-                    let res = eng
-                        .solve_job(&inst, StartMode::Fresh, 7, pool, &JobControl::new())
-                        .unwrap();
+                    let mut eng = threaded(engine(80, 4, 6, dist), threads);
+                    eng.allocation = allocation;
+                    let res = eng.solve(&SolveRequest::new(&inst, 7).pool(pool)).unwrap();
                     assert_eq!(res.stats.samples_drawn, 80, "{dist:?}/{allocation:?}");
                     assert_eq!(res.group.len(), 5);
                 }
@@ -842,11 +799,11 @@ mod tests {
             backtrack_threshold: Some(0.01),
         };
         let serial = engine(120, 4, 8, ce)
-            .solve(&inst, StartMode::Fresh, 42)
+            .solve(&SolveRequest::new(&inst, 42))
             .unwrap();
         for threads in [1, 2, 4, 8] {
             let par = threaded(engine(120, 4, 8, ce), Some(threads))
-                .solve(&inst, StartMode::Fresh, 42)
+                .solve(&SolveRequest::new(&inst, 42))
                 .unwrap();
             assert_eq!(par.group, serial.group, "threads={threads}");
             assert_eq!(par.stats.samples_drawn, serial.stats.samples_drawn);
@@ -862,21 +819,15 @@ mod tests {
     fn partial_mode_is_executor_invariant() {
         // Partial solves are served by the pool too; every executor must
         // agree bit-for-bit.
-        let inst = Arc::new(random_instance(50, 6, 8));
+        let inst = random_instance(50, 6, 8);
         let seeds = [NodeId(0), NodeId(1)];
         let a = engine(60, 3, 4, CE)
-            .solve(&inst, StartMode::Partial(&seeds), 2)
+            .solve(&SolveRequest::new(&inst, 2).required(&seeds))
             .unwrap();
         let pool = SharedPool::new(2);
         for (threads, pool) in executors(&pool) {
             let b = threaded(engine(60, 3, 4, CE), threads)
-                .solve_job(
-                    &inst,
-                    StartMode::Partial(&seeds),
-                    2,
-                    pool,
-                    &JobControl::new(),
-                )
+                .solve(&SolveRequest::new(&inst, 2).required(&seeds).pool(pool))
                 .unwrap();
             assert_eq!(a.group, b.group, "threads={threads:?}");
             assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
@@ -896,34 +847,22 @@ mod tests {
             backtrack_threshold: Some(0.01),
         };
         for seed in 0..3u64 {
-            let inst = Arc::new(random_instance(60, 5, seed));
-            let serial = engine(80, 4, 6, ce);
-            let eng = threaded(serial.clone(), Some(7));
-            let direct = serial.solve(&inst, StartMode::Fresh, seed).unwrap();
+            let inst = random_instance(60, 5, seed);
+            let mut serial = engine(80, 4, 6, ce);
+            let mut eng = threaded(serial.clone(), Some(7));
+            let direct = serial.solve(&SolveRequest::new(&inst, seed)).unwrap();
             let pooled = eng
-                .solve_job(
-                    &inst,
-                    StartMode::Fresh,
-                    seed,
-                    Some(&pool),
-                    &JobControl::new(),
-                )
+                .solve(&SolveRequest::new(&inst, seed).pool(&pool))
                 .unwrap();
             assert_eq!(direct.group, pooled.group, "seed={seed}");
             assert_eq!(direct.stats.samples_drawn, pooled.stats.samples_drawn);
 
             let seeds = [NodeId(0), NodeId(1)];
             let direct = serial
-                .solve(&inst, StartMode::Partial(&seeds), seed)
+                .solve(&SolveRequest::new(&inst, seed).required(&seeds))
                 .unwrap();
             let pooled = eng
-                .solve_job(
-                    &inst,
-                    StartMode::Partial(&seeds),
-                    seed,
-                    Some(&pool),
-                    &JobControl::new(),
-                )
+                .solve(&SolveRequest::new(&inst, seed).required(&seeds).pool(&pool))
                 .unwrap();
             assert_eq!(direct.group, pooled.group, "partial seed={seed}");
             assert_eq!(direct.stats.backtracks, pooled.stats.backtracks);
@@ -933,14 +872,14 @@ mod tests {
 
     #[test]
     fn cancel_before_the_first_stage_returns_no_incumbent() {
-        let inst = Arc::new(random_instance(40, 4, 1));
+        let inst = random_instance(40, 4, 1);
         let pool = SharedPool::new(2);
         for (threads, pool) in executors(&pool) {
-            let eng = threaded(engine(200, 4, 3, Distribution::Uniform), threads);
+            let mut eng = threaded(engine(200, 4, 3, Distribution::Uniform), threads);
             let control = JobControl::new();
             control.cancel();
             let err = eng
-                .solve_job(&inst, StartMode::Fresh, 0, pool, &control)
+                .solve(&SolveRequest::new(&inst, 0).pool(pool).control(&control))
                 .unwrap_err();
             assert_eq!(
                 err,
@@ -959,7 +898,7 @@ mod tests {
         let inst = random_instance(40, 4, 2);
         let mut eng = engine(200, 4, 3, Distribution::Uniform);
         eng.base.deadline = Some(std::time::Duration::ZERO);
-        let err = eng.solve(&inst, StartMode::Fresh, 0).unwrap_err();
+        let err = eng.solve(&SolveRequest::new(&inst, 0)).unwrap_err();
         assert_eq!(
             err,
             SolveError::NoIncumbent {
@@ -976,15 +915,15 @@ mod tests {
         // deadline time — not after millions of further draws. The solve
         // stopped "before its first completed stage", so the typed
         // NoIncumbent error carries the deadline reason.
-        let inst = Arc::new(random_instance(120, 6, 6));
+        let inst = random_instance(120, 6, 6);
         let pool = SharedPool::new(2);
         for (threads, pool) in executors(&pool) {
-            let eng = threaded(engine(3_000_000, 1, 4, Distribution::Uniform), threads);
+            let mut eng = threaded(engine(3_000_000, 1, 4, Distribution::Uniform), threads);
             let control = JobControl::new();
             control.arm_deadline(std::time::Duration::from_millis(40));
             let t0 = Instant::now();
             let err = eng
-                .solve_job(&inst, StartMode::Fresh, 1, pool, &control)
+                .solve(&SolveRequest::new(&inst, 1).pool(pool).control(&control))
                 .unwrap_err();
             let label = format!("threads={threads:?} attached={}", pool.is_some());
             assert!(
@@ -1002,9 +941,8 @@ mod tests {
             assert_eq!(control.progress().samples_spent, 0, "{label}");
         }
         // The attached pool keeps serving jobs after the abandoned one.
-        let small = threaded(engine(200, 2, 4, Distribution::Uniform), Some(2));
-        let res = small
-            .solve_job(&inst, StartMode::Fresh, 2, Some(&pool), &JobControl::new())
+        let res = threaded(engine(200, 2, 4, Distribution::Uniform), Some(2))
+            .solve(&SolveRequest::new(&inst, 2).pool(&pool))
             .unwrap();
         assert_eq!(res.stats.samples_drawn, 200);
     }
@@ -1017,7 +955,7 @@ mod tests {
         // 40 stages of 1k samples each: the cancel (sent the moment the
         // first incumbent arrives) lands tens of stages before the end.
         let inst = random_instance(60, 5, 3);
-        let eng = engine(40_000, 40, 4, Distribution::Uniform);
+        let mut eng = engine(40_000, 40, 4, Distribution::Uniform);
         let control = JobControl::new();
         let rx = control.take_incumbents();
         // Cancel as soon as the first incumbent lands: a racing watcher
@@ -1028,7 +966,7 @@ mod tests {
                 let _ = rx.recv(); // first improving stage completed
                 control.cancel();
             });
-            eng.solve_controlled(&inst, StartMode::Fresh, 7, control)
+            eng.solve(&SolveRequest::new(&inst, 7).control(control))
         })
         .unwrap();
         assert_eq!(cancelled.stats.termination, Termination::Cancelled);
@@ -1041,7 +979,7 @@ mod tests {
         let full_control = JobControl::new();
         let full_rx = full_control.take_incumbents();
         let full = eng
-            .solve_controlled(&inst, StartMode::Fresh, 7, &full_control)
+            .solve(&SolveRequest::new(&inst, 7).control(&full_control))
             .unwrap();
         assert_eq!(full.stats.samples_drawn, 40_000);
         full_control.finish();
@@ -1067,19 +1005,19 @@ mod tests {
         // after which nothing can improve — patience=2 must cut the
         // remaining stages short.
         let inst = stalled_instance(); // path of 6 + isolated hub, k = 3
-        let eng = {
+        let mut eng = {
             let mut e = engine(400, 20, 2, Distribution::Uniform);
             e.base.patience = Some(2);
             e
         };
-        let res = eng.solve(&inst, StartMode::Fresh, 1).unwrap();
+        let res = eng.solve(&SolveRequest::new(&inst, 1)).unwrap();
         assert_eq!(res.stats.termination, Termination::Completed);
         assert!(res.stats.truncated, "patience stop is a truncation");
         assert!(res.stats.stages < 20, "stopped early: {}", res.stats.stages);
         assert!(res.stats.samples_drawn < 400);
         // Quality matches the full run (nothing was improving anyway).
         let full = engine(400, 20, 2, Distribution::Uniform)
-            .solve(&inst, StartMode::Fresh, 1)
+            .solve(&SolveRequest::new(&inst, 1))
             .unwrap();
         assert_eq!(res.group, full.group);
     }
@@ -1093,12 +1031,12 @@ mod tests {
             backtrack_threshold: Some(0.01),
         };
         let plain = engine(100, 4, 6, ce)
-            .solve(&inst, StartMode::Fresh, 9)
+            .solve(&SolveRequest::new(&inst, 9))
             .unwrap();
         let control = JobControl::new();
         control.arm_deadline(std::time::Duration::from_secs(3600));
         let watched = engine(100, 4, 6, ce)
-            .solve_controlled(&inst, StartMode::Fresh, 9, &control)
+            .solve(&SolveRequest::new(&inst, 9).control(&control))
             .unwrap();
         assert_eq!(plain.group, watched.group);
         assert_eq!(plain.stats.samples_drawn, watched.stats.samples_drawn);
@@ -1121,7 +1059,7 @@ mod tests {
         let control = JobControl::new();
         let rx = control.take_incumbents();
         let res = engine(120, 6, 5, Distribution::Uniform)
-            .solve_controlled(&inst, StartMode::Fresh, 3, &control)
+            .solve(&SolveRequest::new(&inst, 3).control(&control))
             .unwrap();
         control.finish();
         let stream: Vec<_> = rx.iter().collect();
@@ -1149,7 +1087,7 @@ mod tests {
             (0.3, 1.1, "smoothing"),
             (0.3, f64::NAN, "smoothing"),
         ] {
-            let eng = engine(
+            let mut eng = engine(
                 40,
                 2,
                 3,
@@ -1159,7 +1097,7 @@ mod tests {
                     backtrack_threshold: None,
                 },
             );
-            match eng.solve(&inst, StartMode::Fresh, 0) {
+            match eng.solve(&SolveRequest::new(&inst, 0)) {
                 Err(SolveError::BadParameter { param: p, .. }) => assert_eq!(p, param),
                 other => {
                     panic!("rho={rho} smoothing={smoothing}: expected BadParameter, got {other:?}")

@@ -1,18 +1,18 @@
 //! Stage executors for the [`crate::engine::StagedEngine`].
 //!
 //! The engine's stage loop is executor-agnostic: it describes one stage as
-//! a flat list of [`WorkItem`]s (one per sample to draw) and asks an
+//! a flat list of `WorkItem`s (one per sample to draw) and asks an
 //! executor to fill a result slot per item. Two executors exist:
 //!
-//! * [`SerialExec`] — one reusable [`Sampler`] on the calling thread
+//! * `SerialExec` — one reusable [`Sampler`] on the calling thread
 //!   (engines without a `threads` count);
-//! * a job of a [`SharedPool`] (module [`shared`]) — a pool of owned
+//! * a job of a [`SharedPool`] — a pool of owned
 //!   threads that any number of sessions and solves attach to
 //!   concurrently, with a job-level scheduler and self-healing workers.
 //!   A threaded solve that is handed no pool creates a `SharedPool` of
 //!   its own and drops it when the solve ends.
 //!
-//! The pooled path serves [`crate::engine::StartMode::Partial`] too: a
+//! The pooled path serves required-attendee (partial) solves too: a
 //! partial solve's samples are independent draws growing from the same
 //! seed set, so they deal across workers exactly like fresh samples.
 //!
@@ -20,11 +20,11 @@
 //! weight buffer) per attached job, result buffers are recycled through
 //! the chunk messages, and the per-sample `Vec<NodeId>` node lists flow
 //! coordinator → worker → coordinator through a slab (chunk messages
-//! carry spent buffers back; see [`StageExec::run_stage`]) — steady-state
+//! carry spent buffers back; see `StageExec::run_stage`) — steady-state
 //! stages allocate nothing.
 //!
 //! Determinism: every `(start node, stage, sample)` triple draws from its
-//! own RNG stream ([`crate::sample_seed`]), and results are keyed by item
+//! own RNG stream (`sample_seed`), and results are keyed by item
 //! index, so *which* worker draws a sample — and in *what deal pattern*
 //! ([`Deal`]) — is irrelevant: any pool width (and the serial executor)
 //! produces bit-identical solves.
@@ -32,7 +32,7 @@
 //! Stall cutoff: a failed draw means the start's component is smaller than
 //! `k` (or the seed set cannot be completed), so every other draw of that
 //! start fails too (deterministically). Both executors publish stalls in
-//! [`StageShared::stalled`] and skip the start's remaining items — their
+//! `StageShared::stalled` and skip the start's remaining items — their
 //! result slots stay `None`, which is exactly what drawing them would
 //! produce, so the cutoff is invisible to the merge. This keeps the
 //! historical break-on-first-stall cost profile and keeps serial/pooled

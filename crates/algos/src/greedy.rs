@@ -12,7 +12,7 @@ use waso_core::{Group, WasoInstance};
 use waso_graph::NodeId;
 
 use crate::sampler::Sampler;
-use crate::{SolveError, SolveResult, Solver, SolverStats};
+use crate::{SolveError, SolveRequest, SolveResult, Solver, SolverStats};
 
 /// Deterministic greedy: max-η start node, max-Δ expansion, ids break ties.
 #[derive(Debug, Clone, Default)]
@@ -52,45 +52,9 @@ impl DGreedy {
             })
             .ok_or(SolveError::NoFeasibleGroup)
     }
-}
 
-impl Solver for DGreedy {
-    fn name(&self) -> &'static str {
-        "dgreedy"
-    }
-
-    /// Deterministic; guarantees at most *one* required attendee (the
-    /// pinned start node).
-    fn capabilities(&self) -> crate::Capabilities {
-        crate::Capabilities {
-            required_attendees: true,
-            ..crate::Capabilities::default()
-        }
-    }
-
-    /// A single required attendee is honoured by pinning it as the start
-    /// node; more than one cannot be guaranteed by a greedy pass and is
-    /// rejected rather than silently dropped.
-    fn solve_with_required(
-        &mut self,
-        instance: &WasoInstance,
-        required: &[NodeId],
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        match required {
-            [] => self.solve_seeded(instance, seed),
-            [v] => DGreedy::from_start(*v).solve_seeded(instance, seed),
-            _ => Err(SolveError::RequiredUnsupported {
-                solver: self.name(),
-            }),
-        }
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        _seed: u64,
-    ) -> Result<SolveResult, SolveError> {
+    /// The greedy pass itself.
+    fn run(&self, instance: &WasoInstance) -> Result<SolveResult, SolveError> {
         let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
         let g = instance.graph();
         let start = self.pick_start(instance)?;
@@ -141,6 +105,25 @@ impl Solver for DGreedy {
     }
 }
 
+impl Solver for DGreedy {
+    fn name(&self) -> &'static str {
+        "dgreedy"
+    }
+
+    /// A single required attendee is honoured by pinning it as the start
+    /// node; more than one cannot be guaranteed by a greedy pass and is
+    /// rejected rather than silently dropped. The seed is unused.
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        req.single_pass(|| match req.required {
+            [] => self.run(req.instance),
+            [v] => DGreedy::from_start(*v).run(req.instance),
+            _ => Err(SolveError::RequiredUnsupported {
+                solver: self.name(),
+            }),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +145,7 @@ mod tests {
 
     #[test]
     fn greedy_falls_into_figure1_trap() {
-        let res = DGreedy::new().solve_seeded(&figure1_instance(), 0).unwrap();
+        let res = DGreedy::new().run(&figure1_instance()).unwrap();
         // Greedy picks v1 (max η), then v2 (Δ = 7+2·1 = 9), then v3
         // (Δ = 6+2·2 = 10): willingness 27, missing the optimum 30.
         assert_eq!(res.group.nodes(), &[NodeId(0), NodeId(1), NodeId(2)]);
@@ -175,12 +158,12 @@ mod tests {
         // then v2 completes {v2,v3,v4} = 30. (Starting from v2 still falls
         // into the trap: Δ(v1) = Δ(v3) = 10 ties toward the smaller id.)
         let res = DGreedy::from_start(NodeId(2))
-            .solve_seeded(&figure1_instance(), 0)
+            .run(&figure1_instance())
             .unwrap();
         assert_eq!(res.group.willingness(), 30.0);
 
         let still_trapped = DGreedy::from_start(NodeId(1))
-            .solve_seeded(&figure1_instance(), 0)
+            .run(&figure1_instance())
             .unwrap();
         assert_eq!(still_trapped.group.willingness(), 27.0);
     }
@@ -188,7 +171,7 @@ mod tests {
     #[test]
     fn invalid_pinned_start_fails() {
         let err = DGreedy::from_start(NodeId(99))
-            .solve_seeded(&figure1_instance(), 0)
+            .run(&figure1_instance())
             .unwrap_err();
         assert_eq!(err, SolveError::NoFeasibleGroup);
     }
@@ -196,8 +179,8 @@ mod tests {
     #[test]
     fn greedy_is_deterministic_across_seeds() {
         let inst = figure1_instance();
-        let a = DGreedy::new().solve_seeded(&inst, 1).unwrap();
-        let b = DGreedy::new().solve_seeded(&inst, 999).unwrap();
+        let a = DGreedy::new().run(&inst).unwrap();
+        let b = DGreedy::new().run(&inst).unwrap();
         assert_eq!(a.group, b.group);
     }
 
@@ -214,7 +197,7 @@ mod tests {
             }
         }
         let inst = WasoInstance::new(b.build(), 2).unwrap();
-        let res = DGreedy::new().solve_seeded(&inst, 0).unwrap();
+        let res = DGreedy::new().run(&inst).unwrap();
         assert_eq!(res.group.nodes(), &[NodeId(0), NodeId(1)]);
     }
 
@@ -228,7 +211,7 @@ mod tests {
         let _ = a;
         let inst = WasoInstance::new(b.build(), 2).unwrap();
         // Start = a (max interest, isolated) → stalls.
-        let err = DGreedy::new().solve_seeded(&inst, 0).unwrap_err();
+        let err = DGreedy::new().run(&inst).unwrap_err();
         assert_eq!(err, SolveError::NoFeasibleGroup);
     }
 
@@ -243,14 +226,14 @@ mod tests {
         b.add_edge_symmetric(a, d, 0.1).unwrap();
         let _ = c;
         let inst = WasoInstance::without_connectivity(b.build(), 2).unwrap();
-        let res = DGreedy::new().solve_seeded(&inst, 0).unwrap();
+        let res = DGreedy::new().run(&inst).unwrap();
         assert_eq!(res.group.nodes(), &[NodeId(0), NodeId(1)]);
         assert_eq!(res.group.willingness(), 19.0);
     }
 
     #[test]
     fn stats_reflect_single_deterministic_pass() {
-        let res = DGreedy::new().solve_seeded(&figure1_instance(), 0).unwrap();
+        let res = DGreedy::new().run(&figure1_instance()).unwrap();
         assert_eq!(res.stats.samples_drawn, 1);
         assert_eq!(res.stats.stages, 1);
         assert_eq!(res.stats.start_nodes, 1);

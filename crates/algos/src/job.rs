@@ -143,10 +143,11 @@ impl StopState {
 
 /// The shared control block between a solve and whoever is watching it.
 ///
-/// Construction is [`JobControl::new`]; hand an `Arc<JobControl>` to
-/// [`crate::Solver::solve_controlled`] (the session facade's
+/// Construction is [`JobControl::new`]; hand it to a solve through
+/// [`crate::SolveRequest::control`] (the session facade's
 /// `submit`/`SolveHandle` machinery does this for you) and use the same
-/// `Arc` to cancel, poll progress, or stream incumbents. All methods take
+/// control — behind an `Arc` when shared across threads — to cancel, poll
+/// progress, or stream incumbents. All methods take
 /// `&self` and are safe to call from any thread at any time — including
 /// after the solve finished, when they become no-ops.
 #[derive(Debug)]
@@ -222,7 +223,7 @@ impl JobControl {
     /// The reason this job must stop, if any. Cancellation dominates an
     /// elapsed deadline (it is the more specific signal). Checked by the
     /// engine at every stage boundary, and by pool workers between
-    /// samples via the shared [`StopState`].
+    /// samples via the shared stop state.
     pub fn stop_reason(&self) -> Option<Termination> {
         if self.is_cancelled() {
             return Some(Termination::Cancelled);

@@ -10,20 +10,22 @@
 //! | [`ocba`] | §3.1–3.2 | computational-budget allocation across start nodes, stage derivation |
 //! | [`engine`] | §3–§4, §5.3.1 | **the** staged-sampling loop: allocation × distribution × execution |
 //! | [`exec`] | §5.3.1 | stage executors: serial, or a job of the self-healing [`SharedPool`] |
-//! | [`cbas`] | §3 | `Cbas` — the engine with uniform candidate selection |
+//! | [`cbas`] | §3 | `CbasConfig` — CBAS is the engine with uniform candidate selection |
 //! | [`cross_entropy`] | §4.2–4.3 | sparse node-selection probability vectors, elite updates, smoothing |
-//! | [`cbasnd`] | §4 | `CbasNd` — the engine with cross-entropy neighbour differentiation |
+//! | [`cbasnd`] | §4 | `CbasNdConfig` — CBAS-ND(-G) is the engine with cross-entropy neighbour differentiation |
 //! | [`gaussian`] | Appendix A | Gaussian budget allocation (`CBAS-ND-G`) |
 //! | [`decomp`] | §5.3 scaling | `Decomp` — community-partitioned solves with boundary repair |
 //! | [`online`] | §4.4.1 | replanning after declines, keeping confirmed attendees |
 //! | [`theory`] | §3.2, §4.3 | the approximation-ratio and `P_b` formulas of Theorems 3–5 |
 //!
-//! All solvers implement [`Solver`]: deterministic given `(instance, seed)`,
-//! returning a validated [`waso_core::Group`] plus run statistics. The
-//! staged family (CBAS, CBAS-ND, CBAS-ND-G, each serial or with
-//! `threads=N`) shares one stage loop — [`engine::StagedEngine`] — whose
-//! execution, allocation policy and candidate distribution are orthogonal
-//! axes.
+//! All solvers implement [`Solver`], whose one solve method takes a
+//! [`SolveRequest`] (instance, required set, seed, optional pool, control
+//! and incumbent) and is deterministic given it, returning a validated
+//! [`waso_core::Group`] plus run statistics. The staged family (CBAS,
+//! CBAS-ND, CBAS-ND-G, each serial or with `threads=N`) is one type —
+//! [`engine::StagedEngine`] — whose execution, allocation policy and
+//! candidate distribution are orthogonal axes; the [`SolverRegistry`]
+//! builds its configurations from specs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,16 +47,17 @@ pub mod sampler;
 pub mod spec;
 pub mod theory;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use waso_core::{CoreError, Group, WasoInstance};
 use waso_graph::NodeId;
 
-pub use cbas::{Cbas, CbasConfig};
-pub use cbasnd::{CbasNd, CbasNdConfig};
+pub use cbas::CbasConfig;
+pub use cbasnd::CbasNdConfig;
 pub use cross_entropy::ProbabilityVector;
 pub use decomp::Decomp;
-pub use engine::{Distribution, StagedEngine, StartMode};
+pub use engine::{Distribution, StagedEngine};
 pub use exec::{Deal, PoolStats, SharedPool, WorkerStats};
 pub use gaussian::Allocation;
 pub use greedy::DGreedy;
@@ -217,66 +220,109 @@ impl std::fmt::Display for SolveResult {
     }
 }
 
+/// One solve's inputs, built with [`SolveRequest::new`] plus chained
+/// setters.
+///
+/// The instance, required set, seed and incumbent determine the answer;
+/// `pool` and `control` decide only where and for how long the solve
+/// runs, never what a stage computes — a solve whose control never trips
+/// is **bit-identical** for every pool, including none.
+#[derive(Debug, Clone, Copy)]
+pub struct SolveRequest<'a> {
+    /// The instance, shared so pool workers hold it without a clone.
+    pub instance: &'a Arc<WasoInstance>,
+    /// Nodes that must appear in the answer (§4.4.1 and the §6
+    /// future-work item). A solver that cannot guarantee them returns
+    /// [`SolveError::RequiredUnsupported`] — constraints are never
+    /// silently dropped.
+    pub required: &'a [NodeId],
+    /// The seed every random choice derives from.
+    pub seed: u64,
+    /// A [`SharedPool`] for threaded solvers to run on as one job; a
+    /// threaded solve without one creates a pool for itself. Serial
+    /// solvers ignore it.
+    pub pool: Option<&'a SharedPool>,
+    /// Cancellation, deadline and progress/incumbent observation
+    /// ([`Capabilities::anytime`]); `None` runs to completion unobserved.
+    pub control: Option<&'a JobControl>,
+    /// A known group to beat. Solvers that can use one (the staged
+    /// engine, the exact branch-and-bound) start from it when it is
+    /// feasible for `instance`; it is a hint, never a constraint.
+    pub incumbent: Option<&'a Group>,
+}
+
+impl<'a> SolveRequest<'a> {
+    /// A plain solve of `instance` under `seed`: no required attendees,
+    /// no pool, no control, no incumbent.
+    pub fn new(instance: &'a Arc<WasoInstance>, seed: u64) -> Self {
+        Self {
+            instance,
+            required: &[],
+            seed,
+            pool: None,
+            control: None,
+            incumbent: None,
+        }
+    }
+
+    /// Sets the required attendees.
+    pub fn required(mut self, required: &'a [NodeId]) -> Self {
+        self.required = required;
+        self
+    }
+
+    /// Sets (or clears) the pool threaded solvers run on.
+    pub fn pool(mut self, pool: impl Into<Option<&'a SharedPool>>) -> Self {
+        self.pool = pool.into();
+        self
+    }
+
+    /// Runs the solve under `control`.
+    pub fn control(mut self, control: &'a JobControl) -> Self {
+        self.control = Some(control);
+        self
+    }
+
+    /// Sets (or clears) the incumbent to beat.
+    pub fn incumbent(mut self, incumbent: impl Into<Option<&'a Group>>) -> Self {
+        self.incumbent = incumbent.into();
+        self
+    }
+
+    /// The control policy of single-pass solvers (greedy, exact): a stop
+    /// requested before the start returns [`SolveError::NoIncumbent`],
+    /// `solve` runs to completion, and its result is published as the
+    /// final stage.
+    pub fn single_pass(
+        &self,
+        solve: impl FnOnce() -> Result<SolveResult, SolveError>,
+    ) -> Result<SolveResult, SolveError> {
+        if let Some(reason) = self.control.and_then(JobControl::stop_reason) {
+            return Err(SolveError::NoIncumbent { reason });
+        }
+        let result = solve();
+        if let (Some(control), Ok(res)) = (self.control, &result) {
+            control.publish_stage(
+                res.stats.stages,
+                res.stats.samples_drawn,
+                Some((res.group.willingness(), res.group.nodes())),
+            );
+        }
+        result
+    }
+}
+
 /// Common interface of all WASO solvers.
 ///
-/// Implementations are deterministic functions of `(instance, seed)` —
-/// rerunning with the same arguments yields the same group. This also makes
-/// pooled solves bit-identical to serial ones (per-sample RNG streams; see
-/// [`exec`]).
-///
-/// Beyond the core [`Solver::solve_seeded`], the trait carries the uniform
-/// constraint surface the [`SolverRegistry`] and the `waso::WasoSession`
-/// facade rely on: [`Solver::capabilities`] declares what a solver can
-/// honour, [`Solver::solve_with_required`] enforces required attendees (or
-/// rejects loudly), and [`Solver::warm_start`] primes anytime solvers with
-/// an incumbent.
+/// Implementations are deterministic functions of the
+/// [`SolveRequest`]'s instance, required set, seed and incumbent —
+/// rerunning with the same request yields the same group, for every pool
+/// and every control that never trips (per-sample RNG streams; see
+/// [`exec`]). What a solver honours beyond plain solving is declared
+/// once, on its [`RegistryEntry::capabilities`].
 pub trait Solver {
     /// Short machine-friendly name (`"dgreedy"`, `"cbas-nd"`, …).
     fn name(&self) -> &'static str;
-
-    /// Solves `instance`, deriving all randomness from `seed`.
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError>;
-
-    /// What this solver can honour. Defaults to "nothing beyond plain
-    /// solving"; solvers opt in to each capability they implement.
-    fn capabilities(&self) -> Capabilities {
-        Capabilities::default()
-    }
-
-    /// Solves with *required attendees*: every listed node must appear in
-    /// the answer.
-    ///
-    /// The default rejects any non-empty requirement with
-    /// [`SolveError::RequiredUnsupported`] — constraints are *never*
-    /// silently dropped. Solvers that can guarantee membership (CBAS-ND's
-    /// partial-solution growth, DGreedy's pinned start for a single
-    /// attendee) override this and set
-    /// [`Capabilities::required_attendees`].
-    fn solve_with_required(
-        &mut self,
-        instance: &WasoInstance,
-        required: &[NodeId],
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        if required.is_empty() {
-            return self.solve_seeded(instance, seed);
-        }
-        Err(SolveError::RequiredUnsupported {
-            solver: self.name(),
-        })
-    }
-
-    /// Offers an incumbent solution before solving. Anytime/exact solvers
-    /// use it to prune ([`Capabilities::warm_start`]); everyone else
-    /// ignores it — a warm start is an optimization hint, not a
-    /// constraint, so ignoring it is sound.
-    fn warm_start(&mut self, incumbent: &Group) {
-        let _ = incumbent;
-    }
 
     /// The worker count this solver would like from a [`SharedPool`], or
     /// `None` for serial solvers. Sessions use this to decide whether a
@@ -286,45 +332,11 @@ pub trait Solver {
         None
     }
 
-    /// The job-handle entry point: solve under a [`JobControl`] that can
-    /// cancel the run, bound it with a deadline, and observe its progress
-    /// and incumbents ([`Capabilities::anytime`]). Pooled solvers run as a
-    /// job of `pool` when one is given, sharing its workers with every
-    /// other job it serves.
-    ///
-    /// The determinism contract extends here: a solve whose control never
-    /// trips is **bit-identical** to [`Solver::solve_with_required`] with
-    /// the same arguments, for every `pool` — the control only ever
-    /// decides *how many stages run*, never what a stage computes.
-    ///
-    /// The default is the right behaviour for single-pass solvers (greedy,
-    /// exact): honour a stop request that arrived before work started
-    /// (returning [`SolveError::NoIncumbent`]), run the blocking solve
-    /// (ignoring `pool`), then publish the final result's progress. Staged
-    /// solvers override this to check the control at every stage boundary
-    /// and stream incumbents.
-    fn solve_controlled(
-        &mut self,
-        instance: &std::sync::Arc<WasoInstance>,
-        required: &[NodeId],
-        seed: u64,
-        pool: Option<&SharedPool>,
-        control: &JobControl,
-    ) -> Result<SolveResult, SolveError> {
-        let _ = pool;
-        if let Some(reason) = control.stop_reason() {
-            return Err(SolveError::NoIncumbent { reason });
-        }
-        let result = self.solve_with_required(instance, required, seed);
-        if let Ok(res) = &result {
-            control.publish_stage(
-                res.stats.stages,
-                res.stats.samples_drawn,
-                Some((res.group.willingness(), res.group.nodes())),
-            );
-        }
-        result
-    }
+    /// Solves `req`. Required attendees are enforced or rejected with
+    /// [`SolveError::RequiredUnsupported`]; anytime solvers check
+    /// `req.control` at every stage boundary and stream incumbents
+    /// through it, single-pass ones follow [`SolveRequest::single_pass`].
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError>;
 }
 
 /// SplitMix64 — derives independent RNG streams from `(seed, stream ids)`.

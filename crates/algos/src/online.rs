@@ -8,11 +8,13 @@
 //! recommendation, records confirmations/declines, and replans with the
 //! confirmed set seeded and the declined set blocked.
 
+use std::sync::Arc;
+
 use waso_core::{Group, WasoInstance};
 use waso_graph::{BitSet, DeltaError, GraphDelta, NodeId};
 
-use crate::cbasnd::{CbasNd, CbasNdConfig};
-use crate::{SolveError, SolveResult, Solver};
+use crate::cbasnd::CbasNdConfig;
+use crate::{SolveError, SolveRequest, Solver, StagedEngine};
 
 /// Stateful planner for the invite → respond → replan loop.
 ///
@@ -40,7 +42,7 @@ use crate::{SolveError, SolveResult, Solver};
 /// ```
 #[derive(Debug)]
 pub struct OnlinePlanner {
-    instance: WasoInstance,
+    instance: Arc<WasoInstance>,
     config: CbasNdConfig,
     seed: u64,
     replans: u64,
@@ -98,8 +100,9 @@ impl OnlinePlanner {
         seed: u64,
     ) -> Result<Self, OnlineError> {
         let n = instance.graph().num_nodes();
-        let mut solver = CbasNd::new(config.clone());
-        let initial = solver.solve_seeded(&instance, seed)?;
+        let instance = Arc::new(instance);
+        let initial =
+            StagedEngine::from_cbasnd(&config).solve(&SolveRequest::new(&instance, seed))?;
         Ok(Self {
             declined: BitSet::new(n),
             confirmed: Vec::new(),
@@ -109,6 +112,24 @@ impl OnlinePlanner {
             config,
             seed,
         })
+    }
+
+    /// One replan of `instance`: the confirmed set seeds every sample,
+    /// `blocked` nodes are excluded, and `incumbent` (when feasible) is
+    /// the group to beat.
+    fn replan(
+        &self,
+        instance: &Arc<WasoInstance>,
+        blocked: BitSet,
+        incumbent: Option<&Group>,
+    ) -> Result<Group, SolveError> {
+        let mut config = self.config.clone();
+        config.base.blocked = Some(blocked);
+        let seed = self.seed.wrapping_add(self.replans + 1);
+        let req = SolveRequest::new(instance, seed)
+            .required(&self.confirmed)
+            .incumbent(incumbent);
+        Ok(StagedEngine::from_cbasnd(&config).solve(&req)?.group)
     }
 
     /// Plans the initial group from a CBAS-ND [`crate::SolverSpec`] (the
@@ -188,19 +209,8 @@ impl OnlinePlanner {
             declined.insert(v.index());
         }
 
-        let mut config = self.config.clone();
-        config.base.blocked = Some(declined.clone());
-        let mut solver = CbasNd::new(config);
-        let seed = self.seed.wrapping_add(self.replans + 1);
-
-        let result: Result<SolveResult, SolveError> = if self.confirmed.is_empty() {
-            // Nothing confirmed yet: an ordinary solve with blocking.
-            solver.solve_seeded(&self.instance, seed)
-        } else {
-            solver.solve_with_seeds(&self.instance, &self.confirmed.clone(), seed)
-        };
         // Commit only on success.
-        self.current = result?.group;
+        self.current = self.replan(&self.instance, declined.clone(), None)?;
         self.declined = declined;
         self.replans += 1;
         Ok(&self.current)
@@ -208,7 +218,7 @@ impl OnlinePlanner {
 
     /// Applies a [`GraphDelta`] (a score update or an edge change learned
     /// mid-campaign) and replans **from the current plan**: the old
-    /// recommendation warm-starts the solver as the incumbent to beat,
+    /// recommendation is the request's incumbent to beat,
     /// the confirmed set still seeds every sample, and declined nodes
     /// stay blocked. Node identity never changes, so confirmations and
     /// declines carry over verbatim.
@@ -224,25 +234,14 @@ impl OnlinePlanner {
             WasoInstance::without_connectivity(graph, self.instance.k())
         }
         .map_err(|e| OnlineError::Solve(SolveError::Invalid(e)))?;
+        let instance = Arc::new(instance);
 
-        let mut config = self.config.clone();
-        config.base.blocked = Some(self.declined.clone());
-        let mut solver = CbasNd::new(config);
         // The pre-delta plan is a *hint*: if the delta kept it feasible
         // it becomes the incumbent to beat, otherwise it is dropped (the
         // engine re-validates it against the delta'd instance).
-        if let Ok(incumbent) = Group::new(&instance, self.current.nodes().to_vec()) {
-            solver.warm_start(&incumbent);
-        }
-        let seed = self.seed.wrapping_add(self.replans + 1);
-
-        let result: Result<SolveResult, SolveError> = if self.confirmed.is_empty() {
-            solver.solve_seeded(&instance, seed)
-        } else {
-            solver.solve_with_seeds(&instance, &self.confirmed.clone(), seed)
-        };
+        let incumbent = Group::new(&instance, self.current.nodes().to_vec()).ok();
         // Commit only on success.
-        self.current = result?.group;
+        self.current = self.replan(&instance, self.declined.clone(), incumbent.as_ref())?;
         self.instance = instance;
         self.replans += 1;
         Ok(&self.current)

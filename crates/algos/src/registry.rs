@@ -9,21 +9,24 @@
 //! * the **construction path**: one `fn(&SolverSpec) -> Box<dyn Solver + Send>`
 //!   per entry, each of which *rejects* options the solver cannot honour
 //!   ([`SpecError::UnsupportedOption`]) instead of ignoring them;
-//! * the **metadata** other layers derive UI from: capability flags, the
-//!   paper's comparison-roster order, and cost warnings.
+//! * the **metadata** other layers derive UI from: capability flags (the
+//!   one place a solver declares what it honours), the paper's
+//!   comparison-roster order, and cost warnings.
 //!
 //! [`SolverRegistry::builtin`] registers the `waso-algos` family
 //! (DGreedy, RGreedy, CBAS, CBAS-ND, CBAS-ND-G, decomposition, and
 //! `cbas-nd-par` — CBAS-ND with `threads` defaulted to the core count).
-//! The staged entries are all configurations of the one
-//! [`crate::engine::StagedEngine`]; a spec's `threads` knob runs it on a
+//! The staged entries all build the one [`crate::engine::StagedEngine`],
+//! differing only in its axes; a spec's `threads` knob runs it on a
 //! [`crate::SharedPool`] without changing the answer.
 //! Downstream crates append their own entries — `waso-exact` registers
 //! the branch-and-bound under `exact`, and the `waso` facade exposes the
 //! fully-populated registry via `waso::registry()`.
 
 use crate::spec::{Capabilities, SolverSpec, SpecError};
-use crate::{Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, RGreedy, RGreedyConfig, Solver};
+use crate::{
+    CbasConfig, CbasNdConfig, DGreedy, Distribution, RGreedy, RGreedyConfig, Solver, StagedEngine,
+};
 
 /// Builds a solver from a spec, or explains why the spec is unusable.
 /// Built solvers are `Send` so sessions can run them on job threads
@@ -107,7 +110,6 @@ impl SolverRegistry {
             summary: "budget-allocated uniform random sampling (§3)",
             capabilities: Capabilities {
                 randomized: true,
-                parallel: true, // threads=N runs on a SharedPool
                 anytime: true,
                 ..Capabilities::default()
             },
@@ -137,10 +139,8 @@ impl SolverRegistry {
             summary: "CBAS with cross-entropy neighbour differentiation (§4)",
             capabilities: Capabilities {
                 required_attendees: true,
-                parallel: true, // threads=N runs on a SharedPool
                 randomized: true,
                 anytime: true,
-                warm_start: true,
                 ..Capabilities::default()
             },
             roster_rank: Some(3),
@@ -155,10 +155,8 @@ impl SolverRegistry {
             summary: "CBAS-ND with the Gaussian budget allocation (Appendix A)",
             capabilities: Capabilities {
                 required_attendees: true,
-                parallel: true,
                 randomized: true,
                 anytime: true,
-                warm_start: true,
                 ..Capabilities::default()
             },
             roster_rank: None,
@@ -173,7 +171,6 @@ impl SolverRegistry {
             summary: "community-partitioned solve: label propagation, top communities via inner=, boundary repair",
             capabilities: Capabilities {
                 required_attendees: true,
-                parallel: true,
                 randomized: true,
                 anytime: true,
                 ..Capabilities::default()
@@ -190,10 +187,8 @@ impl SolverRegistry {
             summary: "CBAS-ND with threads= defaulted to the core count, bit-identical to serial (§5.3.1)",
             capabilities: Capabilities {
                 required_attendees: true, // partial-mode growth on the pool
-                parallel: true,
                 randomized: true,
                 anytime: true,
-                warm_start: true,
                 ..Capabilities::default()
             },
             roster_rank: None,
@@ -312,7 +307,10 @@ fn build_rgreedy(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError>
 
 fn build_cbas(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas", CBAS_KEYS)?;
-    Ok(Box::new(Cbas::new(CbasConfig::from_spec(spec))))
+    Ok(Box::new(StagedEngine::new(
+        CbasConfig::from_spec(spec),
+        Distribution::Uniform,
+    )))
 }
 
 const CBASND_KEYS: &[&str] = &[
@@ -332,14 +330,16 @@ const CBASND_KEYS: &[&str] = &[
 fn build_cbasnd(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas-nd", CBASND_KEYS)?;
     spec.ensure_ce_ranges()?;
-    Ok(Box::new(CbasNd::new(CbasNdConfig::from_spec(spec))))
+    Ok(Box::new(StagedEngine::from_cbasnd(
+        &CbasNdConfig::from_spec(spec),
+    )))
 }
 
 fn build_cbasnd_g(spec: &SolverSpec) -> Result<Box<dyn Solver + Send>, SpecError> {
     spec.ensure_only("cbas-nd-g", CBASND_KEYS)?;
     spec.ensure_ce_ranges()?;
-    Ok(Box::new(CbasNd::new(
-        CbasNdConfig::from_spec(spec).gaussian(),
+    Ok(Box::new(StagedEngine::from_cbasnd(
+        &CbasNdConfig::from_spec(spec).gaussian(),
     )))
 }
 
@@ -383,10 +383,12 @@ fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SolveError, SolveRequest, SolveResult};
+    use std::sync::Arc;
     use waso_core::WasoInstance;
     use waso_graph::{GraphBuilder, NodeId};
 
-    fn figure1_instance() -> WasoInstance {
+    fn figure1_instance() -> Arc<WasoInstance> {
         let mut b = GraphBuilder::new();
         let v1 = b.add_node(8.0);
         let v2 = b.add_node(7.0);
@@ -395,7 +397,19 @@ mod tests {
         b.add_edge_symmetric(v1, v2, 1.0).unwrap();
         b.add_edge_symmetric(v2, v3, 2.0).unwrap();
         b.add_edge_symmetric(v3, v4, 4.0).unwrap();
-        WasoInstance::new(b.build(), 3).unwrap()
+        Arc::new(WasoInstance::new(b.build(), 3).unwrap())
+    }
+
+    /// Builds `spec` and solves the Figure-1 instance under `seed`.
+    fn solve_figure1(
+        registry: &SolverRegistry,
+        spec: &SolverSpec,
+        seed: u64,
+    ) -> Result<SolveResult, SolveError> {
+        registry
+            .build(spec)
+            .unwrap()
+            .solve(&SolveRequest::new(&figure1_instance(), seed))
     }
 
     #[test]
@@ -408,9 +422,7 @@ mod tests {
                 "rgreedy" => SolverSpec::rgreedy().budget(60), // single-stage
                 name => SolverSpec::new(name).budget(60).stages(2),
             };
-            let mut solver = registry.build(&spec).unwrap();
-            let res = solver
-                .solve_seeded(&figure1_instance(), 7)
+            let res = solve_figure1(&registry, &spec, 7)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", entry.name));
             assert_eq!(res.group.len(), 3, "{}", entry.name);
         }
@@ -470,17 +482,10 @@ mod tests {
     fn cbas_threads_knob_is_bit_identical_to_serial() {
         // The registry-level pin of CBAS on a SharedPool.
         let registry = SolverRegistry::builtin();
-        let serial = registry
-            .build(&SolverSpec::cbas().budget(90).stages(3))
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 5)
-            .unwrap();
+        let serial = solve_figure1(&registry, &SolverSpec::cbas().budget(90).stages(3), 5).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let pooled = registry
-                .build(&SolverSpec::cbas().budget(90).stages(3).threads(threads))
-                .unwrap()
-                .solve_seeded(&figure1_instance(), 5)
-                .unwrap();
+            let spec = SolverSpec::cbas().budget(90).stages(3).threads(threads);
+            let pooled = solve_figure1(&registry, &spec, 5).unwrap();
             assert_eq!(pooled.group, serial.group, "threads={threads}");
             assert_eq!(pooled.stats.samples_drawn, serial.stats.samples_drawn);
         }
@@ -537,16 +542,10 @@ mod tests {
     #[test]
     fn threads_run_cbas_nd_on_a_pool_bit_identically() {
         let registry = SolverRegistry::builtin();
-        let serial = registry
-            .build(&SolverSpec::cbas_nd().budget(80).stages(3))
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 9)
-            .unwrap();
-        let par = registry
-            .build(&SolverSpec::cbas_nd().budget(80).stages(3).threads(3))
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 9)
-            .unwrap();
+        let serial =
+            solve_figure1(&registry, &SolverSpec::cbas_nd().budget(80).stages(3), 9).unwrap();
+        let spec = SolverSpec::cbas_nd().budget(80).stages(3).threads(3);
+        let par = solve_figure1(&registry, &spec, 9).unwrap();
         assert_eq!(serial.group, par.group);
     }
 
@@ -622,11 +621,7 @@ mod tests {
     fn pinned_starts_flow_through_specs() {
         let registry = SolverRegistry::builtin();
         let spec = SolverSpec::dgreedy().starts([NodeId(2)]);
-        let res = registry
-            .build(&spec)
-            .unwrap()
-            .solve_seeded(&figure1_instance(), 0)
-            .unwrap();
+        let res = solve_figure1(&registry, &spec, 0).unwrap();
         // Starting from v3 escapes the Figure-1 trap.
         assert_eq!(res.group.willingness(), 30.0);
     }

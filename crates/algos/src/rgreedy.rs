@@ -28,7 +28,7 @@ use waso_core::{Group, WasoInstance};
 use waso_graph::NodeId;
 
 use crate::sampler::{default_num_start_nodes, select_start_nodes, Sampler};
-use crate::{mix_seed, SolveError, SolveResult, Solver, SolverStats};
+use crate::{mix_seed, SolveError, SolveRequest, SolveResult, Solver, SolverStats};
 
 /// Configuration of [`RGreedy`].
 #[derive(Debug, Clone)]
@@ -79,25 +79,10 @@ impl RGreedy {
     pub fn new(config: RGreedyConfig) -> Self {
         Self { config }
     }
-}
 
-impl Solver for RGreedy {
-    fn name(&self) -> &'static str {
-        "rgreedy"
-    }
-
-    fn capabilities(&self) -> crate::Capabilities {
-        crate::Capabilities {
-            randomized: true,
-            ..crate::Capabilities::default()
-        }
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        seed: u64,
-    ) -> Result<SolveResult, SolveError> {
+    /// The sampling pass itself: `budget` randomized greedy growths
+    /// split across the start nodes, keeping the best.
+    fn run(&self, instance: &WasoInstance, seed: u64) -> Result<SolveResult, SolveError> {
         let t0 = Instant::now(); // audit:allow(D2): wall-clock feeds SolverStats timing only — never sampling or group choice
         let g = instance.graph();
         let n = g.num_nodes();
@@ -196,6 +181,23 @@ impl Solver for RGreedy {
     }
 }
 
+impl Solver for RGreedy {
+    fn name(&self) -> &'static str {
+        "rgreedy"
+    }
+
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        req.single_pass(|| {
+            if !req.required.is_empty() {
+                return Err(SolveError::RequiredUnsupported {
+                    solver: self.name(),
+                });
+            }
+            self.run(req.instance, req.seed)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,8 +217,8 @@ mod tests {
 
     #[test]
     fn escapes_the_figure1_trap_with_enough_samples() {
-        let mut solver = RGreedy::new(RGreedyConfig::with_budget(60));
-        let res = solver.solve_seeded(&figure1_instance(), 7).unwrap();
+        let solver = RGreedy::new(RGreedyConfig::with_budget(60));
+        let res = solver.run(&figure1_instance(), 7).unwrap();
         // Randomization over multiple start nodes finds {v2, v3, v4} = 30.
         assert_eq!(res.group.willingness(), 30.0);
     }
@@ -224,10 +226,10 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let inst = figure1_instance();
-        let mut s1 = RGreedy::new(RGreedyConfig::with_budget(20));
-        let mut s2 = RGreedy::new(RGreedyConfig::with_budget(20));
-        let a = s1.solve_seeded(&inst, 5).unwrap();
-        let b = s2.solve_seeded(&inst, 5).unwrap();
+        let s1 = RGreedy::new(RGreedyConfig::with_budget(20));
+        let s2 = RGreedy::new(RGreedyConfig::with_budget(20));
+        let a = s1.run(&inst, 5).unwrap();
+        let b = s2.run(&inst, 5).unwrap();
         assert_eq!(a.group, b.group);
         assert_eq!(a.stats.samples_drawn, b.stats.samples_drawn);
     }
@@ -235,13 +237,13 @@ mod tests {
     #[test]
     fn start_override_pins_membership() {
         let inst = figure1_instance();
-        let mut solver = RGreedy::new(RGreedyConfig {
+        let solver = RGreedy::new(RGreedyConfig {
             budget: 10,
             num_start_nodes: None,
             start_override: Some(vec![NodeId(3)]),
             include_base_willingness: false,
         });
-        let res = solver.solve_seeded(&inst, 0).unwrap();
+        let res = solver.run(&inst, 0).unwrap();
         assert!(res.group.contains(NodeId(3)));
         assert_eq!(res.stats.start_nodes, 1);
     }
@@ -255,8 +257,8 @@ mod tests {
         b.add_edge_symmetric(ids[1], ids[2], 2.0).unwrap();
         b.add_edge_symmetric(ids[2], ids[3], -1.0).unwrap();
         let inst = WasoInstance::new(b.build(), 2).unwrap();
-        let mut solver = RGreedy::new(RGreedyConfig::with_budget(30));
-        let res = solver.solve_seeded(&inst, 3).unwrap();
+        let solver = RGreedy::new(RGreedyConfig::with_budget(30));
+        let res = solver.run(&inst, 3).unwrap();
         // Best pair is {v2, v3}: 1 + 2 + 2·2 = 7? η = (-1,0,1,2):
         // {2,3}: 1+2+2·(-1) = 1; {1,2}: 0+1+2·2 = 5 — the optimum.
         assert_eq!(res.group.nodes(), &[NodeId(1), NodeId(2)]);
@@ -273,13 +275,13 @@ mod tests {
         b.add_edge_symmetric(x, y, 0.5).unwrap();
         let _ = hub;
         let inst = WasoInstance::new(b.build(), 2).unwrap();
-        let mut solver = RGreedy::new(RGreedyConfig {
+        let solver = RGreedy::new(RGreedyConfig {
             budget: 9,
             num_start_nodes: Some(3),
             start_override: None,
             include_base_willingness: false,
         });
-        let res = solver.solve_seeded(&inst, 0).unwrap();
+        let res = solver.run(&inst, 0).unwrap();
         assert_eq!(res.group.nodes(), &[NodeId(1), NodeId(2)]);
         assert_eq!(res.stats.samples_drawn, 9);
     }

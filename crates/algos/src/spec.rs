@@ -42,27 +42,23 @@ use waso_graph::NodeId;
 /// `waso-solve` CLI default since the first release).
 pub const DEFAULT_BUDGET: u64 = 2000;
 
-/// What a solver can honour. Declared per registry entry and per solver
-/// ([`crate::Solver::capabilities`]); the session facade uses these to
-/// *reject* spec/solver combinations that cannot be honoured instead of
+/// What a solver can honour, declared once per registry entry
+/// ([`crate::RegistryEntry::capabilities`]); the session facade uses these
+/// to *reject* spec/solver combinations that cannot be honoured instead of
 /// silently ignoring a constraint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Capabilities {
     /// Can guarantee a set of required attendees appears in the answer
     /// (§4.4.1 / the §6 future-work item).
     pub required_attendees: bool,
-    /// Honours `threads=N` by fanning sampling out across workers.
-    pub parallel: bool,
     /// Proves optimality when run to completion.
     pub exact: bool,
     /// Consumes the seed — reruns with different seeds explore differently.
     pub randomized: bool,
-    /// Honours a warm-start incumbent ([`crate::Solver::warm_start`]).
-    pub warm_start: bool,
     /// Anytime: maintains a feasible incumbent throughout the solve and
     /// honours stage-granular control — `deadline_ms=`, `patience=`,
-    /// cancellation, and incumbent streaming through
-    /// [`crate::Solver::solve_controlled`] / [`crate::JobControl`].
+    /// cancellation, and incumbent streaming through a request's
+    /// [`crate::JobControl`] ([`crate::SolveRequest::control`]).
     /// Solvers without this flag reject the `deadline_ms`/`patience` spec
     /// options at build time.
     pub anytime: bool,
@@ -543,7 +539,7 @@ impl SolverSpec {
     /// Rejects any set option that is not in `allowed` — the mechanism
     /// behind "reject instead of silently ignore". `require` is always
     /// allowed at the spec level: whether the *solver* honours it is
-    /// enforced by [`crate::Solver::solve_with_required`] at solve time,
+    /// enforced by the entry's capabilities and by [`crate::Solver::solve`],
     /// so that the error can name the solver and the session can route
     /// around it.
     pub fn ensure_only(

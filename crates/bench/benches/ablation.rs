@@ -10,9 +10,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use waso_algos::{Cbas, CbasConfig, CbasNd, CbasNdConfig, RGreedy, RGreedyConfig, Solver};
+use std::sync::Arc;
+use waso_algos::{
+    CbasConfig, CbasNdConfig, Distribution, RGreedy, RGreedyConfig, SolveRequest, SolveResult,
+    Solver, StagedEngine,
+};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
+
+/// One seeded solve of `inst`.
+fn solve(mut solver: impl Solver, inst: &Arc<WasoInstance>) -> SolveResult {
+    solver.solve(&SolveRequest::new(inst, 1)).unwrap()
+}
 
 fn base_nd(budget: u64) -> CbasNdConfig {
     let mut cfg = CbasNdConfig::with_budget(budget);
@@ -23,7 +32,7 @@ fn base_nd(budget: u64) -> CbasNdConfig {
 
 fn bench_differentiation_overhead(c: &mut Criterion) {
     let g = synthetic::facebook_like_n(1000, 7);
-    let inst = WasoInstance::new(g, 20).unwrap();
+    let inst = Arc::new(WasoInstance::new(g, 20).unwrap());
     let budget = 300;
 
     let mut group = c.benchmark_group("ablation_differentiation");
@@ -32,18 +41,23 @@ fn bench_differentiation_overhead(c: &mut Criterion) {
         let mut cfg = CbasConfig::with_budget(budget);
         cfg.stages = Some(5);
         cfg.num_start_nodes = Some(8);
-        b.iter(|| black_box(Cbas::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(solve(
+                StagedEngine::new(cfg.clone(), Distribution::Uniform),
+                &inst,
+            ))
+        });
     });
     group.bench_function("cbas_nd_weighted", |b| {
         let cfg = base_nd(budget);
-        b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| black_box(solve(StagedEngine::from_cbasnd(&cfg), &inst)));
     });
     group.finish();
 }
 
 fn bench_smoothing_extremes(c: &mut Criterion) {
     let g = synthetic::facebook_like_n(1000, 7);
-    let inst = WasoInstance::new(g, 20).unwrap();
+    let inst = Arc::new(WasoInstance::new(g, 20).unwrap());
 
     let mut group = c.benchmark_group("ablation_smoothing");
     group.sample_size(15);
@@ -51,7 +65,7 @@ fn bench_smoothing_extremes(c: &mut Criterion) {
         let mut cfg = base_nd(300);
         cfg.smoothing = w;
         group.bench_function(name, |b| {
-            b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+            b.iter(|| black_box(solve(StagedEngine::from_cbasnd(&cfg), &inst)));
         });
     }
     group.finish();
@@ -59,24 +73,24 @@ fn bench_smoothing_extremes(c: &mut Criterion) {
 
 fn bench_backtracking(c: &mut Criterion) {
     let g = synthetic::facebook_like_n(1000, 7);
-    let inst = WasoInstance::new(g, 20).unwrap();
+    let inst = Arc::new(WasoInstance::new(g, 20).unwrap());
 
     let mut group = c.benchmark_group("ablation_backtracking");
     group.sample_size(15);
     group.bench_function("off", |b| {
         let cfg = base_nd(300);
-        b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| black_box(solve(StagedEngine::from_cbasnd(&cfg), &inst)));
     });
     group.bench_function("on", |b| {
         let cfg = base_nd(300).with_backtracking(1e-4);
-        b.iter(|| black_box(CbasNd::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| black_box(solve(StagedEngine::from_cbasnd(&cfg), &inst)));
     });
     group.finish();
 }
 
 fn bench_rgreedy_weighting(c: &mut Criterion) {
     let g = synthetic::facebook_like_n(1000, 7);
-    let inst = WasoInstance::new(g, 20).unwrap();
+    let inst = Arc::new(WasoInstance::new(g, 20).unwrap());
 
     let mut group = c.benchmark_group("ablation_rgreedy_weights");
     group.sample_size(15);
@@ -85,7 +99,7 @@ fn bench_rgreedy_weighting(c: &mut Criterion) {
         cfg.num_start_nodes = Some(8);
         cfg.include_base_willingness = include_base;
         group.bench_function(name, |b| {
-            b.iter(|| black_box(RGreedy::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+            b.iter(|| black_box(solve(RGreedy::new(cfg.clone()), &inst)));
         });
     }
     group.finish();

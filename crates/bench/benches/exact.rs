@@ -4,15 +4,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waso_algos::{CbasNd, CbasNdConfig, Solver};
+use std::sync::Arc;
+use waso_algos::{CbasNdConfig, SolveRequest, Solver, StagedEngine};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 use waso_exact::enumerate::count_connected_k_subgraphs;
 use waso_exact::BranchBound;
 
-fn small_instance(n: usize, k: usize) -> WasoInstance {
+fn small_instance(n: usize, k: usize) -> Arc<WasoInstance> {
     let g = synthetic::dblp_like_n(n, 3);
-    WasoInstance::new(g, k).unwrap()
+    Arc::new(WasoInstance::new(g, k).unwrap())
 }
 
 fn bench_enumeration(c: &mut Criterion) {
@@ -47,7 +48,10 @@ fn bench_branch_bound(c: &mut Criterion) {
         // warm-starting prunes.
         let mut cfg = CbasNdConfig::with_budget(100);
         cfg.base.stages = Some(3);
-        let incumbent = CbasNd::new(cfg).solve_seeded(&inst, 1).unwrap().group;
+        let incumbent = StagedEngine::from_cbasnd(&cfg)
+            .solve(&SolveRequest::new(&inst, 1))
+            .unwrap()
+            .group;
         group.bench_with_input(
             BenchmarkId::new("primed", format!("n{n}_k{k}")),
             &inst,

@@ -4,9 +4,18 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use waso_algos::{Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, RGreedy, RGreedyConfig, Solver};
+use std::sync::Arc;
+use waso_algos::{
+    CbasConfig, CbasNdConfig, DGreedy, Distribution, RGreedy, RGreedyConfig, SolveRequest,
+    SolveResult, Solver, StagedEngine,
+};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
+
+/// One seeded solve of `inst`.
+fn solve(mut solver: impl Solver, inst: &Arc<WasoInstance>) -> SolveResult {
+    solver.solve(&SolveRequest::new(inst, 1)).unwrap()
+}
 
 fn configs(budget: u64) -> (CbasConfig, CbasNdConfig) {
     let mut cb = CbasConfig::with_budget(budget);
@@ -20,7 +29,7 @@ fn configs(budget: u64) -> (CbasConfig, CbasNdConfig) {
 fn bench_solvers(c: &mut Criterion) {
     let g = synthetic::facebook_like_n(1000, 7);
     let k = 15;
-    let inst = WasoInstance::new(g, k).unwrap();
+    let inst = Arc::new(WasoInstance::new(g, k).unwrap());
     let budget = 300;
     let (cb_cfg, nd_cfg) = configs(budget);
 
@@ -28,47 +37,47 @@ fn bench_solvers(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("dgreedy", |b| {
-        b.iter(|| black_box(DGreedy::new().solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| black_box(solve(DGreedy::new(), &inst)));
     });
     group.bench_function("cbas", |b| {
-        b.iter(|| black_box(Cbas::new(cb_cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| {
+            black_box(solve(
+                StagedEngine::new(cb_cfg.clone(), Distribution::Uniform),
+                &inst,
+            ))
+        });
     });
     group.bench_function("cbas_nd", |b| {
-        b.iter(|| black_box(CbasNd::new(nd_cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| black_box(solve(StagedEngine::from_cbasnd(&nd_cfg), &inst)));
     });
     group.bench_function("cbas_nd_gaussian", |b| {
         b.iter(|| {
-            black_box(
-                CbasNd::new(nd_cfg.clone().gaussian())
-                    .solve_seeded(&inst, 1)
-                    .unwrap(),
-            )
+            black_box(solve(
+                StagedEngine::from_cbasnd(&nd_cfg.clone().gaussian()),
+                &inst,
+            ))
         });
     });
     group.bench_function("rgreedy", |b| {
         let mut cfg = RGreedyConfig::with_budget(budget);
         cfg.num_start_nodes = Some(8);
-        b.iter(|| black_box(RGreedy::new(cfg.clone()).solve_seeded(&inst, 1).unwrap()));
+        b.iter(|| black_box(solve(RGreedy::new(cfg.clone()), &inst)));
     });
     group.finish();
 }
 
 fn bench_parallel(c: &mut Criterion) {
     let g = synthetic::facebook_like_n(1000, 7);
-    let inst = WasoInstance::new(g, 15).unwrap();
+    let inst = Arc::new(WasoInstance::new(g, 15).unwrap());
     let (_, nd_cfg) = configs(1200);
 
     let mut group = c.benchmark_group("parallel_cbas_nd");
     group.sample_size(10);
     for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                black_box(
-                    CbasNd::with_threads(nd_cfg.clone(), t)
-                        .solve_seeded(&inst, 1)
-                        .unwrap(),
-                )
-            });
+        let mut cfg = nd_cfg.clone();
+        cfg.base.threads = Some(threads);
+        group.bench_function(BenchmarkId::from_parameter(threads), |b| {
+            b.iter(|| black_box(solve(StagedEngine::from_cbasnd(&cfg), &inst)));
         });
     }
     group.finish();

@@ -15,6 +15,8 @@
 //! community-sized subgraphs (smaller frontiers, fewer start nodes, no
 //! O(n) per-solve init per start), not from parallel hardware.
 
+use std::sync::Arc;
+
 use waso::SolverSpec;
 use waso_core::WasoInstance;
 use waso_datasets::{synthetic, Scale};
@@ -60,7 +62,7 @@ pub fn ladder_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for &n in ladder_sizes(ctx.scale) {
         let graph = synthetic::planted_partition_like_n(n, ctx.seed);
-        let inst = WasoInstance::new(graph, LADDER_K).expect("ladder rungs have n >= k");
+        let inst = Arc::new(WasoInstance::new(graph, LADDER_K).expect("ladder rungs have n >= k"));
         let workload = format!("planted-partition/n={n}/k={LADDER_K}");
         let specs = [
             cbasnd_spec(budget, Some(ctx.harness_m(n))),

@@ -28,6 +28,8 @@
 //! not scaling) — regenerate it with
 //! `waso-experiments --figure engine --figure decomp --scale smoke`.
 
+use std::sync::Arc;
+
 use waso::algos::{PoolStats, SharedPool};
 use waso::{SolverSpec, WasoSession};
 use waso_core::WasoInstance;
@@ -84,7 +86,7 @@ pub fn throughput_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let mut records = Vec::new();
     for (name, graph) in workloads {
         let n = graph.num_nodes();
-        let inst = WasoInstance::new(graph, k).expect("workloads have n >= k");
+        let inst = Arc::new(WasoInstance::new(graph, k).expect("workloads have n >= k"));
         let m = Some(ctx.harness_m(n));
         let workload = format!("{name}/n={n}/k={k}");
 
@@ -114,7 +116,7 @@ pub fn throughput_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     // tracks baseline per-sample cost at scale, not just the small sweeps.
     let n = large_n(ctx.scale);
     let graph = synthetic::planted_partition_like_n(n, ctx.seed);
-    let inst = WasoInstance::new(graph, k).expect("large-n workload has n >= k");
+    let inst = Arc::new(WasoInstance::new(graph, k).expect("large-n workload has n >= k"));
     let spec = cbasnd_spec(budget, Some(ctx.harness_m(n)));
     let meas = measure_spec_avg(&registry, &spec, &inst, ctx.seed, ctx.repeats);
     records.push(BenchRecord {
@@ -145,7 +147,7 @@ pub fn batch_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let k = 10;
     let graph = synthetic::facebook_like(ctx.scale, ctx.seed);
     let n = graph.num_nodes();
-    let inst = WasoInstance::new(graph.clone(), k).expect("workload has n >= k");
+    let inst = Arc::new(WasoInstance::new(graph.clone(), k).expect("workload has n >= k"));
     let spec = SolverSpec::cbas_nd()
         .budget(ctx.budget())
         .stages(BATCH_STAGES)
@@ -239,21 +241,20 @@ pub fn handle_table(records: &[BenchRecord]) -> Table {
     t
 }
 
-/// The `--figure engine` warm-vs-cold comparison: solve once, apply a
+/// The `--figure engine` post-delta re-solve ladder: solve once, apply a
 /// [`waso::graph::GraphDelta`] that touches the winning group (so the
-/// memo entry is invalidated and its group stashed as an incumbent),
-/// then time three re-solve paths on the identical delta'd instance:
+/// memo entry is invalidated), then time two re-solve paths on the
+/// delta'd instance:
 ///
-/// * **cold start** — a fresh session, no memo, no incumbent (the
-///   pre-delta-layer behaviour: every replan pays full price);
-/// * **warm start** — the session's next solve, seeded with the
-///   invalidated entry's group as the incumbent to beat;
+/// * **cold start** — the session's next solve, which runs from scratch
+///   exactly as a fresh session over the delta'd graph would (every
+///   replan pays full price);
 /// * **memo hit** — the solve after that, answered from the memo in
 ///   O(1) without running a solver.
 ///
-/// Warm-start quality is ≥ cold by construction (the incumbent only
-/// tightens the best-so-far); the rows pin both that and the wall-clock
-/// ladder in the committed `BENCH_engine.json`.
+/// Both rows carry the same quality (the hit replays the cold solve
+/// bit-identically); the committed `BENCH_engine.json` pins the
+/// wall-clock ladder.
 pub fn memo_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     use std::time::Instant;
     use waso::graph::GraphDelta;
@@ -267,72 +268,53 @@ pub fn memo_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
         .start_nodes(ctx.harness_m(n));
     let workload = format!("facebook-like/n={n}/k={k}/delta-resolve");
 
-    let mut session = WasoSession::new(graph.clone()).k(k).seed(ctx.seed);
+    let mut session = WasoSession::new(graph).k(k).seed(ctx.seed);
     let first = session.solve(&spec).expect("harness workload is feasible");
-    let delta = GraphDelta::SetInterest {
-        v: first.group.nodes()[0],
-        interest: 0.0,
-    };
     session
-        .apply(&delta)
+        .apply(&GraphDelta::SetInterest {
+            v: first.group.nodes()[0],
+            interest: 0.0,
+        })
         .expect("delta endpoint is a solved node");
 
     let t0 = Instant::now();
-    let warm = session.solve(&spec).expect("delta'd workload is feasible");
-    let warm_s = t0.elapsed().as_secs_f64();
-
-    let cold_session = WasoSession::new(delta.apply(&graph).expect("same delta, same graph"))
-        .k(k)
-        .seed(ctx.seed);
-    let t0 = Instant::now();
-    let cold = cold_session
-        .solve(&spec)
-        .expect("delta'd workload is feasible");
+    let cold = session.solve(&spec).expect("delta'd workload is feasible");
     let cold_s = t0.elapsed().as_secs_f64();
 
     let t0 = Instant::now();
     let hit = session.solve(&spec).expect("memo hit replays the result");
     let hit_s = t0.elapsed().as_secs_f64();
 
-    [
-        ("cold start", cold, cold_s),
-        ("warm start", warm, warm_s),
-        ("memo hit", hit, hit_s),
-    ]
-    .into_iter()
-    .map(|(mode, result, seconds)| BenchRecord {
-        workload: workload.clone(),
-        solver: format!("{spec} ({mode})"),
-        threads: 0,
-        mean_quality: Some(result.group.willingness()),
-        wall_seconds: seconds,
-        samples_per_sec: if seconds > 0.0 && result.stats.samples_drawn > 0 {
-            result.stats.samples_drawn as f64 / seconds
-        } else {
-            0.0
-        },
-    })
-    .collect()
+    [("cold start", cold, cold_s), ("memo hit", hit, hit_s)]
+        .into_iter()
+        .map(|(mode, result, seconds)| BenchRecord {
+            workload: workload.clone(),
+            solver: format!("{spec} ({mode})"),
+            threads: 0,
+            mean_quality: Some(result.group.willingness()),
+            wall_seconds: seconds,
+            samples_per_sec: if seconds > 0.0 && result.stats.samples_drawn > 0 {
+                result.stats.samples_drawn as f64 / seconds
+            } else {
+                0.0
+            },
+        })
+        .collect()
 }
 
-/// Renders the warm-vs-cold records as a mode-keyed table.
+/// Renders the re-solve ladder records as a mode-keyed table.
 pub fn memo_table(records: &[BenchRecord]) -> Table {
     let title = records
         .first()
-        .map(|r| {
-            format!(
-                "post-delta re-solve: cold vs warm vs memo hit ({})",
-                r.workload
-            )
-        })
-        .unwrap_or_else(|| "post-delta re-solve: cold vs warm vs memo hit".to_string());
+        .map(|r| format!("post-delta re-solve: cold vs memo hit ({})", r.workload))
+        .unwrap_or_else(|| "post-delta re-solve: cold vs memo hit".to_string());
     let mut t = Table::new(
         "engine-memo",
         title,
         &["mode", "wall s", "samples/s", "mean quality"],
     );
     for r in records {
-        let mode = ["cold start", "warm start", "memo hit"]
+        let mode = ["cold start", "memo hit"]
             .into_iter()
             .find(|m| r.solver.ends_with(&format!("({m})")))
             .unwrap_or("?");
@@ -554,7 +536,7 @@ pub fn throughput(ctx: &ExperimentContext) -> TableSet {
 }
 
 /// Measures once, returning the tables and the machine-readable records
-/// (thread sweep + batch + pool-mode + handle + warm-vs-cold rows) — the
+/// (thread sweep + batch + pool-mode + handle + post-delta re-solve rows) — the
 /// `waso-experiments --figure engine` / `--figure pool` path. The binary
 /// folds these records, together with any other record-emitting figures
 /// run in the same invocation (`--figure decomp`), into one
@@ -663,22 +645,18 @@ mod tests {
         let mut ctx = ExperimentContext::new(Scale::Smoke);
         ctx.repeats = 1;
         let records = memo_records(&ctx);
-        assert_eq!(records.len(), 3);
+        assert_eq!(records.len(), 2);
         assert!(records[0].solver.ends_with("(cold start)"));
-        assert!(records[1].solver.ends_with("(warm start)"));
-        assert!(records[2].solver.ends_with("(memo hit)"));
+        assert!(records[1].solver.ends_with("(memo hit)"));
         for r in &records {
             assert!(r.samples_per_sec > 0.0, "{}: no throughput", r.solver);
             assert!(r.mean_quality.is_some(), "{}: infeasible", r.solver);
             assert!(r.workload.contains("delta-resolve"));
         }
-        // Warm-starting only tightens the incumbent: quality on the
-        // identical delta'd instance is >= the cold solve's.
-        assert!(records[1].mean_quality >= records[0].mean_quality);
-        // The memo hit replays the warm solve bit-identically.
-        assert_eq!(records[2].mean_quality, records[1].mean_quality);
+        // The memo hit replays the cold solve bit-identically.
+        assert_eq!(records[1].mean_quality, records[0].mean_quality);
         let table = memo_table(&records);
-        assert_eq!(table.rows.len(), 3);
+        assert_eq!(table.rows.len(), 2);
     }
 
     #[test]

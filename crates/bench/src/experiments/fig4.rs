@@ -9,7 +9,9 @@
 //! "execution time" is the planner's *modeled human seconds*; solver times
 //! are wall-clock.
 
-use waso_algos::SolverSpec;
+use std::sync::Arc;
+
+use waso_algos::{SolveRequest, SolverSpec};
 use waso_datasets::userstudy::{self, ManualPlanner, Opinion};
 use waso_exact::exhaustive_optimum_where;
 
@@ -45,7 +47,7 @@ struct ProblemOutcome {
 
 fn run_problem(n: usize, k: usize, seed: u64) -> Option<ProblemOutcome> {
     let problem = userstudy::study_problem(n, k, seed);
-    let inst = &problem.instance;
+    let inst = &Arc::new(problem.instance);
     if inst.graph().num_nodes() < k {
         return None;
     }
@@ -64,14 +66,14 @@ fn run_problem(n: usize, k: usize, seed: u64) -> Option<ProblemOutcome> {
     let c_i = registry
         .build(&study_spec(Some(initiator)))
         .expect("study spec is registry-valid")
-        .solve_seeded(inst, seed)
+        .solve(&SolveRequest::new(inst, seed))
         .ok()?;
     let c_i_secs = t0.elapsed().as_secs_f64();
     let t0 = std::time::Instant::now();
     let c_ni = registry
         .build(&study_spec(None))
         .expect("study spec is registry-valid")
-        .solve_seeded(inst, seed)
+        .solve(&SolveRequest::new(inst, seed))
         .ok()?;
     let c_ni_secs = t0.elapsed().as_secs_f64();
 

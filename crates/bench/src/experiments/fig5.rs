@@ -10,6 +10,8 @@
 //! formula degenerates to r = 1 at realistic n; see
 //! `waso_algos::ocba::derive_stages` and EXPERIMENTS.md).
 
+use std::sync::Arc;
+
 use waso_algos::SolverSpec;
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
@@ -36,7 +38,7 @@ pub(crate) fn cbasnd_spec(budget: u64, m: Option<usize>) -> SolverSpec {
 fn roster_cell(
     solver: &crate::runner::RosterSolver<'_>,
     registry: &waso_algos::SolverRegistry,
-    inst: &WasoInstance,
+    inst: &Arc<WasoInstance>,
     ctx: &ExperimentContext,
     k: usize,
 ) -> Option<crate::runner::Measurement> {
@@ -85,7 +87,7 @@ pub(crate) fn sweep_k(
     );
 
     for &k in ks {
-        let inst = WasoInstance::new(graph.clone(), k).expect("k <= n");
+        let inst = Arc::new(WasoInstance::new(graph.clone(), k).expect("k <= n"));
         let mut time_row = vec![Cell::from(k)];
         let mut quality_row = vec![Cell::from(k)];
         for solver in &roster {
@@ -144,7 +146,7 @@ pub fn time_vs_n(ctx: &ExperimentContext) -> TableSet {
     );
     for &n in &ctx.n_sweep() {
         let g = synthetic::facebook_like_n(n, ctx.seed ^ n as u64);
-        let inst = WasoInstance::new(g, k).expect("n >= 10");
+        let inst = Arc::new(WasoInstance::new(g, k).expect("n >= 10"));
         let budget = ctx.budget();
         let m = Some(ctx.harness_m(n));
         let mut row = vec![Cell::from(n)];
@@ -195,7 +197,7 @@ pub fn parallel_speedup(ctx: &ExperimentContext) -> TableSet {
     let budget = ctx.budget() * 4;
     let m = Some(ctx.harness_m(g.num_nodes()));
     for &k in &ks {
-        let inst = WasoInstance::new(g.clone(), k).expect("k <= n");
+        let inst = Arc::new(WasoInstance::new(g.clone(), k).expect("k <= n"));
         let mut secs = Vec::new();
         for &t in &threads {
             let spec = cbasnd_spec(budget, m).threads(t);
@@ -235,7 +237,7 @@ pub(crate) fn budget_sweep(
     dataset: &str,
 ) -> TableSet {
     let registry = waso::registry();
-    let inst = WasoInstance::new(graph.clone(), k).expect("k <= n");
+    let inst = Arc::new(WasoInstance::new(graph.clone(), k).expect("k <= n"));
     let m = Some(ctx.harness_m(graph.num_nodes()));
 
     let budgeted: Vec<&waso_algos::RegistryEntry> = registry
@@ -324,7 +326,7 @@ fn parameter_sweep(
     for &x in values {
         let mut row = vec![Cell::from(x)];
         for &k in &ks {
-            let inst = WasoInstance::new(g.clone(), k).expect("k <= n");
+            let inst = Arc::new(WasoInstance::new(g.clone(), k).expect("k <= n"));
             let spec = apply(
                 cbasnd_spec(ctx.budget(), Some(ctx.harness_m(g.num_nodes()))),
                 x,
@@ -356,7 +358,7 @@ pub(crate) fn m_sweep(
     dataset: &str,
 ) -> TableSet {
     let registry = waso::registry();
-    let inst = WasoInstance::new(graph.clone(), k).expect("k <= n");
+    let inst = Arc::new(WasoInstance::new(graph.clone(), k).expect("k <= n"));
 
     let swept: Vec<&waso_algos::RegistryEntry> = registry
         .roster()

@@ -7,6 +7,8 @@
 //! recommends the simpler uniform rule — the reproduction checks exactly
 //! that.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waso_algos::sampler::{select_start_nodes, Sampler};
@@ -22,7 +24,7 @@ use crate::runner::{measure_spec_avg, roster_specs, ExperimentContext};
 pub fn sample_histogram(ctx: &ExperimentContext) -> TableSet {
     let g = synthetic::facebook_like(ctx.scale, ctx.seed);
     let k = 10;
-    let inst = WasoInstance::new(g, k).expect("k <= n");
+    let inst = Arc::new(WasoInstance::new(g, k).expect("k <= n"));
     let num_samples = match ctx.scale {
         waso_datasets::Scale::Smoke => 400,
         _ => 2000,
@@ -100,7 +102,7 @@ pub fn gaussian_variant(ctx: &ExperimentContext) -> TableSet {
         &col_refs,
     );
     for &k in &ctx.k_sweep_facebook() {
-        let inst = WasoInstance::new(g.clone(), k).expect("k <= n");
+        let inst = Arc::new(WasoInstance::new(g.clone(), k).expect("k <= n"));
         let mut row = vec![Cell::from(k)];
         for solver in &roster {
             if solver.entry.costly && k > ctx.costly_k_limit() {

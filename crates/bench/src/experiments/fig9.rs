@@ -4,8 +4,8 @@
 //! (a, b): on small DBLP extracts (n ∈ {25, 100, 500}, k = 10) the paper
 //! solves the Appendix-B IP with CPLEX and shows CBAS-ND within a whisker
 //! of the optimum at ~10⁻²× the time. Our IP stand-in is the `exact`
-//! registry entry (branch-and-bound), primed with CBAS-ND's incumbent via
-//! the uniform `Solver::warm_start` hook; runs that hit the expansion cap
+//! registry entry (branch-and-bound), primed with CBAS-ND's group as the
+//! solve request's incumbent; runs that hit the expansion cap
 //! report the best group found — the same caveat the paper's 10⁵-second
 //! CPLEX runs carry.
 //!
@@ -14,7 +14,9 @@
 //! Theorem 2's virtual-node reduction is validated separately in the
 //! integration tests.
 
-use waso_algos::SolverSpec;
+use std::sync::Arc;
+
+use waso_algos::{SolveRequest, SolverSpec};
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 use waso_graph::{subgraph, NodeId};
@@ -68,7 +70,7 @@ pub fn ip_comparison(ctx: &ExperimentContext) -> TableSet {
         if g.num_nodes() < k {
             continue;
         }
-        let inst = WasoInstance::new(g, k).expect("extract supports k");
+        let inst = Arc::new(WasoInstance::new(g, k).expect("extract supports k"));
         let m = Some(ctx.harness_m(inst.graph().num_nodes()));
 
         let mut q_cells = Vec::new();
@@ -85,20 +87,19 @@ pub fn ip_comparison(ctx: &ExperimentContext) -> TableSet {
             t_cells.push(Cell::from(meas.seconds));
         }
 
-        // Exact, primed with CBAS-ND's solution through the uniform
-        // warm-start hook (legitimate — an incumbent only prunes).
+        // Exact, primed with CBAS-ND's solution as the request's
+        // incumbent (legitimate — an incumbent only prunes).
         let incumbent = registry
             .build(&cbasnd_spec(budget, m))
             .expect("cbas-nd spec is registry-valid")
-            .solve_seeded(&inst, ctx.seed)
+            .solve(&SolveRequest::new(&inst, ctx.seed))
             .ok();
         let mut exact = registry
             .build(&SolverSpec::exact().cap(ctx.exact_cap()))
             .expect("exact spec is registry-valid");
-        if let Some(inc) = &incumbent {
-            exact.warm_start(&inc.group);
-        }
-        let exact_meas = measure(exact.as_mut(), &inst, ctx.seed);
+        let req =
+            SolveRequest::new(&inst, ctx.seed).incumbent(incumbent.as_ref().map(|i| &i.group));
+        let exact_meas = measure(exact.as_mut(), &req);
         let (ip_q, ip_note) = match exact_meas.quality {
             Some(q) => (
                 Cell::from(q),
@@ -154,7 +155,7 @@ pub fn waso_dis(ctx: &ExperimentContext) -> TableSet {
     );
 
     for &k in &ctx.k_sweep_facebook() {
-        let inst = WasoInstance::without_connectivity(g.clone(), k).expect("k <= n");
+        let inst = Arc::new(WasoInstance::without_connectivity(g.clone(), k).expect("k <= n"));
         let mut time_row = vec![Cell::from(k)];
         let mut quality_row = vec![Cell::from(k)];
         for solver in &roster {

@@ -6,9 +6,10 @@
 //! registering a new solver puts it in every figure without touching a
 //! driver.
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use waso_algos::{RegistryEntry, SolveError, Solver, SolverRegistry, SolverSpec};
+use waso_algos::{RegistryEntry, SolveError, SolveRequest, Solver, SolverRegistry, SolverSpec};
 use waso_core::WasoInstance;
 use waso_datasets::Scale;
 
@@ -38,15 +39,11 @@ fn throughput(samples: u64, seconds: f64) -> f64 {
     }
 }
 
-/// Runs `solver` on `instance` and measures it. Infeasibility is recorded,
+/// Runs `solver` on `req` and measures it. Infeasibility is recorded,
 /// other solver errors (validation bugs) propagate loudly.
-pub fn measure<S: Solver + ?Sized>(
-    solver: &mut S,
-    instance: &WasoInstance,
-    seed: u64,
-) -> Measurement {
+pub fn measure<S: Solver + ?Sized>(solver: &mut S, req: &SolveRequest<'_>) -> Measurement {
     let t0 = Instant::now();
-    let outcome = solver.solve_seeded(instance, seed);
+    let outcome = solver.solve(req);
     let seconds = t0.elapsed().as_secs_f64();
     match outcome {
         Ok(res) => Measurement {
@@ -71,7 +68,7 @@ pub fn measure<S: Solver + ?Sized>(
 /// runs; time mean over all runs).
 pub fn measure_avg<S: Solver + ?Sized>(
     solver: &mut S,
-    instance: &WasoInstance,
+    instance: &Arc<WasoInstance>,
     base_seed: u64,
     repeats: u32,
 ) -> Measurement {
@@ -82,7 +79,10 @@ pub fn measure_avg<S: Solver + ?Sized>(
     let mut samples = 0u64;
     let mut truncated = false;
     for r in 0..repeats {
-        let m = measure(solver, instance, base_seed.wrapping_add(r as u64));
+        let m = measure(
+            solver,
+            &SolveRequest::new(instance, base_seed.wrapping_add(r as u64)),
+        );
         if let Some(q) = m.quality {
             q_sum += q;
             q_count += 1;
@@ -171,13 +171,13 @@ pub fn harness_spec(
 pub fn measure_spec(
     registry: &SolverRegistry,
     spec: &SolverSpec,
-    instance: &WasoInstance,
+    instance: &Arc<WasoInstance>,
     seed: u64,
 ) -> Measurement {
     let mut solver = registry
         .build(spec)
         .unwrap_or_else(|e| panic!("harness built an unusable spec '{spec}': {e}"));
-    measure(solver.as_mut(), instance, seed)
+    measure(solver.as_mut(), &SolveRequest::new(instance, seed))
 }
 
 /// The per-solve-spawn baseline for batch comparisons: one solve per
@@ -188,7 +188,7 @@ pub fn measure_spec(
 pub fn measure_spec_batch_baseline(
     registry: &SolverRegistry,
     specs: &[SolverSpec],
-    instance: &WasoInstance,
+    instance: &Arc<WasoInstance>,
     seed: u64,
 ) -> Measurement {
     assert!(!specs.is_empty());
@@ -318,7 +318,7 @@ pub fn measure_session_submit_wait(
 pub fn measure_spec_avg(
     registry: &SolverRegistry,
     spec: &SolverSpec,
-    instance: &WasoInstance,
+    instance: &Arc<WasoInstance>,
     base_seed: u64,
     repeats: u32,
 ) -> Measurement {
@@ -478,17 +478,17 @@ mod tests {
     use waso_algos::DGreedy;
     use waso_graph::GraphBuilder;
 
-    fn tiny_instance() -> WasoInstance {
+    fn tiny_instance() -> Arc<WasoInstance> {
         let mut b = GraphBuilder::new();
         let u = b.add_node(1.0);
         let v = b.add_node(2.0);
         b.add_edge_symmetric(u, v, 0.5).unwrap();
-        WasoInstance::new(b.build(), 2).unwrap()
+        Arc::new(WasoInstance::new(b.build(), 2).unwrap())
     }
 
     #[test]
     fn measure_reports_quality_and_time() {
-        let m = measure(&mut DGreedy::new(), &tiny_instance(), 0);
+        let m = measure(&mut DGreedy::new(), &SolveRequest::new(&tiny_instance(), 0));
         assert_eq!(m.quality, Some(4.0));
         assert!(m.seconds >= 0.0);
         assert_eq!(m.samples, 1);
@@ -499,8 +499,8 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_node(1.0);
         b.add_node(1.0);
-        let inst = WasoInstance::new(b.build(), 2).unwrap();
-        let m = measure(&mut DGreedy::new(), &inst, 0);
+        let inst = Arc::new(WasoInstance::new(b.build(), 2).unwrap());
+        let m = measure(&mut DGreedy::new(), &SolveRequest::new(&inst, 0));
         assert_eq!(m.quality, None);
     }
 

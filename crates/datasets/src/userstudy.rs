@@ -325,16 +325,15 @@ mod tests {
     fn manual_quality_trails_a_thorough_search() {
         // The §5.2 headline: manual ≈ 66% of CBAS-ND. We check the
         // direction (manual ≤ solver) and a substantial average gap.
-        use waso_algos::{CbasNd, CbasNdConfig, Solver};
-        let inst = small_instance(4);
+        use waso_algos::{CbasNdConfig, SolveRequest, Solver, StagedEngine};
+        let inst = std::sync::Arc::new(small_instance(4));
         let planner = ManualPlanner::new();
         let trials = 12;
         let mut algo_sum = 0.0;
         let mut manual_sum = 0.0;
         for seed in 0..trials {
-            let mut solver = CbasNd::new(CbasNdConfig::fast());
-            algo_sum += solver
-                .solve_seeded(&inst, seed)
+            algo_sum += StagedEngine::from_cbasnd(&CbasNdConfig::fast())
+                .solve(&SolveRequest::new(&inst, seed))
                 .unwrap()
                 .group
                 .willingness();

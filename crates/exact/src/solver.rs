@@ -6,15 +6,14 @@
 //! CLI, the figure drivers, and `WasoSession` obtain the exact solver
 //! through the same `SolverSpec` → registry path as everything else
 //! (`exact`, or `exact:cap=1000000` for the anytime mode). The seed is
-//! ignored — exact solving is deterministic — and a warm-start incumbent
-//! ([`Solver::warm_start`]) primes the lower bound exactly like the
+//! ignored — exact solving is deterministic — and a request's incumbent
+//! ([`SolveRequest::incumbent`]) primes the lower bound exactly like the
 //! paper's practice of seeding CPLEX with the heuristic solution.
 
 use waso_algos::{
-    Capabilities, RegistryEntry, SolveError, SolveResult, Solver, SolverRegistry, SolverSpec,
-    SolverStats, SpecError,
+    Capabilities, RegistryEntry, SolveError, SolveRequest, SolveResult, Solver, SolverRegistry,
+    SolverSpec, SolverStats, SpecError,
 };
-use waso_core::{Group, WasoInstance};
 
 use crate::branch_bound::BranchBound;
 
@@ -27,8 +26,7 @@ pub const DEFAULT_CAP: u64 = 200_000_000;
 #[derive(Debug, Clone, Default)]
 pub struct ExactSolver {
     bb: BranchBound,
-    incumbent: Option<Group>,
-    /// Whether the last `solve_seeded` call proved optimality (`None`
+    /// Whether the last solve proved optimality (`None`
     /// before the first call). Exposed because the uniform interface has
     /// no channel for optimality certificates.
     last_optimal: Option<bool>,
@@ -44,7 +42,6 @@ impl ExactSolver {
     pub fn from_branch_bound(bb: BranchBound) -> Self {
         Self {
             bb,
-            incumbent: None,
             last_optimal: None,
         }
     }
@@ -71,43 +68,35 @@ impl Solver for ExactSolver {
         "exact"
     }
 
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            exact: true,
-            warm_start: true,
-            ..Capabilities::default()
-        }
-    }
-
-    fn warm_start(&mut self, incumbent: &Group) {
-        self.incumbent = Some(incumbent.clone());
-    }
-
-    fn solve_seeded(
-        &mut self,
-        instance: &WasoInstance,
-        _seed: u64,
-    ) -> Result<SolveResult, SolveError> {
-        let t0 = std::time::Instant::now();
-        let res = self
-            .bb
-            .solve(instance, self.incumbent.as_ref())
-            .ok_or(SolveError::NoFeasibleGroup)?;
-        self.last_optimal = Some(res.optimal);
-        Ok(SolveResult {
-            group: res.group,
-            stats: SolverStats {
-                // Tree expansions are the exact analogue of samples drawn:
-                // the unit of work the budget caps.
-                samples_drawn: res.nodes_explored,
-                stages: 1,
-                start_nodes: instance.graph().num_nodes() as u32,
-                // Cap hit: best-found, not a proven optimum — the uniform
-                // interface's channel for the Figure-9 "capped" caveat.
-                truncated: !res.optimal,
-                elapsed: t0.elapsed(),
-                ..SolverStats::default()
-            },
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        req.single_pass(|| {
+            if !req.required.is_empty() {
+                return Err(SolveError::RequiredUnsupported {
+                    solver: self.name(),
+                });
+            }
+            let t0 = std::time::Instant::now();
+            let res = self
+                .bb
+                .solve(req.instance, req.incumbent)
+                .ok_or(SolveError::NoFeasibleGroup)?;
+            self.last_optimal = Some(res.optimal);
+            Ok(SolveResult {
+                group: res.group,
+                stats: SolverStats {
+                    // Tree expansions are the exact analogue of samples
+                    // drawn: the unit of work the budget caps.
+                    samples_drawn: res.nodes_explored,
+                    stages: 1,
+                    start_nodes: req.instance.graph().num_nodes() as u32,
+                    // Cap hit: best-found, not a proven optimum — the
+                    // uniform interface's channel for the Figure-9
+                    // "capped" caveat.
+                    truncated: !res.optimal,
+                    elapsed: t0.elapsed(),
+                    ..SolverStats::default()
+                },
+            })
         })
     }
 }
@@ -122,7 +111,6 @@ pub fn register_exact(registry: &mut SolverRegistry) {
         summary: "exact branch-and-bound, the paper's CPLEX ground-truth role",
         capabilities: Capabilities {
             exact: true,
-            warm_start: true,
             ..Capabilities::default()
         },
         roster_rank: None,
@@ -135,9 +123,11 @@ pub fn register_exact(registry: &mut SolverRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use waso_core::WasoInstance;
     use waso_graph::GraphBuilder;
 
-    fn figure1_instance() -> WasoInstance {
+    fn figure1_instance() -> Arc<WasoInstance> {
         let mut b = GraphBuilder::new();
         let v1 = b.add_node(8.0);
         let v2 = b.add_node(7.0);
@@ -146,7 +136,7 @@ mod tests {
         b.add_edge_symmetric(v1, v2, 1.0).unwrap();
         b.add_edge_symmetric(v2, v3, 2.0).unwrap();
         b.add_edge_symmetric(v3, v4, 4.0).unwrap();
-        WasoInstance::new(b.build(), 3).unwrap()
+        Arc::new(WasoInstance::new(b.build(), 3).unwrap())
     }
 
     fn full_registry() -> SolverRegistry {
@@ -158,7 +148,9 @@ mod tests {
     #[test]
     fn solves_through_the_uniform_interface() {
         let mut s = ExactSolver::new();
-        let res = s.solve_seeded(&figure1_instance(), 123).unwrap();
+        let res = s
+            .solve(&SolveRequest::new(&figure1_instance(), 123))
+            .unwrap();
         assert_eq!(res.group.willingness(), 30.0);
         assert_eq!(s.last_was_optimal(), Some(true));
         assert!(res.stats.samples_drawn > 0);
@@ -167,8 +159,12 @@ mod tests {
     #[test]
     fn seed_is_irrelevant() {
         let inst = figure1_instance();
-        let a = ExactSolver::new().solve_seeded(&inst, 0).unwrap();
-        let b = ExactSolver::new().solve_seeded(&inst, u64::MAX).unwrap();
+        let a = ExactSolver::new()
+            .solve(&SolveRequest::new(&inst, 0))
+            .unwrap();
+        let b = ExactSolver::new()
+            .solve(&SolveRequest::new(&inst, u64::MAX))
+            .unwrap();
         assert_eq!(a.group, b.group);
     }
 
@@ -179,7 +175,7 @@ mod tests {
         let res = registry
             .build(&spec)
             .unwrap()
-            .solve_seeded(&figure1_instance(), 0)
+            .solve(&SolveRequest::new(&figure1_instance(), 0))
             .unwrap();
         assert_eq!(res.group.willingness(), 30.0);
         // Aliases resolve too.
@@ -187,12 +183,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_primes_without_changing_the_answer() {
+    fn incumbent_primes_without_changing_the_answer() {
         let inst = figure1_instance();
-        let incumbent = ExactSolver::new().solve_seeded(&inst, 0).unwrap().group;
+        let incumbent = ExactSolver::new()
+            .solve(&SolveRequest::new(&inst, 0))
+            .unwrap()
+            .group;
         let mut primed = ExactSolver::new();
-        primed.warm_start(&incumbent);
-        let res = primed.solve_seeded(&inst, 0).unwrap();
+        let res = primed
+            .solve(&SolveRequest::new(&inst, 0).incumbent(&incumbent))
+            .unwrap();
         assert_eq!(res.group.willingness(), 30.0);
         assert!(primed.last_was_optimal().unwrap());
     }
@@ -215,7 +215,7 @@ mod tests {
     fn required_attendees_are_rejected_loudly() {
         let mut s = ExactSolver::new();
         let err = s
-            .solve_with_required(&figure1_instance(), &[waso_graph::NodeId(0)], 0)
+            .solve(&SolveRequest::new(&figure1_instance(), 0).required(&[waso_graph::NodeId(0)]))
             .unwrap_err();
         assert_eq!(err, SolveError::RequiredUnsupported { solver: "exact" });
     }

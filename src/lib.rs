@@ -101,9 +101,10 @@ pub use waso_algos::{SolverRegistry, SolverSpec};
 pub mod prelude {
     pub use crate::session::{registry, MemoStats, SessionError, SolveHandle, WasoSession};
     pub use waso_algos::{
-        Capabilities, Cbas, CbasConfig, CbasNd, CbasNdConfig, DGreedy, Deal, Incumbent, JobControl,
+        Capabilities, CbasConfig, CbasNdConfig, DGreedy, Deal, Distribution, Incumbent, JobControl,
         JobProgress, OnlinePlanner, PoolStats, RGreedy, RGreedyConfig, SharedPool, SolveError,
-        SolveResult, Solver, SolverRegistry, SolverSpec, SpecError, Termination,
+        SolveRequest, SolveResult, Solver, SolverRegistry, SolverSpec, SpecError, StagedEngine,
+        Termination,
     };
     pub use waso_core::{scenario, willingness, Group, WasoInstance};
     pub use waso_graph::{GraphBuilder, NodeId, SocialGraph};

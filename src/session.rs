@@ -74,10 +74,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use waso_algos::{
-    Incumbent, JobControl, JobProgress, SharedPool, SolveError, SolveResult, Solver,
+    Incumbent, JobControl, JobProgress, SharedPool, SolveError, SolveRequest, SolveResult, Solver,
     SolverRegistry, SolverSpec, SpecError, Termination,
 };
-use waso_core::{CoreError, Group, InstanceFingerprint, WasoInstance};
+use waso_core::{CoreError, InstanceFingerprint, WasoInstance};
 use waso_graph::{DeltaError, GraphDelta, NodeId, SocialGraph};
 
 /// The session's default seed — solves are reproducible out of the box,
@@ -168,9 +168,8 @@ pub struct MemoStats {
     /// `deadline_from_submit=`) bypass the memo and count as neither.
     pub misses: u64,
     /// Cached entries dropped by [`WasoSession::apply`]: a delta
-    /// invalidates every entry solved on the pre-delta graph. Each
-    /// stashes its group as a warm-start incumbent for the next matching
-    /// solve.
+    /// invalidates every entry solved on the pre-delta graph, and the
+    /// next matching solve runs from scratch.
     pub invalidated: u64,
 }
 
@@ -185,19 +184,12 @@ struct MemoKey {
     seed: u64,
 }
 
-/// Warm-start key: a [`MemoKey`] minus the fingerprint — the incumbent
-/// of an invalidated entry applies to the *post-delta* instance,
-/// whatever its digest.
-type WarmKey = (String, Vec<u32>, u64);
-
 /// The session's solve memo: completed results keyed by
-/// ([`InstanceFingerprint`], spec, constraints, seed), plus the
-/// warm-start incumbents of delta-invalidated entries. Shared (`Arc`)
+/// ([`InstanceFingerprint`], spec, constraints, seed). Shared (`Arc`)
 /// with job coordinators so finished solves insert their results.
 #[derive(Debug, Default)]
 struct SolveMemo {
     entries: BTreeMap<MemoKey, SolveResult>,
-    warm: BTreeMap<WarmKey, Vec<NodeId>>,
     stats: MemoStats,
 }
 
@@ -600,26 +592,7 @@ impl WasoSession {
             memo.stats.misses += 1;
         }
 
-        let mut solver = self.registry.build(spec)?;
-        // Warm start: if a delta invalidated a cached entry for exactly
-        // this (spec, constraints, seed), its old group seeds the solver
-        // as the incumbent to beat (consumed once; solvers without
-        // warm-start support ignore it). The incumbent is re-validated
-        // against the *current* instance — a group the delta made
-        // infeasible is dropped, it was only ever a hint.
-        if let Some(key) = &memo_key {
-            let stashed = self
-                .memo
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .warm
-                .remove(&(key.spec.clone(), key.required.clone(), key.seed));
-            if let Some(nodes) = stashed {
-                if let Ok(group) = Group::new(instance, nodes) {
-                    solver.warm_start(&group);
-                }
-            }
-        }
+        let solver = self.registry.build(spec)?;
         // Pooled solve: run as a job of the session pool (attached, or
         // spawned on first use), so worker threads outlive — and are
         // shared by — every pooled solve, of this session and of any
@@ -702,8 +675,9 @@ impl WasoSession {
     /// Applies a [`GraphDelta`] to the session's graph **in place**:
     /// re-fingerprints incrementally (only the delta's endpoints are
     /// re-hashed), and invalidates every memo entry solved on the
-    /// pre-delta graph, stashing each entry's group as a warm-start
-    /// incumbent for the next matching solve.
+    /// pre-delta graph. The next matching solve runs from scratch, so a
+    /// session's answer depends only on `(instance, spec, seed)`, never
+    /// on its history.
     ///
     /// No entry survives a delta, however far from its group the delta
     /// lands: a staged solve's start nodes are the top `η + Σ τ` scores
@@ -755,21 +729,9 @@ impl WasoSession {
         // only match again if the configuration reverts *and* the graph
         // fingerprints back to that exact state.
         let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let stale: Vec<MemoKey> = memo
-            .entries
-            .keys()
-            .filter(|k| k.digest == old_digest)
-            .cloned()
-            .collect();
-        for key in stale {
-            if let Some(result) = memo.entries.remove(&key) {
-                memo.stats.invalidated += 1;
-                memo.warm.insert(
-                    (key.spec, key.required, key.seed),
-                    result.group.nodes().to_vec(),
-                );
-            }
-        }
+        let cached = memo.entries.len();
+        memo.entries.retain(|key, _| key.digest != old_digest);
+        memo.stats.invalidated += (cached - memo.entries.len()) as u64;
         Ok(())
     }
 
@@ -836,16 +798,11 @@ impl JobTask {
     /// panics past itself: the control is marked finished and the result
     /// sent (or the sender dropped) no matter how the solve ends.
     fn run(mut self) {
-        let outcome = self
-            .solver
-            .solve_controlled(
-                &self.instance,
-                &self.required,
-                self.seed,
-                self.pool.as_deref(),
-                &self.control,
-            )
-            .map_err(SessionError::from);
+        let req = SolveRequest::new(&self.instance, self.seed)
+            .required(&self.required)
+            .pool(self.pool.as_deref())
+            .control(&self.control);
+        let outcome = self.solver.solve(&req).map_err(SessionError::from);
         if let Ok(result) = &outcome {
             debug_assert!(
                 self.required.iter().all(|&v| result.group.contains(v)),

@@ -342,7 +342,7 @@ fn handle_pool_stats_expose_session_pool_health() {
 
 #[test]
 fn non_staged_solvers_honour_pre_start_cancellation() {
-    // dgreedy/exact run through the default solve_controlled: a cancel
+    // dgreedy/exact follow the single-pass control policy: a cancel
     // that precedes the solve is honoured; one that arrives later is a
     // no-op on an already-finished job.
     let session = WasoSession::new(graph(30)).k(3).seed(14).batch_width(1);

@@ -2,6 +2,8 @@
 //! function of its seed — datasets, solvers, the parallel driver, and the
 //! user-study simulation.
 
+use std::sync::Arc;
+
 use waso::prelude::*;
 use waso_datasets::synthetic::{self, Scale};
 use waso_datasets::userstudy;
@@ -32,7 +34,7 @@ fn datasets_are_pure_functions_of_their_seed() {
 #[test]
 fn all_solvers_are_deterministic_given_a_seed() {
     let graph = synthetic::facebook_like(Scale::Smoke, 3);
-    let inst = WasoInstance::new(graph, 7).unwrap();
+    let inst = Arc::new(WasoInstance::new(graph, 7).unwrap());
 
     let run = |seed: u64| -> Vec<(String, f64)> {
         let mut out = Vec::new();
@@ -44,12 +46,12 @@ fn all_solvers_are_deterministic_given_a_seed() {
         let mut solvers: Vec<Box<dyn Solver>> = vec![
             Box::new(DGreedy::new()),
             Box::new(RGreedy::new(RGreedyConfig::with_budget(40))),
-            Box::new(Cbas::new(cbas_cfg)),
-            Box::new(CbasNd::new(nd_cfg.clone())),
-            Box::new(CbasNd::new(nd_cfg.clone().gaussian())),
+            Box::new(StagedEngine::new(cbas_cfg, Distribution::Uniform)),
+            Box::new(StagedEngine::from_cbasnd(&nd_cfg)),
+            Box::new(StagedEngine::from_cbasnd(&nd_cfg.clone().gaussian())),
         ];
         for s in solvers.iter_mut() {
-            let r = s.solve_seeded(&inst, seed).unwrap();
+            let r = s.solve(&SolveRequest::new(&inst, seed)).unwrap();
             out.push((s.name().to_string(), r.group.willingness()));
         }
         out
@@ -69,33 +71,21 @@ fn all_solvers_are_deterministic_given_a_seed() {
 #[test]
 fn parallel_driver_is_thread_count_invariant() {
     let graph = synthetic::dblp_like(Scale::Smoke, 4);
-    let inst = WasoInstance::new(graph, 6).unwrap();
+    let inst = Arc::new(WasoInstance::new(graph, 6).unwrap());
     let mut cfg = CbasNdConfig::with_budget(120);
     cfg.base.stages = Some(4);
     cfg.base.num_start_nodes = Some(8);
 
-    let serial = CbasNd::new(cfg.clone()).solve_seeded(&inst, 9).unwrap();
+    let req = SolveRequest::new(&inst, 9);
+    let serial = StagedEngine::from_cbasnd(&cfg).solve(&req).unwrap();
     for threads in [1usize, 2, 4, 8] {
-        let par = CbasNd::with_threads(cfg.clone(), threads)
-            .solve_seeded(&inst, 9)
-            .unwrap();
+        cfg.base.threads = Some(threads);
+        let par = StagedEngine::from_cbasnd(&cfg).solve(&req).unwrap();
         assert_eq!(
             par.group, serial.group,
             "{threads} threads diverged from serial"
         );
     }
-    // A job of an attached pool whose width is not the spec's threads=.
-    let pool = SharedPool::new(3);
-    let attached = CbasNd::with_threads(cfg, 8)
-        .solve_controlled(
-            &std::sync::Arc::new(inst),
-            &[],
-            9,
-            Some(&pool),
-            &JobControl::new(),
-        )
-        .unwrap();
-    assert_eq!(attached.group, serial.group, "attached pool diverged");
 }
 
 #[test]

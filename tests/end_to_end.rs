@@ -5,8 +5,22 @@
 //! heuristic is exercised, so a newly registered solver is covered here
 //! with zero test changes.
 
+use std::sync::Arc;
+
 use waso::prelude::*;
 use waso_datasets::synthetic::{self, Scale};
+
+/// A connected-group instance over `graph`, shared for solve requests.
+fn instance(graph: SocialGraph, k: usize) -> Arc<WasoInstance> {
+    Arc::new(WasoInstance::new(graph, k).expect("k fits the graph"))
+}
+
+/// Solves `inst` with CBAS-ND over `cfg`.
+fn cbas_nd(cfg: &CbasNdConfig, inst: &Arc<WasoInstance>, seed: u64) -> SolveResult {
+    StagedEngine::from_cbasnd(cfg)
+        .solve(&SolveRequest::new(inst, seed))
+        .unwrap()
+}
 
 /// Every registered sampling/greedy solver at end-to-end test settings
 /// (the exact solver is exercised separately — it cannot run on the
@@ -49,10 +63,10 @@ fn every_solver_produces_valid_groups_on_every_dataset() {
         ("flickr", synthetic::flickr_like(Scale::Smoke, 1)),
     ];
     for (name, graph) in datasets {
-        let inst = WasoInstance::new(graph, 8).expect("k=8 fits the smoke graphs");
+        let inst = instance(graph, 8);
         for solver in solvers(120).iter_mut() {
             let res = solver
-                .solve_seeded(&inst, 7)
+                .solve(&SolveRequest::new(&inst, 7))
                 .unwrap_or_else(|e| panic!("{} failed on {name}: {e}", solver.name()));
             // Group::new re-validates size, distinctness and connectivity.
             res.group
@@ -67,14 +81,14 @@ fn every_solver_produces_valid_groups_on_every_dataset() {
 #[test]
 fn randomized_solvers_never_beat_the_exact_optimum() {
     let graph = synthetic::dblp_like_n(80, 3);
-    let inst = WasoInstance::new(graph, 5).unwrap();
+    let inst = instance(graph, 5);
     let exact = waso::registry()
         .build(&SolverSpec::exact())
         .unwrap()
-        .solve_seeded(&inst, 0)
+        .solve(&SolveRequest::new(&inst, 0))
         .expect("feasible");
     for solver in solvers(150).iter_mut() {
-        let res = solver.solve_seeded(&inst, 3).unwrap();
+        let res = solver.solve(&SolveRequest::new(&inst, 3)).unwrap();
         assert!(
             res.group.willingness() <= exact.group.willingness() + 1e-9,
             "{} exceeded the optimum: {} > {}",
@@ -88,12 +102,12 @@ fn randomized_solvers_never_beat_the_exact_optimum() {
 #[test]
 fn budgets_are_respected_exactly() {
     let graph = synthetic::facebook_like(Scale::Smoke, 5);
-    let inst = WasoInstance::new(graph, 6).unwrap();
+    let inst = instance(graph, 6);
     for budget in [40u64, 100, 250] {
         let mut cfg = CbasNdConfig::with_budget(budget);
         cfg.base.stages = Some(5);
         cfg.base.num_start_nodes = Some(5);
-        let res = CbasNd::new(cfg).solve_seeded(&inst, 2).unwrap();
+        let res = cbas_nd(&cfg, &inst, 2);
         assert_eq!(res.stats.samples_drawn, budget, "budget {budget}");
     }
 }
@@ -101,18 +115,14 @@ fn budgets_are_respected_exactly() {
 #[test]
 fn quality_improves_with_budget_on_average() {
     let graph = synthetic::facebook_like(Scale::Smoke, 9);
-    let inst = WasoInstance::new(graph, 10).unwrap();
+    let inst = instance(graph, 10);
     let quality_at = |budget: u64| -> f64 {
         let mut total = 0.0;
         for seed in 0..5 {
             let mut cfg = CbasNdConfig::with_budget(budget);
             cfg.base.stages = Some(5);
             cfg.base.num_start_nodes = Some(8);
-            total += CbasNd::new(cfg)
-                .solve_seeded(&inst, seed)
-                .unwrap()
-                .group
-                .willingness();
+            total += cbas_nd(&cfg, &inst, seed).group.willingness();
         }
         total / 5.0
     };
@@ -132,13 +142,7 @@ fn graph_io_roundtrips_through_the_full_pipeline() {
     let parsed = waso::graph::io::from_str(&text).expect("roundtrip parse");
     assert_eq!(graph, parsed);
 
-    let inst_a = WasoInstance::new(graph, 6).unwrap();
-    let inst_b = WasoInstance::new(parsed, 6).unwrap();
-    let a = CbasNd::new(CbasNdConfig::fast())
-        .solve_seeded(&inst_a, 11)
-        .unwrap();
-    let b = CbasNd::new(CbasNdConfig::fast())
-        .solve_seeded(&inst_b, 11)
-        .unwrap();
+    let a = cbas_nd(&CbasNdConfig::fast(), &instance(graph, 6), 11);
+    let b = cbas_nd(&CbasNdConfig::fast(), &instance(parsed, 6), 11);
     assert_eq!(a.group, b.group);
 }

@@ -1,12 +1,14 @@
 //! Cross-crate tests pinning the reproduction to the paper's worked
 //! examples (Figure 1 and the Example 1/2 arithmetic).
 
+use std::sync::Arc;
+
 use waso::prelude::*;
 use waso_exact::{exhaustive_optimum, BranchBound, IpModel};
 
 /// The Figure-1 counterexample reconstructed from §1's narrative: path
 /// v1 -1- v2 -2- v3 -4- v4 with η = (8, 7, 6, 5), k = 3.
-fn figure1() -> WasoInstance {
+fn figure1() -> Arc<WasoInstance> {
     let mut b = GraphBuilder::new();
     let v1 = b.add_node(8.0);
     let v2 = b.add_node(7.0);
@@ -15,7 +17,12 @@ fn figure1() -> WasoInstance {
     b.add_edge_symmetric(v1, v2, 1.0).unwrap();
     b.add_edge_symmetric(v2, v3, 2.0).unwrap();
     b.add_edge_symmetric(v3, v4, 4.0).unwrap();
-    WasoInstance::new(b.build(), 3).unwrap()
+    Arc::new(WasoInstance::new(b.build(), 3).unwrap())
+}
+
+/// Solves `inst` with `solver` under `seed`.
+fn solve(mut solver: impl Solver, inst: &Arc<WasoInstance>, seed: u64) -> SolveResult {
+    solver.solve(&SolveRequest::new(inst, seed)).unwrap()
 }
 
 #[test]
@@ -23,7 +30,7 @@ fn every_component_agrees_on_figure_one() {
     let inst = figure1();
 
     // Greedy is trapped at 27 (the paper's motivating observation).
-    let greedy = DGreedy::new().solve_seeded(&inst, 0).unwrap();
+    let greedy = solve(DGreedy::new(), &inst, 0);
     assert_eq!(greedy.group.willingness(), 27.0);
 
     // Both exact solvers and the IP model agree the optimum is 30.
@@ -36,17 +43,15 @@ fn every_component_agrees_on_figure_one() {
     assert_eq!(brute.nodes(), bb.group.nodes());
 
     // Every randomized solver escapes the trap with a modest budget.
-    let cbas = Cbas::new(CbasConfig::fast())
-        .solve_seeded(&inst, 1)
-        .unwrap();
+    let cbas = solve(
+        StagedEngine::new(CbasConfig::fast(), Distribution::Uniform),
+        &inst,
+        1,
+    );
     assert_eq!(cbas.group.willingness(), 30.0, "CBAS");
-    let nd = CbasNd::new(CbasNdConfig::fast())
-        .solve_seeded(&inst, 1)
-        .unwrap();
+    let nd = solve(StagedEngine::from_cbasnd(&CbasNdConfig::fast()), &inst, 1);
     assert_eq!(nd.group.willingness(), 30.0, "CBAS-ND");
-    let rg = RGreedy::new(RGreedyConfig::with_budget(60))
-        .solve_seeded(&inst, 1)
-        .unwrap();
+    let rg = solve(RGreedy::new(RGreedyConfig::with_budget(60)), &inst, 1);
     assert_eq!(rg.group.willingness(), 30.0, "RGreedy");
 }
 
@@ -91,7 +96,7 @@ fn theorem_five_quality_bound_holds_empirically() {
     for seed in 0..runs {
         let mut cfg = CbasConfig::with_budget(budget);
         cfg.stages = Some(4);
-        let got = Cbas::new(cfg).solve_seeded(&inst, seed).unwrap();
+        let got = solve(StagedEngine::new(cfg, Distribution::Uniform), &inst, seed);
         total += got.group.willingness();
     }
     let mean = total / runs as f64;

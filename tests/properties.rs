@@ -2,6 +2,8 @@
 //! never beat the exact optimum, and algebraic identities hold on random
 //! instances.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use waso::prelude::*;
 use waso_exact::{exhaustive_optimum, BranchBound};
@@ -46,16 +48,16 @@ proptest! {
         k in 2usize..6,
         connected: bool,
     ) {
-        let inst = random_instance(seed, n, extra, k.min(n), connected);
+        let inst = Arc::new(random_instance(seed, n, extra, k.min(n), connected));
         let mut cfg = CbasNdConfig::with_budget(60);
         cfg.base.stages = Some(3);
         let mut solvers: Vec<Box<dyn Solver>> = vec![
             Box::new(DGreedy::new()),
             Box::new(RGreedy::new(RGreedyConfig::with_budget(30))),
-            Box::new(CbasNd::new(cfg)),
+            Box::new(StagedEngine::from_cbasnd(&cfg)),
         ];
         for s in solvers.iter_mut() {
-            if let Ok(res) = s.solve_seeded(&inst, seed) {
+            if let Ok(res) = s.solve(&SolveRequest::new(&inst, seed)) {
                 prop_assert!(res.group.validate(&inst).is_ok(), "{} invalid", s.name());
             }
         }
@@ -83,12 +85,13 @@ proptest! {
         if backtrack {
             cfg = cfg.with_backtracking(0.05);
         }
-        let serial = CbasNd::new(cfg.clone()).solve_seeded(&inst, seed);
-        let inst = std::sync::Arc::new(inst);
+        let inst = Arc::new(inst);
+        let serial = StagedEngine::from_cbasnd(&cfg).solve(&SolveRequest::new(&inst, seed));
         let pool = SharedPool::new(3);
         for (threads, attached) in [(1usize, None), (2, None), (4, None), (8, None), (2, Some(&pool))] {
-            let par = CbasNd::with_threads(cfg.clone(), threads)
-                .solve_controlled(&inst, &[], seed, attached, &JobControl::new());
+            cfg.base.threads = Some(threads);
+            let par = StagedEngine::from_cbasnd(&cfg)
+                .solve(&SolveRequest::new(&inst, seed).pool(attached));
             match (&serial, &par) {
                 (Ok(s), Ok(p)) => {
                     prop_assert_eq!(&s.group, &p.group, "threads={}", threads);
@@ -126,12 +129,13 @@ proptest! {
         let required: Vec<NodeId> = (0..req_count as u32).map(NodeId).collect();
         let mut cfg = CbasNdConfig::with_budget(budget);
         cfg.base.stages = Some(stages);
-        let serial = CbasNd::new(cfg.clone()).solve_with_required(&inst, &required, seed);
-        let inst = std::sync::Arc::new(inst);
+        let inst = Arc::new(inst);
+        let req = SolveRequest::new(&inst, seed).required(&required);
+        let serial = StagedEngine::from_cbasnd(&cfg).solve(&req);
         let pool = SharedPool::new(3);
         for (threads, attached) in [(1usize, None), (2, None), (4, None), (8, None), (2, Some(&pool))] {
-            let par = CbasNd::with_threads(cfg.clone(), threads)
-                .solve_controlled(&inst, &required, seed, attached, &JobControl::new());
+            cfg.base.threads = Some(threads);
+            let par = StagedEngine::from_cbasnd(&cfg).solve(&req.pool(attached));
             match (&serial, &par) {
                 (Ok(s), Ok(p)) => {
                     prop_assert_eq!(&s.group, &p.group, "threads={}", threads);
@@ -204,7 +208,6 @@ proptest! {
         budget in 8u64..80,
         pool_threads in 1usize..9,
     ) {
-        use std::sync::Arc;
         use waso::algos::SharedPool;
 
         let inst = random_instance(seed, n, extra, k, true);
@@ -276,7 +279,6 @@ proptest! {
         stages in 1u32..5,
         pool_threads in 1usize..9,
     ) {
-        use std::sync::Arc;
         use waso::algos::{Deal, SharedPool};
 
         let inst = random_instance(seed, n, extra, k, true);
@@ -323,7 +325,6 @@ proptest! {
         threads in 1usize..9,
         attach_pool: bool,
     ) {
-        use std::sync::Arc;
 
         let inst = random_instance(seed, n, extra, k, true);
         let graph = inst.graph().clone();
@@ -338,7 +339,7 @@ proptest! {
         // by the harness.
         let registry = waso::registry();
         let direct = registry.build(&spec).unwrap()
-            .solve_with_required(&Arc::new(inst), &[], seed);
+            .solve(&SolveRequest::new(&Arc::new(inst), seed));
 
         let blocking = session().solve(&spec);
         let handled = session().submit(&spec).and_then(SolveHandle::wait);
@@ -430,14 +431,14 @@ proptest! {
         extra in 0usize..15,
         k in 2usize..5,
     ) {
-        let inst = random_instance(seed, n, extra, k, true);
+        let inst = Arc::new(random_instance(seed, n, extra, k, true));
         let exact = BranchBound::new().solve(&inst, None);
         let brute = exhaustive_optimum(&inst);
         match (exact, brute) {
             (Some(a), Some(b)) => {
                 prop_assert!((a.group.willingness() - b.willingness()).abs() < 1e-9);
                 // No heuristic may exceed it.
-                let heur = DGreedy::new().solve_seeded(&inst, 0);
+                let heur = DGreedy::new().solve(&SolveRequest::new(&inst, 0));
                 if let Ok(h) = heur {
                     prop_assert!(h.group.willingness() <= a.group.willingness() + 1e-9);
                 }
@@ -511,7 +512,6 @@ proptest! {
         k in 2usize..6,
         budget in 20u64..120,
     ) {
-        use std::sync::Arc;
         use waso::algos::SharedPool;
 
         let inst = clustered_instance(seed, blocks, size, k);

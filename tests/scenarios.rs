@@ -73,7 +73,9 @@ fn invitation_keeps_the_host_and_neighbourhood() {
     assert_eq!(inst.graph().num_nodes(), g.degree(host) + 1);
     let mut cfg = CbasNdConfig::fast();
     cfg.base.start_override = Some(vec![NodeId(0)]);
-    let res = CbasNd::new(cfg).solve_seeded(&inst, 1).unwrap();
+    let res = StagedEngine::from_cbasnd(&cfg)
+        .solve(&SolveRequest::new(&std::sync::Arc::new(inst), 1))
+        .unwrap();
     assert!(res.group.contains(NodeId(0)), "host must attend");
     // All members map back to host-adjacent people (or the host).
     for &v in res.group.nodes() {

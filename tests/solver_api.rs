@@ -1,5 +1,9 @@
 //! Integration tests of the unified solver API: registry completeness,
-//! spec string round-trips, and uniform constraint enforcement.
+//! spec string round-trips, uniform constraint enforcement, and the one
+//! `Solver::solve(&SolveRequest)` entry point.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use waso::prelude::*;
 
@@ -281,4 +285,98 @@ fn sessions_reject_unknown_options_and_algorithms() {
             "{spec}"
         );
     }
+}
+
+/// Every threaded registry entry answers identically on every executor:
+/// a solve with no pool and no control, one under a control that never
+/// trips, `threads=3` on a pool of its own, and a job of an attached
+/// `SharedPool::new(3)` give the same group bits, `samples_drawn` and
+/// `stages` — for fresh solves and, where the entry honours them,
+/// required-attendee solves.
+#[test]
+fn every_threaded_entry_is_executor_invariant() {
+    let registry = waso::registry();
+    let graph = waso::datasets::synthetic::facebook_like_n(120, 5);
+    let inst = Arc::new(WasoInstance::new(graph, 6).unwrap());
+    let pool = SharedPool::new(3);
+    let mut checked = Vec::new();
+    for entry in registry.entries() {
+        if !entry.options.contains(&"threads") {
+            continue;
+        }
+        let required_sets: &[&[NodeId]] = if entry.capabilities.required_attendees {
+            &[&[], &[NodeId(0)]]
+        } else {
+            &[&[]]
+        };
+        for &required in required_sets {
+            let run = |spec: &SolverSpec, pool: Option<&SharedPool>, watched: bool| {
+                let control = JobControl::new();
+                control.arm_deadline(Duration::from_secs(3600));
+                let req = SolveRequest::new(&inst, 17).required(required).pool(pool);
+                let req = if watched { req.control(&control) } else { req };
+                let res = registry.build(spec).unwrap().solve(&req);
+                res.unwrap_or_else(|e| panic!("{spec} required={required:?}: {e}"))
+            };
+            let spec = test_spec(entry);
+            let threaded = spec.clone().threads(3);
+            let base = run(&spec, None, false);
+            for (label, other) in [
+                ("untripped control", run(&spec, None, true)),
+                ("own pool", run(&threaded, None, false)),
+                ("attached pool", run(&threaded, Some(&pool), false)),
+            ] {
+                let what = format!("{} {label} required={required:?}", entry.name);
+                assert_eq!(other.group.nodes(), base.group.nodes(), "{what}");
+                assert_eq!(
+                    other.group.willingness().to_bits(),
+                    base.group.willingness().to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    other.stats.samples_drawn, base.stats.samples_drawn,
+                    "{what}"
+                );
+                assert_eq!(other.stats.stages, base.stats.stages, "{what}");
+            }
+        }
+        checked.push(entry.name);
+    }
+    for name in ["cbas", "cbas-nd", "cbas-nd-g", "cbas-nd-par"] {
+        assert!(checked.contains(&name), "{name} not checked");
+    }
+    assert_eq!(pool.stats().active_jobs, 0, "every job detached");
+}
+
+/// The staged entries all build one `StagedEngine`, whose name comes
+/// from its axes; the uniform (CBAS) engine rejects required attendees
+/// under that name.
+#[test]
+fn staged_engine_names_come_from_its_axes() {
+    let registry = waso::registry();
+    for (spec, name) in [
+        ("cbas", "cbas"),
+        ("cbas-nd", "cbas-nd"),
+        ("cbas-nd-g", "cbas-nd-g"),
+        ("cbas-nd-par", "cbas-nd"),
+    ] {
+        let solver = registry.build(&registry.parse(spec).unwrap()).unwrap();
+        assert_eq!(solver.name(), name, "{spec}");
+    }
+    let cbas = || StagedEngine::new(CbasConfig::fast(), Distribution::Uniform);
+    assert_eq!(cbas().name(), "cbas");
+    assert_eq!(
+        StagedEngine::from_cbasnd(&CbasNdConfig::fast()).name(),
+        "cbas-nd"
+    );
+    assert_eq!(
+        StagedEngine::from_cbasnd(&CbasNdConfig::fast().gaussian()).name(),
+        "cbas-nd-g"
+    );
+
+    let inst = Arc::new(WasoInstance::new(quickstart_graph(), 2).unwrap());
+    let err = cbas()
+        .solve(&SolveRequest::new(&inst, 0).required(&[NodeId(0)]))
+        .unwrap_err();
+    assert_eq!(err, SolveError::RequiredUnsupported { solver: "cbas" });
 }
