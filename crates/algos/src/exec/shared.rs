@@ -618,7 +618,7 @@ impl PoolJob<'_> {
             // generation as dead too and try again.
             seen = Some(generation);
         }
-        // audit:allow(P2): designed abort — after MAX_HEALS_PER_CHUNK consecutive respawn failures the host is too sick to solve; the serve waiter thread shields jobs with catch_unwind
+        // audit:allow(P2): designed abort — after MAX_HEALS_PER_CHUNK consecutive respawn failures the host is too sick to solve; the serve dispatch crew shields jobs with catch_unwind
         panic!("shared-pool worker {slot} died {MAX_HEALS_PER_CHUNK} times in a row; giving up");
     }
 
@@ -723,7 +723,7 @@ impl PoolJob<'_> {
                 }
             }
         }
-        // audit:allow(P2): designed abort — after MAX_HEALS_PER_CHUNK consecutive worker deaths on one chunk the host is too sick to solve; the serve waiter thread shields jobs with catch_unwind
+        // audit:allow(P2): designed abort — after MAX_HEALS_PER_CHUNK consecutive worker deaths on one chunk the host is too sick to solve; the serve dispatch crew shields jobs with catch_unwind
         panic!(
             "shared-pool worker {slot} died {MAX_HEALS_PER_CHUNK} times re-drawing one chunk; giving up"
         );

@@ -10,17 +10,20 @@
 //!    (`ERR SHED`), and the tenant must be under its inflight quota
 //!    (`ERR QUOTA`). Admitted jobs get an id, a **submit timestamp**,
 //!    and a slot in the tenant's FIFO.
-//! 2. **Dispatch** (the dispatcher thread): whenever fewer than
-//!    `max_running` jobs are running, the next job is picked
-//!    **round-robin across tenants** — a flooding tenant cannot starve
-//!    the others — and submitted to the session. A spec carrying
+//! 2. **Dispatch** (the dispatch crew: [`ServeConfig::max_running`]
+//!    threads started with the server, so at most that many jobs run):
+//!    an idle crew member picks the next job **round-robin across
+//!    tenants** — a flooding tenant cannot starve the others — and
+//!    submits it to the session. A spec carrying
 //!    `deadline_from_submit=` has its deadline re-armed against the
 //!    *admission* timestamp, so time spent queued behind other tenants
 //!    counts against the SLA.
-//! 3. **Completion** (one waiter thread per running job): the result is
-//!    parked in the job table for `POLL`/`WAIT`, the tenant's quota slot
-//!    frees, and the dispatcher wakes. The table retains the newest
-//!    [`ServeConfig::retain_finished`] terminal responses; older ones
+//! 3. **Completion** (the same crew member, waiting on the job inline
+//!    under `catch_unwind`, so a solver panic answers `ERR FAILED`
+//!    instead of killing the crew member): the result is parked in the
+//!    job table for `POLL`/`WAIT`, the tenant's quota slot frees, and
+//!    the crew member goes back for the next job. The table retains the
+//!    newest [`ServeConfig::retain_finished`] terminal responses; older ones
 //!    are evicted and answer `ERR UNKNOWN_JOB`, so a long-running
 //!    server's memory is bounded by its retention cap, not by the total
 //!    jobs it has ever served.
@@ -49,8 +52,9 @@ use crate::tenant::{FairQueue, TenantConfig};
 pub struct ServeConfig {
     /// The tenants `SUBMIT` will accept, each with its inflight quota.
     pub tenants: Vec<TenantConfig>,
-    /// Dispatch width: at most this many jobs run concurrently; the rest
-    /// wait in the fair queue. Clamped to ≥ 1.
+    /// Dispatch width: the number of dispatch threads, so at most this
+    /// many jobs run concurrently; the rest wait in the fair queue.
+    /// Clamped to ≥ 1.
     pub max_running: usize,
     /// Load-shed bound: refuse `SUBMIT`s while this many jobs are
     /// already queued (waiting for a dispatch slot). Clamped to ≥ 1.
@@ -127,9 +131,9 @@ struct JobEntry {
     /// against at dispatch, so queue wait counts against the SLA.
     submitted_at: Instant,
     state: JobState,
-    /// A `CANCEL` landed in the dispatch window — after the dispatcher
+    /// A `CANCEL` landed in the dispatch window — after a dispatch thread
     /// popped the job off the queue but before it was marked `Running`.
-    /// The dispatcher applies it right after arming the control.
+    /// The dispatch thread applies it right after arming the control.
     cancel_requested: bool,
 }
 
@@ -173,9 +177,9 @@ impl State {
         }
     }
 
-    /// Pops the next job that still has a table entry, claiming a
-    /// running slot for it. Queue ids whose entry has vanished are
-    /// drained and skipped — an orphaned id must not consume a slot.
+    /// Pops the next job that still has a table entry, counting it as
+    /// running. Queue ids whose entry has vanished are drained and
+    /// skipped — an orphaned id must not occupy a dispatch thread.
     fn pop_dispatchable(&mut self) -> Option<(u64, SolverSpec, Instant)> {
         while let Some(job) = self.queue.pop() {
             if let Some(entry) = self.jobs.get(&job) {
@@ -193,8 +197,8 @@ struct Inner {
     session: WasoSession,
     config: ServeConfig,
     state: Mutex<State>,
-    /// Notified on admission (dispatcher), slot-freeing completion
-    /// (dispatcher + `WAIT`ers), and shutdown (everyone).
+    /// Notified on admission (dispatch crew), completion (`WAIT`ers),
+    /// and shutdown (everyone).
     wake: Condvar,
 }
 
@@ -203,18 +207,25 @@ struct Inner {
 /// with [`Server::listen`], or drive in-process via [`Server::handle`].
 pub struct Server {
     inner: Arc<Inner>,
-    dispatcher: Option<JoinHandle<()>>,
+    crew: Vec<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     addr: Option<SocketAddr>,
 }
 
 impl Server {
-    /// Starts the dispatcher over `session`. The session's graph, group
+    /// Starts the dispatch crew over `session`. The session's graph, group
     /// size, seed, and attached pool are fixed for the server's lifetime
     /// — every tenant solves the same instance, so identical
     /// `(spec, seed)` submissions return identical groups no matter how
     /// they interleave.
     pub fn start(session: WasoSession, config: ServeConfig) -> Self {
+        // An empty batch validates and caches the session's instance on
+        // this thread and starts no job. Otherwise whichever dispatch
+        // thread takes the first job would build it: that job would pay
+        // for it, and the graph-sized copy would land in that thread's
+        // allocator arena. A session that cannot build an instance (no
+        // `k`) still fails each job at dispatch, with the typed error.
+        let _ = session.submit_batch(&[]);
         let tenants = config.tenants.len();
         let inner = Arc::new(Inner {
             session,
@@ -232,17 +243,19 @@ impl Server {
             }),
             wake: Condvar::new(),
         });
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("waso-serve-dispatch".into())
-                .spawn(move || inner.dispatch_loop())
-                // audit:allow(P1, P2): startup-time, before any connection exists — a server without its dispatcher can serve nothing, so fail fast
-                .expect("spawning the dispatcher thread")
-        };
+        let crew = (0..inner.config.max_running.max(1))
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name("waso-serve-dispatch".into())
+                    .spawn(move || inner.dispatch_loop())
+                    // audit:allow(P1, P2): startup-time, before any connection exists — a server short of its dispatch crew cannot honour max_running, so fail fast
+                    .expect("spawning a dispatch thread")
+            })
+            .collect();
         Self {
             inner,
-            dispatcher: Some(dispatcher),
+            crew,
             acceptor: None,
             addr: None,
         }
@@ -286,7 +299,8 @@ impl Server {
     }
 
     /// Stops accepting, cancels every live job, and joins the server's
-    /// own threads. Idempotent; also runs on drop.
+    /// own threads — each dispatch thread once its cancelled job has
+    /// stopped. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         {
             let mut st = self.inner.locked();
@@ -306,7 +320,7 @@ impl Server {
         if let Some(addr) = self.addr {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(200));
         }
-        if let Some(h) = self.dispatcher.take() {
+        for h in self.crew.drain(..) {
             let _ = h.join();
         }
         if let Some(h) = self.acceptor.take() {
@@ -458,9 +472,9 @@ impl Inner {
         };
         match &entry.state {
             // `Queued` alone is not proof the job is still ours to
-            // finalize: the dispatcher pops a job and briefly releases
-            // the lock before marking it `Running`. Unlinking it from
-            // the queue is the arbiter — if that fails, the dispatcher
+            // finalize: a dispatch thread pops a job and releases the
+            // lock before marking it `Running`. Unlinking it from the
+            // queue is the arbiter — if that fails, the dispatch thread
             // owns the job, so leave it a pending cancel (applied right
             // after the control exists) instead of finalizing here,
             // which would double-free its quota and running slots.
@@ -479,8 +493,8 @@ impl Inner {
                     entry.cancel_requested = true;
                 }
             }
-            // The solve stops at its next per-sample stop check; the
-            // waiter thread parks the (cancelled) outcome as usual.
+            // The solve stops at its next per-sample stop check; its
+            // dispatch thread parks the (cancelled) outcome as usual.
             JobState::Running(control) => control.cancel(),
             JobState::Finished(_) => {}
         }
@@ -505,10 +519,9 @@ impl Inner {
         }
     }
 
-    /// The dispatcher: picks queued jobs round-robin across tenants
-    /// whenever a running slot is free, submits them to the session, and
-    /// leaves one waiter thread parking each result.
-    fn dispatch_loop(self: Arc<Self>) {
+    /// One dispatch crew member: until shutdown, picks the next queued
+    /// job round-robin across tenants, runs it, and parks its response.
+    fn dispatch_loop(&self) {
         loop {
             let (job, spec, submitted_at) = {
                 let mut st = self.locked();
@@ -516,68 +529,65 @@ impl Inner {
                     if st.shutdown {
                         return;
                     }
-                    if st.running < self.config.max_running {
-                        if let Some(popped) = st.pop_dispatchable() {
-                            break popped;
-                        }
+                    if let Some(popped) = st.pop_dispatchable() {
+                        break popped;
                     }
                     st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            // Solver construction and thread spawning happen outside the
-            // lock; POLL/SUBMIT stay responsive under dispatch.
-            match self.session.submit(&spec) {
-                Ok(handle) => {
-                    if let Some(ms) = spec.deadline_from_submit {
-                        // Re-arm against the admission timestamp: the
-                        // session armed dispatch-relative (all it can
-                        // see), and deadlines combine earliest-wins, so
-                        // this strictly tightens it to submit-relative.
-                        handle
-                            .control()
-                            .arm_deadline_at(submitted_at + Duration::from_millis(ms));
-                    }
-                    let cancel_requested = {
-                        let mut st = self.locked();
-                        match st.jobs.get_mut(&job) {
-                            Some(entry) => {
-                                entry.state = JobState::Running(Arc::clone(handle.control()));
-                                entry.cancel_requested
-                            }
-                            // The entry vanished mid-dispatch: nothing
-                            // can observe this job any more, so stop the
-                            // solve rather than burn the slot on it.
-                            None => true,
-                        }
-                    };
-                    if cancel_requested {
-                        // A CANCEL landed while we were mid-dispatch;
-                        // honour it now that the control exists. The
-                        // waiter below parks the cancelled outcome.
-                        handle.control().cancel();
-                    }
-                    let inner = Arc::clone(&self);
-                    let _ = std::thread::Builder::new()
-                        .name("waso-serve-wait".into())
-                        .spawn(move || {
-                            // `wait` panics if the job's coordinator died
-                            // (a solver bug); contain it to this job.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    handle.wait()
-                                }));
-                            let response = match outcome {
-                                Ok(Ok(result)) => done_response(&result),
-                                Ok(Err(e)) => solve_error_response(&e),
-                                Err(_) => err(ErrCode::Failed, "solver panicked".to_string()),
-                            };
-                            inner.finish_dispatched(job, response);
-                        });
+            let response = self.run_dispatched(job, &spec, submitted_at);
+            self.finish_dispatched(job, response);
+        }
+    }
+
+    /// Submits one popped job to the session and waits for its outcome.
+    /// Solver construction and the wait happen outside the lock, so
+    /// POLL/SUBMIT stay responsive under dispatch.
+    fn run_dispatched(&self, job: u64, spec: &SolverSpec, submitted_at: Instant) -> Response {
+        let handle = match self.session.submit(spec) {
+            Ok(handle) => handle,
+            // Build failures (e.g. a constraint the solver cannot
+            // honour) surface as this job's terminal state.
+            Err(e) => return solve_error_response(&e),
+        };
+        if let Some(ms) = spec.deadline_from_submit {
+            // Re-arm against the admission timestamp: the session armed
+            // dispatch-relative (all it can see), and deadlines combine
+            // earliest-wins, so this strictly tightens it to
+            // submit-relative.
+            handle
+                .control()
+                .arm_deadline_at(submitted_at + Duration::from_millis(ms));
+        }
+        let cancel = {
+            let mut st = self.locked();
+            // Shutdown cancels only `Running` controls; a job marked
+            // running after it must cancel itself, or joining this
+            // thread would wait out the whole solve.
+            let shutdown = st.shutdown;
+            match st.jobs.get_mut(&job) {
+                Some(entry) => {
+                    entry.state = JobState::Running(Arc::clone(handle.control()));
+                    entry.cancel_requested || shutdown
                 }
-                // Build failures (e.g. a constraint the solver cannot
-                // honour) surface as this job's terminal state.
-                Err(e) => self.finish_dispatched(job, solve_error_response(&e)),
+                // The entry vanished mid-dispatch: nothing can observe
+                // this job any more, so stop the solve rather than keep
+                // this thread on it.
+                None => true,
             }
+        };
+        if cancel {
+            // A CANCEL landed while we were mid-dispatch; honour it now
+            // that the control exists. The wait below returns the
+            // cancelled outcome.
+            handle.control().cancel();
+        }
+        // `wait` panics if the job's coordinator died (a solver bug);
+        // contain it to this job so the crew member lives on.
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait())) {
+            Ok(Ok(result)) => done_response(&result),
+            Ok(Err(e)) => solve_error_response(&e),
+            Err(_) => err(ErrCode::Failed, "solver panicked".to_string()),
         }
     }
 
@@ -592,8 +602,8 @@ impl Inner {
                     *n -= 1;
                 }
             }
-            // The slot frees even if the entry is gone — a leaked slot
-            // would quietly shrink dispatch width forever.
+            // The running count drops even if the entry is gone, so
+            // STATS never reports a finished job as running.
             st.running -= 1;
         }
         self.wake.notify_all();

@@ -526,7 +526,7 @@ fn finished_jobs_are_evicted_past_the_retention_cap() {
 #[test]
 fn cancel_racing_dispatch_never_corrupts_the_accounting() {
     // Submit-then-immediately-cancel repeatedly: with an empty queue and
-    // a free slot the dispatcher pops the job at once, so many cancels
+    // an idle dispatch thread, that thread pops the job at once, so many cancels
     // land in the window between the pop and the Running transition.
     // Quota 1 makes any accounting corruption observable: a leaked
     // inflight slot (or an underflowed one) turns the next SUBMIT into
@@ -616,7 +616,7 @@ fn polls_expose_the_latest_incumbent_and_cancel_returns_best_so_far() {
 
 // ---------------------------------------------------------------------
 // Regression: a job that passes admission but fails at dispatch must
-// answer a typed error — never panic the dispatcher or kill the
+// answer a typed error — never panic a dispatch thread or kill the
 // connection — and the server must keep dispatching afterwards.
 // ---------------------------------------------------------------------
 
@@ -652,4 +652,90 @@ fn dispatch_time_failure_answers_typed_error_and_server_lives_on() {
         other => panic!("expected DONE, got {other}"),
     }
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// A solver panic is contained to its job: the dispatch thread that ran
+// it answers ERR FAILED and goes on serving.
+// ---------------------------------------------------------------------
+
+/// A registered solver whose every solve panics (a solver bug).
+struct PanickingSolver;
+
+impl Solver for PanickingSolver {
+    fn name(&self) -> &'static str {
+        "panicker"
+    }
+
+    fn solve(&mut self, _: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        panic!("injected solver panic")
+    }
+}
+
+/// Polls until `job` is terminal; a deadline turns a dispatch thread
+/// that died into a test failure instead of a hang.
+fn await_terminal(server: &Server, job: u64) -> Response {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match server.handle(Request::Poll { job }) {
+            Response::Queued | Response::Running { .. } => {
+                assert!(Instant::now() < deadline, "job {job} never finished");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            terminal => return terminal,
+        }
+    }
+}
+
+#[test]
+fn a_solver_panic_answers_failed_and_the_dispatch_crew_lives_on() {
+    let mut registry = waso::registry();
+    registry.register(waso::algos::RegistryEntry {
+        name: "panicker",
+        aliases: &[],
+        label: "Panicker",
+        summary: "panics on every solve",
+        capabilities: Capabilities::default(),
+        roster_rank: None,
+        costly: false,
+        options: &[],
+        build: |_| Ok(Box::new(PanickingSolver)),
+    });
+    let pool = Arc::new(SharedPool::new(2));
+    let session = session(60, 4, 3, &pool).with_registry(registry);
+    // One dispatch thread: the second job runs only if the panic left
+    // it alive and its running slot free.
+    let config = ServeConfig::new(vec![TenantConfig::new("alice", 4)]).max_running(1);
+    let server = Server::start(session, config);
+
+    let job = job_id(submit(&server, "alice", "panicker"));
+    match await_terminal(&server, job) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrCode::Failed);
+            assert_eq!(message, "solver panicked");
+        }
+        other => panic!("expected ERR FAILED, got {other}"),
+    }
+
+    let job = job_id(submit(&server, "alice", "dgreedy"));
+    let direct = WasoSession::new(test_graph(60))
+        .k(4)
+        .seed(3)
+        .solve(&SolverSpec::dgreedy())
+        .unwrap();
+    match await_terminal(&server, job) {
+        Response::Done { nodes, .. } => {
+            let mut direct_nodes: Vec<u32> = direct.group.nodes().iter().map(|v| v.0).collect();
+            direct_nodes.sort_unstable();
+            assert_eq!(nodes, direct_nodes);
+        }
+        other => panic!("expected DONE, got {other}"),
+    }
+    match server.handle(Request::Stats) {
+        Response::Stats(stats) => {
+            assert_eq!(stats.running, 0);
+            assert_eq!(stats.finished, 2);
+        }
+        other => panic!("expected STATS, got {other}"),
+    }
 }

@@ -25,6 +25,12 @@
 //! over that shared state with per-job error reporting — bit-identical
 //! to solving each spec alone, in the slice's order.
 //!
+//! Every job, batched or not, goes onto one session-held FIFO drained by
+//! at most [`WasoSession::batch_width`] coordinator threads. A
+//! coordinator exits when it finds the FIFO empty, so the thread count
+//! follows that width, never the number of submitted jobs, and an idle
+//! session holds no threads at all.
+//!
 //! The solve surface itself is built on **job handles**:
 //! [`WasoSession::submit`] / [`WasoSession::submit_batch`] return
 //! [`SolveHandle`]s that poll ([`SolveHandle::try_result`]), block
@@ -226,10 +232,12 @@ pub struct WasoSession {
     /// sizes it from the first pooled spec. Ignored once a pool is
     /// attached.
     pool_threads: Option<usize>,
-    /// Pinned coordinator-crew width for batch submissions; `None` falls
-    /// back to the `WASO_BATCH_WIDTH` env var, then to
+    /// Pinned coordinator-crew width; `None` means
     /// `max(2, available_parallelism)`.
     batch_width: Option<usize>,
+    /// The job FIFO every submission feeds, and its coordinator count.
+    /// `Arc`-shared with the coordinators draining it.
+    jobs: Arc<Mutex<JobQueue>>,
     /// The validated instance, built once per session configuration.
     instance_cache: Mutex<Option<Arc<WasoInstance>>>,
     /// The worker pool every pooled solve of this session runs over —
@@ -257,6 +265,7 @@ impl WasoSession {
             registry: registry(),
             pool_threads: None,
             batch_width: None,
+            jobs: Arc::default(),
             instance_cache: Mutex::new(None),
             pool: Mutex::new(None),
             memo: Arc::new(Mutex::new(SolveMemo::default())),
@@ -334,16 +343,16 @@ impl WasoSession {
         self
     }
 
-    /// Pins the coordinator-crew width of [`WasoSession::submit_batch`] /
-    /// [`WasoSession::solve_batch`]: at most `n` jobs run concurrently
-    /// (each coordinator drives whole jobs; per-sample parallelism lives
-    /// in the worker pool the jobs share). Clamped to ≥ 1.
+    /// Pins the coordinator-crew width: at most `n` of this session's
+    /// jobs run concurrently, however they were submitted
+    /// ([`WasoSession::submit`], [`WasoSession::submit_batch`], the
+    /// blocking wrappers); the rest wait in the session's FIFO. Each
+    /// coordinator drives whole jobs; per-sample parallelism lives in
+    /// the worker pool the jobs share. Clamped to ≥ 1.
     ///
-    /// Without this the width comes from the `WASO_BATCH_WIDTH`
-    /// environment variable, and failing that defaults to
-    /// `max(2, available_parallelism)` — **at least two** coordinators,
-    /// so batch jobs genuinely overlap even on a 1-core box (where
-    /// `available_parallelism` alone would serialize the batch and make
+    /// The default is `max(2, available_parallelism)` — **at least two**
+    /// coordinators, so jobs genuinely overlap even on a 1-core box
+    /// (where `available_parallelism` alone would serialize them and make
     /// the concurrency-equivalence tests vacuous). The width is a pure
     /// scheduling knob: results are bit-identical for every value.
     pub fn batch_width(mut self, width: usize) -> Self {
@@ -440,17 +449,16 @@ impl WasoSession {
     /// `patience=` knobs bound the job's latency without any handle
     /// interaction.
     ///
-    /// Spec-level failures (unknown algorithm, unusable option,
-    /// unsatisfiable constraints) surface here, before any thread is
-    /// spawned. The job's result is **bit-identical** to
-    /// [`WasoSession::solve`] with the same spec — `solve` *is*
-    /// submit+wait.
+    /// The job waits in the session's FIFO until one of the
+    /// [`WasoSession::batch_width`] coordinators takes it. Spec-level
+    /// failures (unknown algorithm, unusable option, unsatisfiable
+    /// constraints) surface here, before it is queued. The job's result
+    /// is **bit-identical** to [`WasoSession::solve`] with the same spec
+    /// — `solve` *is* submit+wait.
     pub fn submit(&self, spec: &SolverSpec) -> Result<SolveHandle, SessionError> {
         let instance = self.shared_instance()?;
         let (task, handle) = self.prepare_job(&instance, spec)?;
-        if let Some(task) = task {
-            spawn_coordinators("waso-job", VecDeque::from([task]), 1);
-        }
+        self.enqueue(task);
         Ok(handle)
     }
 
@@ -474,27 +482,34 @@ impl WasoSession {
     /// accepts the job (so queue wait counts against the SLA), or arm
     /// [`SolveHandle::control`] yourself.
     pub fn submit_batch(&self, specs: &[SolverSpec]) -> Result<Vec<SolveHandle>, SessionError> {
+        self.submit_each(specs.iter().map(Ok))
+    }
+
+    /// The loop behind [`WasoSession::submit_batch`] and
+    /// [`WasoSession::solve_many`]: one handle per spec, in order, with a
+    /// spec that failed upstream (a parse error) failing its own slot.
+    fn submit_each<S: std::borrow::Borrow<SolverSpec>>(
+        &self,
+        specs: impl IntoIterator<Item = Result<S, SessionError>>,
+    ) -> Result<Vec<SolveHandle>, SessionError> {
         let instance = self.shared_instance()?;
         // Jobs are prepared in slice order on the caller's thread, so the
         // lazily-sized session pool always takes its worker count from
         // the *first* pooled spec — exactly as sequential solves would —
         // and never from whichever concurrent job wins a race.
-        let mut queue = VecDeque::with_capacity(specs.len());
-        let mut handles = Vec::with_capacity(specs.len());
+        let mut tasks = Vec::new();
+        let mut handles = Vec::new();
         for spec in specs {
-            match self.prepare_job(&instance, spec) {
+            match spec.and_then(|s| self.prepare_job(&instance, s.borrow())) {
+                // A memo hit yields no task: the handle is pre-loaded.
                 Ok((task, handle)) => {
-                    // A memo hit yields no task: the handle is pre-loaded.
-                    if let Some(task) = task {
-                        queue.push_back(task);
-                    }
+                    tasks.extend(task);
                     handles.push(handle);
                 }
                 Err(e) => handles.push(SolveHandle::failed(e)),
             }
         }
-        let width = self.effective_batch_width(queue.len());
-        spawn_coordinators("waso-batch", queue, width);
+        self.enqueue(tasks);
         Ok(handles)
     }
 
@@ -520,31 +535,14 @@ impl WasoSession {
         &self,
         specs: impl IntoIterator<Item = &'a str>,
     ) -> Result<Vec<Result<SolveResult, SessionError>>, SessionError> {
-        let instance = self.shared_instance()?;
-        // Parse up front (cheap, deterministic order); parse failures
-        // keep their slots, and job preparation still happens in slice
-        // order for deterministic pool sizing.
-        let mut queue = VecDeque::new();
-        let mut handles = Vec::new();
-        for spec in specs {
-            match self
-                .registry
-                .parse(spec)
-                .map_err(SessionError::from)
-                .and_then(|spec| self.prepare_job(&instance, &spec))
-            {
-                Ok((task, handle)) => {
-                    if let Some(task) = task {
-                        queue.push_back(task);
-                    }
-                    handles.push(handle);
-                }
-                Err(e) => handles.push(SolveHandle::failed(e)),
-            }
-        }
-        let width = self.effective_batch_width(queue.len());
-        spawn_coordinators("waso-batch", queue, width);
-        Ok(handles.into_iter().map(SolveHandle::wait).collect())
+        let specs = specs
+            .into_iter()
+            .map(|spec| self.registry.parse(spec).map_err(SessionError::from));
+        Ok(self
+            .submit_each(specs)?
+            .into_iter()
+            .map(SolveHandle::wait)
+            .collect())
     }
 
     /// Builds one ready-to-run job: merges and validates constraints,
@@ -755,25 +753,56 @@ impl WasoSession {
             .map(|p| p.stats())
     }
 
-    /// The coordinator-crew width for a batch of `jobs` jobs: the
-    /// [`WasoSession::batch_width`] pin, else `WASO_BATCH_WIDTH`, else
-    /// `max(2, available_parallelism)` — capped by the job count.
-    fn effective_batch_width(&self, jobs: usize) -> usize {
-        let width = self
-            .batch_width
-            .or_else(|| {
-                std::env::var("WASO_BATCH_WIDTH")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .map(|w: usize| w.max(1))
-            })
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|c| c.get())
-                    .unwrap_or(1)
-                    .max(2)
-            });
-        width.min(jobs).max(1)
+    /// Queues `tasks` on the session's FIFO and starts coordinators for
+    /// them, so that at most [`WasoSession::batch_width`] run in all —
+    /// and never more than there are queued jobs to take.
+    fn enqueue(&self, tasks: impl IntoIterator<Item = JobTask>) {
+        let width = self.batch_width.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map_or(1, |c| c.get())
+                .max(2)
+        });
+        let spawn = {
+            let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
+            jobs.tasks.extend(tasks);
+            let spawn = width
+                .saturating_sub(jobs.coordinators)
+                .min(jobs.tasks.len());
+            jobs.coordinators += spawn;
+            spawn
+        };
+        for started in 0..spawn {
+            let jobs = Arc::clone(&self.jobs);
+            let spawned = std::thread::Builder::new()
+                .name("waso-job".into())
+                .spawn(move || drain_jobs(&jobs));
+            if spawned.is_err() {
+                // Thread exhaustion. The queued jobs still have waiters,
+                // so they must run: this thread stands in for every
+                // counted coordinator that did not start, draining the
+                // FIFO inline instead of aborting the process.
+                for _ in started..spawn {
+                    drain_jobs(&self.jobs);
+                }
+                return;
+            }
+        }
+    }
+}
+
+/// The session's job FIFO and the number of coordinators draining it.
+#[derive(Default)]
+struct JobQueue {
+    tasks: VecDeque<JobTask>,
+    coordinators: usize,
+}
+
+impl fmt::Debug for JobQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JobQueue")
+            .field("queued", &self.tasks.len())
+            .field("coordinators", &self.coordinators)
+            .finish()
     }
 }
 
@@ -834,55 +863,32 @@ impl JobTask {
     }
 }
 
-/// Spawns `width` detached coordinator threads draining `queue` in FIFO
-/// order. Each coordinator drives whole jobs; per-sample parallelism
-/// lives in the worker pool the jobs share. A panicking job (a solver
-/// bug) is contained: its waiter sees the death through the dropped
-/// result sender, and the coordinator moves on to the next queued job —
-/// one bad job cannot starve the rest of a batch.
-fn spawn_coordinators(name: &str, queue: VecDeque<JobTask>, width: usize) {
-    if queue.is_empty() {
-        return;
-    }
-    let queue = Arc::new(Mutex::new(queue));
-    for c in 0..width.max(1) {
-        let worker = Arc::clone(&queue);
-        let spawned = std::thread::Builder::new()
-            .name(format!("{name}-{c}"))
-            .spawn(move || drain_jobs(&worker));
-        if spawned.is_err() {
-            // Thread exhaustion. The queued jobs still have waiters, so
-            // they must run: whatever coordinators did spawn keep
-            // draining, and this thread works the remainder inline
-            // instead of aborting the process.
-            drain_jobs(&queue);
-            return;
-        }
-    }
-}
-
-/// One coordinator's work loop: pop and run jobs until the queue drains.
-fn drain_jobs(queue: &Mutex<VecDeque<JobTask>>) {
+/// One coordinator's work loop: pop and run jobs in FIFO order until
+/// the queue is empty, then leave the crew. Deciding to leave and
+/// uncounting itself happen under the queue lock, so a job enqueued at
+/// that moment sees the freed place and starts a new coordinator.
+///
+/// A panicking job (a solver bug) is contained: its waiter sees the
+/// death through the dropped result sender, and the coordinator moves on
+/// to the next queued job — one bad job cannot starve the rest.
+fn drain_jobs(jobs: &Mutex<JobQueue>) {
     loop {
-        let task = queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front();
-        match task {
-            Some(task) => {
-                // Contain a panicking solve to its own job: the
-                // unwind payload dies here, the job's waiter sees
-                // a dropped sender, and this coordinator keeps
-                // draining the queue. The control must still be
-                // finished on the unwind path, or incumbents()
-                // iterators would block forever and progress()
-                // would report the dead job as running.
-                let control = Arc::clone(&task.control);
-                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run())).is_err() {
-                    control.finish();
+        let task = {
+            let mut jobs = jobs.lock().unwrap_or_else(PoisonError::into_inner);
+            match jobs.tasks.pop_front() {
+                Some(task) => task,
+                None => {
+                    jobs.coordinators -= 1;
+                    return;
                 }
             }
-            None => return,
+        };
+        // The control must still be finished on the unwind path, or
+        // incumbents() iterators would block forever and progress()
+        // would report the dead job as running.
+        let control = Arc::clone(&task.control);
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run())).is_err() {
+            control.finish();
         }
     }
 }
@@ -956,7 +962,7 @@ impl SolveHandle {
         if self.result.is_none() {
             match self.result_rx.recv() {
                 Ok(outcome) => self.result = Some(outcome),
-                // audit:allow(P2): documented `# Panics` contract — re-raises a solver panic; the serve waiter thread shields with catch_unwind
+                // audit:allow(P2): documented `# Panics` contract — re-raises a solver panic; the serve dispatch crew shields with catch_unwind
                 Err(_) => panic!("solve job died without reporting a result"),
             }
         }

@@ -359,3 +359,60 @@ fn non_staged_solvers_honour_pre_start_cancellation() {
     );
     drop(handles);
 }
+
+/// The process's current thread count, from `/proc/self/status`.
+#[cfg(target_os = "linux")]
+fn process_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("a Threads: line")
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn submitted_jobs_share_a_crew_of_batch_width_threads() {
+    // 32 long jobs held open at once: the session may run at most
+    // `batch_width` coordinators for them, not one thread per job.
+    let pool = Arc::new(SharedPool::new(2));
+    let session = WasoSession::new(graph(80))
+        .k(5)
+        .seed(15)
+        .batch_width(2)
+        .attach_pool(Arc::clone(&pool));
+    // Warm the instance cache and the pool before counting.
+    session.solve(&quick_spec().threads(2)).unwrap();
+    // Other tests of this binary run alongside and start and stop their
+    // own threads, which can only inflate a single reading; the smallest
+    // rise over a few rounds is this session's own.
+    let mut rise = usize::MAX;
+    for round in 0..3u64 {
+        let before = process_threads();
+        // Distinct budgets, so no job is answered from the memo.
+        let handles: Vec<SolveHandle> = (0..32u64)
+            .map(|i| {
+                let spec = long_spec().budget(60_000 + 32 * round + i).threads(2);
+                session.submit(&spec).unwrap()
+            })
+            .collect();
+        rise = rise.min(process_threads().saturating_sub(before));
+        for handle in &handles {
+            handle.cancel();
+        }
+        for handle in handles {
+            match handle.wait() {
+                Ok(_)
+                | Err(SessionError::Solve(SolveError::NoIncumbent {
+                    reason: Termination::Cancelled,
+                })) => {}
+                Err(other) => panic!("unexpected error {other}"),
+            }
+        }
+    }
+    assert!(
+        rise <= 2,
+        "32 submits started {rise} threads on a width-2 session"
+    );
+}
