@@ -25,9 +25,11 @@ use crate::sampler::Sample;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProbabilityVector {
     /// Explicit entries; nodes absent here carry `default`. A `BTreeMap`
-    /// (not a hash map): iteration order feeds float accumulation and the
-    /// sampling weights, and `HashMap`'s per-instance randomized order
-    /// would make two identically-seeded runs diverge.
+    /// (not a hash map): iteration order feeds float accumulation in
+    /// [`ProbabilityVector::distance_sq`], and `HashMap`'s per-instance
+    /// randomized order would make two identically-seeded runs diverge.
+    /// (The sampler scatters these entries into a dense per-worker array
+    /// before a draw, so its weights do not depend on this order.)
     explicit: BTreeMap<u32, f64>,
     /// Probability of every node without an explicit entry.
     default: f64,
@@ -64,6 +66,12 @@ impl ProbabilityVector {
     #[inline]
     pub fn get(&self, v: NodeId) -> f64 {
         *self.explicit.get(&v.0).unwrap_or(&self.default)
+    }
+
+    /// The explicit entries, in ascending node order. Every other node
+    /// carries [`ProbabilityVector::default_prob`].
+    pub fn explicit_entries(&self) -> impl ExactSizeIterator<Item = (NodeId, f64)> + '_ {
+        self.explicit.iter().map(|(&v, &p)| (NodeId(v), p))
     }
 
     /// Overrides the probability of one node.

@@ -9,12 +9,35 @@
 //! The sampler owns a reusable [`GrowthWorkspace`] and a weight buffer, so
 //! drawing thousands of samples costs no allocation beyond the returned node
 //! lists.
+//!
+//! A weighted draw costs about as much as a uniform one. Two things keep it
+//! cheap without changing a drawn bit:
+//!
+//! - **Dense weight scratch.** Before a weighted draw the vector's explicit
+//!   entries are scattered, floored at [`ProbabilityVector::MIN_PROB`], into
+//!   an n-slot array allocated on the first weighted draw; every other slot
+//!   holds a negative sentinel meaning "the floored default". A frontier
+//!   weight is then one array read instead of a map lookup. The written
+//!   slots go back to the sentinel when the draw ends, stalled or not.
+//! - **Prefix sums kept across steps.** [`Frontier::remove`] is a
+//!   swap-remove and [`Frontier::insert`] appends, so when the pick at slot
+//!   `s` leaves, `items[..s]` and their cumulative weights are unchanged.
+//!   The cumulative array is cut to `s` and extended from there at the next
+//!   step: the same additions in the same order, so every cumulative value,
+//!   threshold and pick equals a full rebuild's.
+//!
+//! [`Frontier::remove`]: waso_core::Frontier::remove
+//! [`Frontier::insert`]: waso_core::Frontier::insert
 
 use rand::{Rng, RngExt};
 use waso_core::{GrowthWorkspace, WasoInstance};
 use waso_graph::{BitSet, NodeId, SocialGraph};
 
 use crate::cross_entropy::ProbabilityVector;
+
+/// Dense-scratch sentinel: the node has no explicit entry, so it weighs the
+/// vector's floored default. Negative, so no floored probability equals it.
+const UNSET: f64 = -1.0;
 
 /// One sampled final solution.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +52,11 @@ pub struct Sample {
 #[derive(Debug)]
 pub struct Sampler {
     ws: GrowthWorkspace,
+    /// Cumulative frontier weights of the current weighted draw.
     weights: Vec<f64>,
+    /// `dense[v]` = floored explicit probability of `v` during a weighted
+    /// draw, [`UNSET`] otherwise. Empty until the first weighted draw.
+    dense: Vec<f64>,
     /// Recycled node buffers: successful draws pop one instead of
     /// allocating, so a steady-state stage whose consumed samples are fed
     /// back via [`Sampler::recycle`] allocates nothing at all.
@@ -42,6 +69,7 @@ impl Sampler {
         Self {
             ws: GrowthWorkspace::new(n),
             weights: Vec::new(),
+            dense: Vec::new(),
             spare: Vec::new(),
         }
     }
@@ -153,37 +181,12 @@ impl Sampler {
             }
         }
 
-        while self.ws.len() < k {
-            let frontier_len = self.ws.frontier().len();
-            if frontier_len == 0 {
-                return None; // stalled: component exhausted
-            }
-            let pick = match probs {
-                None => {
-                    // Uniform selection over VA (CBAS, Algorithm 1 line 22).
-                    self.ws.frontier().item(rng.random_range(0..frontier_len))
-                }
-                Some(p) => {
-                    // Weighted selection over VA (CBAS-ND, Algorithm 2
-                    // line 24): cumulative inverse-transform over the
-                    // frontier's current probabilities.
-                    self.weights.clear();
-                    let mut total = 0.0;
-                    for idx in 0..frontier_len {
-                        let v = self.ws.frontier().item(idx);
-                        let w = p.get(v).max(ProbabilityVector::MIN_PROB);
-                        total += w;
-                        self.weights.push(total);
-                    }
-                    let t = rng.random::<f64>() * total;
-                    let idx = self
-                        .weights
-                        .partition_point(|&cum| cum <= t)
-                        .min(frontier_len - 1);
-                    self.ws.frontier().item(idx)
-                }
-            };
-            self.ws.add(g, pick);
+        let complete = match probs {
+            None => self.grow_uniform(g, k, rng),
+            Some(p) => self.grow_weighted(g, k, p, rng),
+        };
+        if !complete {
+            return None; // stalled: component exhausted
         }
 
         let mut nodes = self.spare.pop().unwrap_or_default();
@@ -193,6 +196,75 @@ impl Sampler {
             nodes,
             willingness: self.ws.willingness(),
         })
+    }
+
+    /// Uniform selection over VA (CBAS, Algorithm 1 line 22) until `VS`
+    /// holds `k` nodes; `false` when the frontier runs dry first.
+    fn grow_uniform<R: Rng + ?Sized>(&mut self, g: &SocialGraph, k: usize, rng: &mut R) -> bool {
+        while self.ws.len() < k {
+            let frontier_len = self.ws.frontier().len();
+            if frontier_len == 0 {
+                return false;
+            }
+            let pick = self.ws.frontier().item(rng.random_range(0..frontier_len));
+            self.ws.add(g, pick);
+        }
+        true
+    }
+
+    /// Weighted selection over VA (CBAS-ND, Algorithm 2 line 24):
+    /// cumulative inverse-transform over the frontier's probabilities,
+    /// floored at [`ProbabilityVector::MIN_PROB`]. Weights come from the
+    /// dense scratch, and the cumulative array keeps the prefix the
+    /// swap-remove of the pick leaves in place (see the module docs).
+    fn grow_weighted<R: Rng + ?Sized>(
+        &mut self,
+        g: &SocialGraph,
+        k: usize,
+        p: &ProbabilityVector,
+        rng: &mut R,
+    ) -> bool {
+        let slots = g.num_nodes().max(p.len());
+        if self.dense.len() < slots {
+            self.dense.resize(slots, UNSET);
+        }
+        for (v, w) in p.explicit_entries() {
+            self.dense[v.index()] = w.max(ProbabilityVector::MIN_PROB);
+        }
+        let fallback = p.default_prob().max(ProbabilityVector::MIN_PROB);
+
+        self.weights.clear();
+        let mut complete = true;
+        while self.ws.len() < k {
+            let frontier = self.ws.frontier();
+            let frontier_len = frontier.len();
+            if frontier_len == 0 {
+                complete = false;
+                break;
+            }
+            // `weights[i]` is the sum of the weights of `items[..=i]`;
+            // extend it over the candidates appended since the last pick.
+            let mut total = self.weights.last().copied().unwrap_or(0.0);
+            for &v in &frontier.items()[self.weights.len()..] {
+                let w = self.dense[v as usize];
+                total += if w < 0.0 { fallback } else { w };
+                self.weights.push(total);
+            }
+            let t = rng.random::<f64>() * total;
+            let slot = self
+                .weights
+                .partition_point(|&cum| cum <= t)
+                .min(frontier_len - 1);
+            let pick = frontier.item(slot);
+            self.ws.add(g, pick);
+            // The pick's swap-remove leaves `items[..slot]` in place.
+            self.weights.truncate(slot);
+        }
+
+        for (v, _) in p.explicit_entries() {
+            self.dense[v.index()] = UNSET;
+        }
+        complete
     }
 
     /// The underlying workspace (for gain previews by greedy-style callers).
@@ -269,7 +341,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use waso_core::{willingness, Group, WasoInstance};
+    use waso_core::{willingness, Group, GrowthWorkspace, WasoInstance};
     use waso_graph::{generate, GraphBuilder};
 
     fn line_instance(k: usize) -> WasoInstance {
@@ -398,6 +470,208 @@ mod tests {
                 "incremental {} vs full {full}",
                 sample.willingness
             );
+        }
+    }
+
+    /// A BA graph with random interests and asymmetric tightness, plus two
+    /// isolated nodes `n` and `n + 1` joined to each other (a component
+    /// too small for most `k`).
+    fn scored_ba(n: usize, attach: usize, rng: &mut StdRng) -> SocialGraph {
+        let topo = generate::barabasi_albert(n, attach, rng);
+        let mut b = GraphBuilder::new();
+        for _ in 0..n + 2 {
+            b.add_node(rng.random_range(0.0..10.0));
+        }
+        for (u, v) in topo.edges {
+            let (uv, vu) = (rng.random_range(0.0..5.0), rng.random_range(0.0..5.0));
+            b.add_edge(NodeId(u), NodeId(v), uv, vu).unwrap();
+        }
+        b.add_edge_symmetric(NodeId(n as u32), NodeId(n as u32 + 1), 1.0)
+            .unwrap();
+        b.build()
+    }
+
+    /// A vector for `start` with explicit entries on about a third of the
+    /// nodes, drawn from {0, 1, uniform}, and (sometimes) a decayed default.
+    fn trained_vector(n: usize, k: usize, start: NodeId, rng: &mut StdRng) -> ProbabilityVector {
+        let mut p = ProbabilityVector::uniform_for_start(n, k, start);
+        if rng.random::<bool>() {
+            let mut freqs: Vec<(NodeId, f64)> = Vec::new();
+            for v in 0..n as u32 {
+                if rng.random_range(0..4) == 0 {
+                    freqs.push((NodeId(v), rng.random()));
+                }
+            }
+            p.update_from_frequencies(&freqs, rng.random::<f64>());
+        }
+        for v in 0..n as u32 {
+            match rng.random_range(0..9) {
+                0 => p.set(NodeId(v), 0.0),
+                1 => p.set(NodeId(v), 1.0),
+                2 => p.set(NodeId(v), rng.random::<f64>()),
+                _ => {}
+            }
+        }
+        p
+    }
+
+    /// The weighted growth loop as it was before the dense scratch and the
+    /// kept prefix sums: every step rebuilds the cumulative weights over
+    /// the whole frontier from [`ProbabilityVector::get`].
+    fn full_rebuild_draw(
+        instance: &WasoInstance,
+        seeds: &[NodeId],
+        probs: &ProbabilityVector,
+        blocked: Option<&BitSet>,
+        rng: &mut StdRng,
+    ) -> Option<Sample> {
+        let g = instance.graph();
+        let mut ws = GrowthWorkspace::new(g.num_nodes());
+        ws.set_blocked(blocked.cloned());
+        if instance.requires_connectivity() {
+            if seeds.len() == 1 {
+                ws.seed(g, seeds[0]);
+            } else {
+                ws.seed_set(g, seeds);
+            }
+        } else {
+            ws.seed_free(g, seeds[0]);
+            for &s in &seeds[1..] {
+                ws.add(g, s);
+            }
+        }
+        let mut weights = Vec::new();
+        while ws.len() < instance.k() {
+            let frontier_len = ws.frontier().len();
+            if frontier_len == 0 {
+                return None;
+            }
+            weights.clear();
+            let mut total = 0.0;
+            for idx in 0..frontier_len {
+                let w = probs
+                    .get(ws.frontier().item(idx))
+                    .max(ProbabilityVector::MIN_PROB);
+                total += w;
+                weights.push(total);
+            }
+            let t = rng.random::<f64>() * total;
+            let idx = weights
+                .partition_point(|&cum| cum <= t)
+                .min(frontier_len - 1);
+            let pick = ws.frontier().item(idx);
+            ws.add(g, pick);
+        }
+        Some(Sample {
+            nodes: ws.selected().to_vec(),
+            willingness: ws.willingness(),
+        })
+    }
+
+    /// Same nodes, same willingness bits, same randomness consumed.
+    fn assert_same_draw(got: Option<Sample>, want: Option<Sample>, a: &mut StdRng, b: &mut StdRng) {
+        assert_eq!(
+            got.as_ref().map(|s| (&s.nodes, s.willingness.to_bits())),
+            want.as_ref().map(|s| (&s.nodes, s.willingness.to_bits())),
+        );
+        assert_eq!(
+            a.next_u64(),
+            b.next_u64(),
+            "draws consumed different randomness"
+        );
+    }
+
+    mod oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// The sampler's weighted draws equal the full-rebuild loop's
+            /// bit for bit, over connected, free (WASO-dis), multi-seed and
+            /// blocked growth, with one sampler reused across every draw.
+            #[test]
+            fn weighted_draws_match_the_full_rebuild_loop(
+                seed in any::<u64>(),
+                n in 6usize..60,
+                attach in 1usize..4,
+                k in 2usize..14,
+                growth in 0u8..4,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g = scored_ba(n, attach.min(n - 1), &mut rng);
+                let total = g.num_nodes();
+                let k = k.min(total);
+                let inst = if growth == 1 {
+                    WasoInstance::without_connectivity(g, k).unwrap()
+                } else {
+                    WasoInstance::new(g, k).unwrap()
+                };
+                let blocked = (growth == 3).then(|| {
+                    let mut b = BitSet::new(total);
+                    for v in 1..total {
+                        if rng.random_range(0..5) == 0 {
+                            b.insert(v);
+                        }
+                    }
+                    b
+                });
+                let mut sampler = Sampler::new(total);
+                sampler.set_blocked(blocked.clone());
+                for _ in 0..6 {
+                    // Node 0 is never blocked; multi-seed growth adds up to
+                    // two more distinct seeds anywhere in the graph.
+                    let mut seeds = vec![NodeId(0)];
+                    if growth == 2 {
+                        for _ in 0..rng.random_range(1..3usize) {
+                            let v = NodeId(rng.random_range(1..total as u32));
+                            if seeds.len() < k && !seeds.contains(&v) {
+                                seeds.push(v);
+                            }
+                        }
+                    } else if growth != 3 {
+                        seeds[0] = NodeId(rng.random_range(0..total as u32));
+                    }
+                    let probs = trained_vector(total, k, seeds[0], &mut rng);
+                    let stream = rng.random::<u64>();
+                    let (mut a, mut b) = (
+                        StdRng::seed_from_u64(stream),
+                        StdRng::seed_from_u64(stream),
+                    );
+                    let got = sampler.sample_from_partial(&inst, &seeds, Some(&probs), &mut a);
+                    let want = full_rebuild_draw(&inst, &seeds, &probs, blocked.as_ref(), &mut b);
+                    assert_same_draw(got, want, &mut a, &mut b);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_scratch_is_clean_after_every_draw() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let g = scored_ba(40, 2, &mut rng);
+        let n = g.num_nodes();
+        let inst = WasoInstance::new(g, 6).unwrap();
+        // The pair {40, 41} is too small for k = 6, so this draw stalls
+        // after scattering a vector that favours the big component.
+        let mut stall = ProbabilityVector::uniform_for_start(n, 6, NodeId(40));
+        for v in 0..40 {
+            stall.set(NodeId(v), if v % 2 == 0 { 1.0 } else { 0.0 });
+        }
+        let mut reused = Sampler::new(n);
+        let mut r = StdRng::seed_from_u64(0);
+        assert!(reused
+            .sample_weighted(&inst, NodeId(40), &stall, &mut r)
+            .is_none());
+
+        for start in [NodeId(3), NodeId(11)] {
+            let probs = trained_vector(n, 6, start, &mut rng);
+            for stream in 0..5 {
+                let (mut a, mut b) = (StdRng::seed_from_u64(stream), StdRng::seed_from_u64(stream));
+                let got = reused.sample_weighted(&inst, start, &probs, &mut a);
+                let want = Sampler::new(n).sample_weighted(&inst, start, &probs, &mut b);
+                assert!(got.is_some());
+                assert_same_draw(got, want, &mut a, &mut b);
+            }
         }
     }
 

@@ -58,13 +58,19 @@ impl Frontier {
         NodeId(self.items[i])
     }
 
-    /// All candidates (order is unspecified but stable between mutations).
+    /// All candidates, in slot order: insertion order, except that each
+    /// removal moved the then-last candidate into the freed slot (see
+    /// [`Frontier::remove`]).
     #[inline]
     pub fn items(&self) -> &[u32] {
         &self.items
     }
 
     /// Inserts `v`; returns `true` if it was absent.
+    ///
+    /// Ordering contract: a fresh `v` lands in the last slot, and every
+    /// other candidate keeps its slot. The weighted sampler relies on this
+    /// to extend its cumulative weights instead of rebuilding them.
     #[inline]
     pub fn insert(&mut self, v: NodeId) -> bool {
         let slot = &mut self.pos[v.index()];
@@ -77,6 +83,11 @@ impl Frontier {
     }
 
     /// Removes `v` (swap-remove, O(1)); returns `true` if it was present.
+    ///
+    /// Ordering contract: when `v` sat in slot `s`, the candidates in slots
+    /// `..s` keep their slots, the last candidate moves into slot `s`, and
+    /// the rest of the order is unchanged. The weighted sampler relies on
+    /// this to keep the cumulative weights of `items()[..s]` across a pick.
     #[inline]
     pub fn remove(&mut self, v: NodeId) -> bool {
         let slot = self.pos[v.index()];
@@ -481,10 +492,33 @@ mod tests {
                 let mut f = Frontier::new(64);
                 let mut reference = BTreeSet::new();
                 for (v, insert) in ops {
+                    let before = f.items().to_vec();
                     if insert {
-                        prop_assert_eq!(f.insert(NodeId(v)), reference.insert(v));
+                        let fresh = reference.insert(v);
+                        prop_assert_eq!(f.insert(NodeId(v)), fresh);
+                        if fresh {
+                            // Appended: every earlier slot is unchanged.
+                            prop_assert_eq!(&f.items()[..before.len()], &before[..]);
+                            prop_assert_eq!(f.items().last(), Some(&v));
+                        } else {
+                            prop_assert_eq!(f.items(), &before[..]);
+                        }
                     } else {
+                        let slot = before.iter().position(|&x| x == v);
                         prop_assert_eq!(f.remove(NodeId(v)), reference.remove(&v));
+                        match slot {
+                            // Swap-remove: slots `..s` unchanged, the old
+                            // last candidate now fills slot `s`.
+                            Some(s) => {
+                                prop_assert_eq!(&f.items()[..s], &before[..s]);
+                                let last = before[before.len() - 1];
+                                if s + 1 < before.len() {
+                                    prop_assert_eq!(f.items()[s], last);
+                                    prop_assert_eq!(&f.items()[s + 1..], &before[s + 1..before.len() - 1]);
+                                }
+                            }
+                            None => prop_assert_eq!(f.items(), &before[..]),
+                        }
                     }
                     prop_assert_eq!(f.len(), reference.len());
                 }
