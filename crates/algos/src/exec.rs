@@ -25,9 +25,8 @@
 //!
 //! Determinism: every `(start node, stage, sample)` triple draws from its
 //! own RNG stream (`sample_seed`), and results are keyed by item
-//! index, so *which* worker draws a sample — and in *what deal pattern*
-//! ([`Deal`]) — is irrelevant: any pool width (and the serial executor)
-//! produces bit-identical solves.
+//! index, so *which* worker draws a sample is irrelevant: any pool width
+//! (and the serial executor) produces bit-identical solves.
 //!
 //! Stall cutoff: a failed draw means the start's component is smaller than
 //! `k` (or the seed set cannot be completed), so every other draw of that
@@ -40,7 +39,7 @@
 
 mod shared;
 
-pub use shared::{Deal, PoolStats, SharedPool, WorkerStats};
+pub use shared::{PoolStats, SharedPool, WorkerStats};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -189,27 +188,19 @@ fn draw_item(
     }
 }
 
-/// One worker's share of a stage's item list: up to `limit` items starting
-/// at `offset`, `stride` apart. A round-robin stripe for worker `w` of `T`
-/// is `Span { offset: w, stride: T, limit: MAX }`; a contiguous chunk
-/// `[lo, hi)` is `Span { offset: lo, stride: 1, limit: hi - lo }`. Results
-/// are keyed by item index, so the deal pattern cannot affect the answer —
-/// only the schedule.
+/// One worker's share of a stage's item list: every item from `offset`
+/// on, `stride` apart. Results are keyed by item index, so which worker
+/// draws which span cannot affect the answer — only the schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Span {
     pub offset: usize,
     pub stride: usize,
-    pub limit: usize,
 }
 
 impl Span {
     /// Worker `w`'s round-robin stripe in a deal over `stride` workers.
     pub fn stripe(w: usize, stride: usize) -> Self {
-        Self {
-            offset: w,
-            stride,
-            limit: usize::MAX,
-        }
+        Self { offset: w, stride }
     }
 }
 
@@ -236,8 +227,7 @@ fn draw_span(
     let items = shared.read_items();
     let vectors = shared.read_vectors();
     let mut j = span.offset;
-    let mut left = span.limit;
-    while left > 0 {
+    loop {
         if stop.is_some_and(|s| s.stop_requested()) {
             return false;
         }
@@ -252,7 +242,6 @@ fn draw_span(
         // Skipped items' result slots stay None — the outcome a draw
         // would have produced.
         j += span.stride;
-        left -= 1;
     }
     true
 }

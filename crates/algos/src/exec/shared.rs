@@ -7,8 +7,7 @@
 //!
 //! * **Job-level scheduling.** Every solve submits itself as a job with a
 //!   unique id. Per stage, the job's coordinator deals the stage's item
-//!   list across the workers ([`Deal::Striped`] round-robin or
-//!   [`Deal::Chunked`] contiguous ranges) and tags each chunk with its
+//!   list round-robin across the workers and tags each chunk with its
 //!   job id and stage number (the job's *epoch*). Workers interleave
 //!   chunks of different jobs in FIFO order, so a light job's chunks flow
 //!   between a heavy job's chunks instead of queueing behind the heavy
@@ -30,11 +29,11 @@
 //!
 //! Determinism is untouched by any of this: samples draw from per-item
 //! RNG streams and merge by item index, so *which* worker (or its
-//! replacement) draws a sample — and in what deal pattern — is invisible
-//! in results. A solve over a shared pool is bit-identical to the same
-//! solve run serially, regardless of how many other jobs or sessions
-//! share the pool (`tests/properties.rs` pins this down; the
-//! failure-injection suite pins the healing path).
+//! replacement) draws a sample is invisible in results. A solve over a
+//! shared pool is bit-identical to the same solve run serially,
+//! regardless of how many other jobs or sessions share the pool
+//! (`tests/properties.rs` pins this down; the failure-injection suite
+//! pins the healing path).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,47 +52,15 @@ use crate::sampler::{Sample, Sampler};
 /// loudly instead of respawning forever.
 const MAX_HEALS_PER_CHUNK: usize = 16;
 
-/// How a job's stage items are dealt across the pool's workers. Both
-/// deals cover every item exactly once and merge by item index, so they
-/// produce **bit-identical results** — only the schedule differs.
-/// Chunked deals keep each worker's items contiguous, which matters for
-/// heavy-tailed per-sample costs (see the ROADMAP's work-stealing item).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Deal {
-    /// Worker `w` of `T` draws items `w, w+T, w+2T, …` (the historical
-    /// round-robin stripe).
-    #[default]
-    Striped,
-    /// Worker `w` draws the contiguous range `[w·c, (w+1)·c)` with
-    /// `c = ⌈items/T⌉`.
-    Chunked,
-}
-
-/// The per-slot deal of one stage: which workers get which [`Span`]s.
-/// Empty spans are skipped (no message, no reply).
-fn deal_spans(deal: Deal, n_items: usize, workers: usize) -> Vec<(usize, Span)> {
+/// The per-slot deal of one stage: worker `w` of `T` draws items
+/// `w, w+T, w+2T, …`. Every item is dealt exactly once and results merge
+/// by item index, so the deal affects only the schedule. Empty spans are
+/// skipped (no message, no reply).
+fn deal_spans(n_items: usize, workers: usize) -> Vec<(usize, Span)> {
     let workers = workers.max(1);
-    match deal {
-        Deal::Striped => (0..workers.min(n_items))
-            .map(|w| (w, Span::stripe(w, workers)))
-            .collect(),
-        Deal::Chunked => {
-            let c = n_items.div_ceil(workers).max(1);
-            (0..workers)
-                .map(|w| {
-                    (
-                        w,
-                        Span {
-                            offset: w * c,
-                            stride: 1,
-                            limit: c,
-                        },
-                    )
-                })
-                .filter(|&(_, span)| span.offset < n_items)
-                .collect()
-        }
-    }
+    (0..workers.min(n_items))
+        .map(|w| (w, Span::stripe(w, workers)))
+        .collect()
 }
 
 /// A message to a shared-pool worker. Every variant names the job it
@@ -248,16 +215,15 @@ impl std::fmt::Display for PoolStats {
 }
 
 /// The process-wide, self-healing worker pool. See the module docs for
-/// the scheduling and recovery model; construction is [`SharedPool::new`]
-/// (round-robin deal) or [`SharedPool::with_deal`]. Share one across
-/// sessions with `Arc<SharedPool>` — every method takes `&self`.
+/// the scheduling and recovery model; construction is [`SharedPool::new`].
+/// Share one across sessions with `Arc<SharedPool>` — every method takes
+/// `&self`.
 pub struct SharedPool {
     slots: Vec<Mutex<Slot>>,
     /// Slot-lifetime utilization gauges; replacements inherit their
     /// slot's gauge.
     gauges: Vec<Arc<WorkerGauge>>,
     threads: usize,
-    deal: Deal,
     next_job: AtomicU64,
     respawns: AtomicU64,
     /// In-flight chunk counts per active job (dispatched, not collected).
@@ -269,7 +235,6 @@ impl std::fmt::Debug for SharedPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedPool")
             .field("threads", &self.threads)
-            .field("deal", &self.deal)
             .field("respawns", &self.respawns.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
@@ -371,15 +336,8 @@ fn worker_loop(
 }
 
 impl SharedPool {
-    /// A pool of `threads` owned workers (clamped to ≥ 1), round-robin
-    /// deal.
+    /// A pool of `threads` owned workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
-        Self::with_deal(threads, Deal::Striped)
-    }
-
-    /// A pool with an explicit [`Deal`]. The deal affects scheduling
-    /// only — results are bit-identical either way.
-    pub fn with_deal(threads: usize, deal: Deal) -> Self {
         let threads = threads.max(1);
         let fail = Arc::new(FailPoint::default());
         let gauges: Vec<Arc<WorkerGauge>> = (0..threads)
@@ -401,7 +359,6 @@ impl SharedPool {
             slots,
             gauges,
             threads,
-            deal,
             next_job: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             job_depths: Mutex::new(BTreeMap::new()),
@@ -412,11 +369,6 @@ impl SharedPool {
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The deal pattern jobs are scheduled with.
-    pub fn deal(&self) -> Deal {
-        self.deal
     }
 
     /// How many workers have been respawned after a panic over the pool's
@@ -737,7 +689,7 @@ impl StageExec for PoolJob<'_> {
         results: &mut [Option<Sample>],
         slab: &mut Vec<Vec<NodeId>>,
     ) -> bool {
-        let spans = deal_spans(self.pool.deal, results.len(), self.links.len());
+        let spans = deal_spans(results.len(), self.links.len());
         let per_worker = slab.len().div_ceil(spans.len().max(1));
         for &(slot, span) in &spans {
             self.dispatch(slot, stage, span, slab, per_worker);
@@ -817,41 +769,22 @@ mod tests {
 
     #[test]
     fn deals_cover_every_item_exactly_once() {
-        for deal in [Deal::Striped, Deal::Chunked] {
-            for n in [0usize, 1, 3, 7, 8, 23] {
-                for workers in [1usize, 2, 4, 8] {
-                    let spans = deal_spans(deal, n, workers);
-                    let mut seen = vec![0u32; n];
-                    for &(_, span) in &spans {
-                        let mut j = span.offset;
-                        let mut left = span.limit;
-                        while j < n && left > 0 {
-                            seen[j] += 1;
-                            j += span.stride;
-                            left -= 1;
-                        }
+        for n in [0usize, 1, 3, 7, 8, 23] {
+            for workers in [1usize, 2, 4, 8] {
+                let spans = deal_spans(n, workers);
+                let mut seen = vec![0u32; n];
+                for &(_, span) in &spans {
+                    for j in (span.offset..n).step_by(span.stride) {
+                        seen[j] += 1;
                     }
-                    assert!(
-                        seen.iter().all(|&c| c == 1),
-                        "{deal:?} n={n} workers={workers}: {seen:?}"
-                    );
-                    // No empty assignments are dealt.
-                    assert!(spans.iter().all(|&(_, s)| s.offset < n || n == 0));
                 }
+                assert!(
+                    seen.iter().all(|&c| c == 1),
+                    "n={n} workers={workers}: {seen:?}"
+                );
+                // No empty assignments are dealt.
+                assert!(spans.iter().all(|&(_, s)| s.offset < n || n == 0));
             }
-        }
-    }
-
-    #[test]
-    fn striped_and_chunked_deals_agree() {
-        let inst = instance(40, 4, 1);
-        for threads in [1usize, 2, 3, 8] {
-            let striped = SharedPool::with_deal(threads, Deal::Striped);
-            let chunked = SharedPool::with_deal(threads, Deal::Chunked);
-            let a = stage_results(&striped, &ctx_with_items(&inst, 17, 7), 17);
-            let b = stage_results(&chunked, &ctx_with_items(&inst, 17, 7), 17);
-            assert_eq!(a, b, "threads={threads}");
-            assert!(a.iter().any(|s| s.is_some()));
         }
     }
 

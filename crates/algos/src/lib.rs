@@ -58,7 +58,7 @@ pub use cbasnd::CbasNdConfig;
 pub use cross_entropy::ProbabilityVector;
 pub use decomp::Decomp;
 pub use engine::{Distribution, StagedEngine};
-pub use exec::{Deal, PoolStats, SharedPool, WorkerStats};
+pub use exec::{PoolStats, SharedPool, WorkerStats};
 pub use gaussian::Allocation;
 pub use greedy::DGreedy;
 pub use job::{Incumbent, JobControl, JobProgress, Termination};

@@ -1,8 +1,7 @@
 //! `waso-audit` — the workspace's static invariant auditor.
 //!
 //! The determinism contract (CBAS/CBAS-ND solves are bit-identical
-//! across serial, pool widths 1–8, striped/chunked deals, and the
-//! decomposition composite) and the serving no-panic contract ("never a
+//! across serial, pool widths 1–8, and the decomposition composite) and the serving no-panic contract ("never a
 //! hang, typed errors keep the connection") are enforced dynamically by
 //! the proptest suites — which sample a sliver of the code per run. This
 //! crate is the static half: token-level pattern rules plus a

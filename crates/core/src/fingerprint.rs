@@ -1,5 +1,10 @@
-//! Structural fingerprints over [`WasoInstance`] — the memo key half of
-//! the session's solve cache.
+//! Structural fingerprints over [`WasoInstance`].
+//!
+//! No solve path uses them: the session's solve memo is scoped to a
+//! generation counter that every delta and configuration change bumps,
+//! so it never needs to hash the graph. The type stays only because the
+//! standalone `perfbench` package links it for its `fingerprint.*`
+//! layer probes; it goes when a benchmark change drops those probes.
 //!
 //! A fingerprint digests everything a solver's answer can depend on:
 //! the group size `k`, the connectivity requirement, every node's
@@ -56,9 +61,9 @@ fn node_hash(instance: &WasoInstance, v: NodeId) -> u64 {
 /// An incrementally-updatable structural digest of a [`WasoInstance`].
 ///
 /// Holds one hash per node plus an XOR accumulator over them, so a
-/// local change re-folds only the touched rows. Equality of
-/// [`InstanceFingerprint::digest`] is the memo-key notion of "same
-/// instance".
+/// local change re-folds only the touched rows. Equal
+/// [`InstanceFingerprint::digest`]s mean "same instance", up to 64-bit
+/// collision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceFingerprint {
     /// Per-node row hashes, indexed by node id.
@@ -92,7 +97,7 @@ impl InstanceFingerprint {
         }
     }
 
-    /// The 64-bit digest — the value memo keys carry.
+    /// The 64-bit digest of the whole instance.
     pub fn digest(&self) -> u64 {
         fold(self.header, self.xor_sum)
     }

@@ -9,7 +9,7 @@
 //!   (Eq. 1), in full and incremental (marginal-gain) form;
 //! * [`Group`] — a validated solution with its willingness;
 //! * [`fingerprint`] — incrementally-updatable structural digests of an
-//!   instance, the key half of session-level solve memoization;
+//!   instance (kept for the benchmark's layer probes only);
 //! * [`frontier`] — the `VS`/`VA` growth machinery shared by every solver:
 //!   a partial solution plus the candidate set of nodes neighbouring it,
 //!   with O(1) uniform sampling and running willingness;

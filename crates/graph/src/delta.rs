@@ -1,12 +1,12 @@
-//! Incremental graph mutations — the delta half of the session memo.
+//! Graph mutations — the write path of an online replanning session.
 //!
 //! A [`GraphDelta`] names one local change to a [`SocialGraph`]: an
 //! edge appears or disappears, a directed tightness pair is re-weighted,
 //! or a node's interest score drifts. [`GraphDelta::apply`] produces the
 //! mutated graph (the CSR is immutable, so application rebuilds it from
 //! the surviving edges — `O(n + m)`, bit-exact for every untouched
-//! weight), and [`GraphDelta::touched`] names the endpoints so callers
-//! can invalidate or re-fingerprint only what the delta reaches.
+//! weight). A session that applies a delta drops every memo entry of the
+//! pre-delta graph.
 //!
 //! Deltas never add or remove *nodes*: the node-count, and therefore
 //! every `NodeId`, is stable across application. That is what makes
@@ -88,17 +88,6 @@ impl std::fmt::Display for DeltaError {
 impl std::error::Error for DeltaError {}
 
 impl GraphDelta {
-    /// The nodes this delta reaches directly — the set a memo sweep
-    /// tests cached groups (and their frontiers) against.
-    pub fn touched(&self) -> Vec<NodeId> {
-        match *self {
-            GraphDelta::AddEdge { u, v, .. }
-            | GraphDelta::RemoveEdge { u, v }
-            | GraphDelta::SetTightness { u, v, .. } => vec![u, v],
-            GraphDelta::SetInterest { v, .. } => vec![v],
-        }
-    }
-
     /// Validates this delta against `g` without applying it.
     pub fn validate(&self, g: &SocialGraph) -> Result<(), DeltaError> {
         let n = g.num_nodes() as u32;
@@ -225,7 +214,6 @@ mod tests {
             tau_uv: 0.25,
             tau_vu: 0.75,
         };
-        assert_eq!(d.touched(), vec![NodeId(2), NodeId(0)]);
         let g2 = d.apply(&g).unwrap();
         assert_eq!(g2.num_edges(), 3);
         assert_eq!(g2.tightness(NodeId(2), NodeId(0)), Some(0.25));
@@ -269,7 +257,6 @@ mod tests {
             v: NodeId(1),
             interest: 4.5,
         };
-        assert_eq!(d.touched(), vec![NodeId(1)]);
         let g2 = d.apply(&g).unwrap();
         assert_eq!(g2.interest(NodeId(1)), 4.5);
         assert_eq!(g2.interest(NodeId(0)), 0.1);

@@ -35,7 +35,7 @@
 //! RUNNING <stages> <samples> [<willingness> <node,node,...>]
 //! DONE <termination> <willingness> <node,node,...> <samples>
 //! CANCELLED
-//! STATS queued=N running=N finished=N shed=N tenants=N pool_queued=N pool_workers=N memo_hits=N memo_misses=N memo_invalidated=N
+//! STATS queued=N running=N finished=N shed=N tenants=N pool_queued=N pool_workers=N memo_hits=N memo_misses=N memo_invalidated=N memo_evicted=N
 //! ERR <CODE> [<message>]
 //! ```
 //!
@@ -283,8 +283,10 @@ pub struct StatsReply {
     pub memo_hits: u64,
     /// Cacheable solves that had to run.
     pub memo_misses: u64,
-    /// Memo entries invalidated by graph deltas.
+    /// Memo entries dropped by graph deltas and configuration changes.
     pub memo_invalidated: u64,
+    /// Memo entries evicted to keep the memo at its capacity.
+    pub memo_evicted: u64,
 }
 
 /// A server → client message.
@@ -437,6 +439,7 @@ impl Response {
                         "memo_hits" => stats.memo_hits = value,
                         "memo_misses" => stats.memo_misses = value,
                         "memo_invalidated" => stats.memo_invalidated = value,
+                        "memo_evicted" => stats.memo_evicted = value,
                         other => return Err(format!("unknown stats key {other:?}")),
                     }
                 }
@@ -492,7 +495,7 @@ impl fmt::Display for Response {
                 f,
                 "STATS queued={} running={} finished={} shed={} tenants={} \
                  pool_queued={} pool_workers={} memo_hits={} memo_misses={} \
-                 memo_invalidated={}",
+                 memo_invalidated={} memo_evicted={}",
                 s.queued,
                 s.running,
                 s.finished,
@@ -502,7 +505,8 @@ impl fmt::Display for Response {
                 s.pool_workers,
                 s.memo_hits,
                 s.memo_misses,
-                s.memo_invalidated
+                s.memo_invalidated,
+                s.memo_evicted
             ),
             Response::Error { code, message } => {
                 if message.is_empty() {

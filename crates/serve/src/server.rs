@@ -516,6 +516,7 @@ impl Inner {
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_invalidated: memo.invalidated,
+            memo_evicted: memo.evicted,
         }
     }
 

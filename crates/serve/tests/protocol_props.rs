@@ -82,7 +82,7 @@ proptest! {
         willingness in -1.0e15..1.0e15f64,
         nodes in collection::vec(0u32..2_000_000, 0..12),
         has_incumbent: bool,
-        counters in collection::vec(0u64..10_000_000, 10),
+        counters in collection::vec(0u64..10_000_000, 11),
         code_pick in 0u8..8,
         msg_seed in collection::vec(0u8..=255, 0..48),
         term_pick in 0u8..3,
@@ -113,6 +113,7 @@ proptest! {
                 memo_hits: counters[7],
                 memo_misses: counters[8],
                 memo_invalidated: counters[9],
+                memo_evicted: counters[10],
             }),
             _ => Response::Error {
                 code: CODES[code_pick as usize],

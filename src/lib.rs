@@ -101,7 +101,7 @@ pub use waso_algos::{SolverRegistry, SolverSpec};
 pub mod prelude {
     pub use crate::session::{registry, MemoStats, SessionError, SolveHandle, WasoSession};
     pub use waso_algos::{
-        Capabilities, CbasConfig, CbasNdConfig, DGreedy, Deal, Distribution, Incumbent, JobControl,
+        Capabilities, CbasConfig, CbasNdConfig, DGreedy, Distribution, Incumbent, JobControl,
         JobProgress, OnlinePlanner, PoolStats, RGreedy, RGreedyConfig, SharedPool, SolveError,
         SolveRequest, SolveResult, Solver, SolverRegistry, SolverSpec, SpecError, StagedEngine,
         Termination,

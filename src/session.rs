@@ -83,12 +83,18 @@ use waso_algos::{
     Incumbent, JobControl, JobProgress, SharedPool, SolveError, SolveRequest, SolveResult, Solver,
     SolverRegistry, SolverSpec, SpecError, Termination,
 };
-use waso_core::{CoreError, InstanceFingerprint, WasoInstance};
+use waso_core::{CoreError, WasoInstance};
 use waso_graph::{DeltaError, GraphDelta, NodeId, SocialGraph};
 
 /// The session's default seed — solves are reproducible out of the box,
 /// and explicitly seeded when exploration is wanted.
 pub const DEFAULT_SEED: u64 = 42;
+
+/// The most results a session memo holds. Past it, the oldest entry is
+/// evicted ([`MemoStats::evicted`]), so a client that keeps sending
+/// distinct specs cannot grow the memo without bound. The same count as
+/// `waso-serve`'s default finished-job retention.
+const MEMO_CAPACITY: usize = 1024;
 
 /// The fully-populated solver registry: the `waso-algos` family
 /// ([`SolverRegistry::builtin`]) plus `waso-exact`'s branch-and-bound.
@@ -173,36 +179,87 @@ pub struct MemoStats {
     /// populated the memo). Wall-clock-bounded specs (`deadline_ms=`,
     /// `deadline_from_submit=`) bypass the memo and count as neither.
     pub misses: u64,
-    /// Cached entries dropped by [`WasoSession::apply`]: a delta
-    /// invalidates every entry solved on the pre-delta graph, and the
-    /// next matching solve runs from scratch.
+    /// Cached entries dropped because a new memo generation started:
+    /// by [`WasoSession::apply`] (a delta drops every entry solved on the
+    /// pre-delta graph) or by a result-relevant configuration change
+    /// (`k`, connectivity, λ, seed, registry). The next matching solve
+    /// runs from scratch.
     pub invalidated: u64,
+    /// Cached entries dropped, oldest first, to keep the memo at its
+    /// capacity of 1024 results.
+    pub evicted: u64,
 }
 
-/// Memo key: everything a cached result's bits depend on — the instance
-/// fingerprint digest, the canonical spec rendering, the merged
-/// (session ∪ spec) required-attendee set, and the session seed.
+/// Memo key: what a cached result's bits depend on *within* one memo
+/// generation — the canonical spec rendering and the sorted merged
+/// (session ∪ spec) required-attendee set. Everything session-wide
+/// (graph, `k`, λ, connectivity, seed, registry) is the generation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct MemoKey {
-    digest: u64,
     spec: String,
     required: Vec<u32>,
-    seed: u64,
 }
 
-/// The session's solve memo: completed results keyed by
-/// ([`InstanceFingerprint`], spec, constraints, seed). Shared (`Arc`)
-/// with job coordinators so finished solves insert their results.
+impl MemoKey {
+    /// The key of a solve, or `None` when the solve is not cacheable:
+    /// wall-clock-bounded specs (`deadline_ms=`, `deadline_from_submit=`)
+    /// can stop anywhere, so their results are not a pure function of
+    /// the key.
+    fn of(spec: &SolverSpec, required: &[NodeId]) -> Option<Self> {
+        if spec.deadline_ms.is_some() || spec.deadline_from_submit.is_some() {
+            return None;
+        }
+        let mut required: Vec<u32> = required.iter().map(|v| v.0).collect();
+        required.sort_unstable();
+        Some(Self {
+            spec: spec.to_string(),
+            required,
+        })
+    }
+}
+
+/// The session's solve memo: the completed results of the current
+/// **generation**, keyed by [`MemoKey`], at most [`MEMO_CAPACITY`] of
+/// them. Shared (`Arc`) with job coordinators so finished solves insert
+/// their results.
 #[derive(Debug, Default)]
 struct SolveMemo {
+    /// Bumped by [`WasoSession::invalidate_instance`], which also clears
+    /// `entries`: every entry was solved under the current one.
+    generation: u64,
     entries: BTreeMap<MemoKey, SolveResult>,
+    /// The keys of `entries` in insertion order — the eviction order.
+    order: VecDeque<MemoKey>,
     stats: MemoStats,
+}
+
+impl SolveMemo {
+    /// Caches `result` — unless a new generation started since the job
+    /// read `generation`: a solve that began before a delta and finished
+    /// after it must not answer for the post-delta graph. Evicts the
+    /// oldest entry past [`MEMO_CAPACITY`].
+    fn insert(&mut self, generation: u64, key: MemoKey, result: SolveResult) {
+        if generation != self.generation {
+            return;
+        }
+        // Two concurrent misses of one key both insert the same result;
+        // the key is queued once.
+        if self.entries.insert(key.clone(), result).is_none() {
+            self.order.push_back(key);
+        }
+        if self.entries.len() > MEMO_CAPACITY {
+            if let Some(oldest) = self.order.pop_front() {
+                self.entries.remove(&oldest);
+                self.stats.evicted += 1;
+            }
+        }
+    }
 }
 
 /// A configured solving context: graph + constraints + seed policy +
 /// registry. Build once, solve with as many specs as you like.
 ///
-/// Sessions hold two lazily-created, solve-to-solve caches:
+/// Sessions hold three solve-to-solve caches:
 ///
 /// * the **validated instance** (`Arc`) — built on the first solve and
 ///   shared by every later one (and by every job of a
@@ -218,7 +275,10 @@ struct SolveMemo {
 ///   number of sessions concurrently. The determinism contract makes all
 ///   of that unobservable in results: solves are bit-identical for every
 ///   worker count and tenant mix, so the session guarantee (same
-///   `(instance, spec, seed)` → same group) is unaffected.
+///   `(instance, spec, seed)` → same group) is unaffected;
+/// * the **solve memo** — completed results of the current
+///   configuration and graph, replayed bit-identically to a repeat
+///   request (see [`WasoSession::memo_stats`]).
 #[derive(Debug)]
 pub struct WasoSession {
     graph: SocialGraph,
@@ -246,9 +306,6 @@ pub struct WasoSession {
     /// The solve memo. `Arc`-shared with job coordinators so completed
     /// solves insert their results after `submit` has returned.
     memo: Arc<Mutex<SolveMemo>>,
-    /// The instance fingerprint, computed once per configuration and
-    /// updated *incrementally* by [`WasoSession::apply`].
-    fingerprint_cache: Mutex<Option<InstanceFingerprint>>,
 }
 
 impl WasoSession {
@@ -269,14 +326,15 @@ impl WasoSession {
             instance_cache: Mutex::new(None),
             pool: Mutex::new(None),
             memo: Arc::new(Mutex::new(SolveMemo::default())),
-            fingerprint_cache: Mutex::new(None),
         }
     }
 
-    /// Forgets the cached instance (and its fingerprint) after a
-    /// configuration change. The memo itself survives: entries are keyed
-    /// by fingerprint, so a changed configuration simply stops matching
-    /// them — and matches them again if it is changed back.
+    /// The one memo invalidation point, called by every delta and every
+    /// result-relevant configuration change: drops the cached instance
+    /// (the next solve rebuilds it) and starts a new memo generation,
+    /// dropping every cached entry ([`MemoStats::invalidated`]). A job
+    /// still running from the old generation does not cache its result.
+    /// Changing the configuration back does not revive old entries.
     fn invalidate_instance(&mut self) {
         // Poison-tolerant: a cache is plain data, valid even if a panic
         // elsewhere poisoned the mutex.
@@ -284,10 +342,11 @@ impl WasoSession {
             .instance_cache
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner) = None;
-        *self
-            .fingerprint_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.generation += 1;
+        memo.stats.invalidated += memo.entries.len() as u64;
+        memo.entries.clear();
+        memo.order.clear();
     }
 
     /// Sets the group size `k` (mandatory).
@@ -328,9 +387,11 @@ impl WasoSession {
         self
     }
 
-    /// Sets the seed every solve derives its randomness from.
+    /// Sets the seed every solve derives its randomness from. Starts a
+    /// new memo generation: no cached result of another seed is served.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.invalidate_instance();
         self
     }
 
@@ -371,9 +432,11 @@ impl WasoSession {
     }
 
     /// Replaces the solver registry (to add custom solvers or restrict
-    /// the available set).
+    /// the available set). Starts a new memo generation: the new registry
+    /// can map a cached spec name to another solver.
     pub fn with_registry(mut self, registry: SolverRegistry) -> Self {
         self.registry = registry;
+        self.invalidate_instance();
         self
     }
 
@@ -579,15 +642,17 @@ impl WasoSession {
         // Memo consult — after spec resolution (an entry can only exist
         // for a spec that once built, but the cheap capability checks
         // should fail loudly either way), before solver construction.
-        let memo_key = self.memo_key(instance, spec, &required);
-        if let Some(key) = &memo_key {
+        // A miss records the generation it read, under the same lock.
+        let mut memo_slot = None;
+        if let Some(key) = MemoKey::of(spec, &required) {
             let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(result) = memo.entries.get(key).cloned() {
+            if let Some(result) = memo.entries.get(&key).cloned() {
                 memo.stats.hits += 1;
                 drop(memo);
                 return Ok((None, SolveHandle::cached(result)));
             }
             memo.stats.misses += 1;
+            memo_slot = Some((Arc::clone(&self.memo), key, memo.generation));
         }
 
         let solver = self.registry.build(spec)?;
@@ -618,7 +683,7 @@ impl WasoSession {
             pool,
             control: Arc::clone(&control),
             result_tx,
-            memo: memo_key.map(|key| (Arc::clone(&self.memo), key)),
+            memo: memo_slot,
         };
         let handle = SolveHandle {
             control,
@@ -629,40 +694,8 @@ impl WasoSession {
         Ok((Some(task), handle))
     }
 
-    /// The memo key for a solve, or `None` when the solve is not
-    /// cacheable: wall-clock-bounded specs (`deadline_ms=`,
-    /// `deadline_from_submit=`) can stop anywhere, so their results are
-    /// not a pure function of the key.
-    fn memo_key(
-        &self,
-        instance: &WasoInstance,
-        spec: &SolverSpec,
-        required: &[NodeId],
-    ) -> Option<MemoKey> {
-        if spec.deadline_ms.is_some() || spec.deadline_from_submit.is_some() {
-            return None;
-        }
-        let digest = {
-            let mut cache = self
-                .fingerprint_cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            cache
-                .get_or_insert_with(|| InstanceFingerprint::of(instance))
-                .digest()
-        };
-        let mut req: Vec<u32> = required.iter().map(|v| v.0).collect();
-        req.sort_unstable();
-        Some(MemoKey {
-            digest,
-            spec: spec.to_string(),
-            required: req,
-            seed: self.seed,
-        })
-    }
-
     /// A snapshot of the session's memo counters (hits, misses,
-    /// delta invalidations).
+    /// invalidations, evictions).
     pub fn memo_stats(&self) -> MemoStats {
         self.memo
             .lock()
@@ -670,12 +703,11 @@ impl WasoSession {
             .stats
     }
 
-    /// Applies a [`GraphDelta`] to the session's graph **in place**:
-    /// re-fingerprints incrementally (only the delta's endpoints are
-    /// re-hashed), and invalidates every memo entry solved on the
-    /// pre-delta graph. The next matching solve runs from scratch, so a
-    /// session's answer depends only on `(instance, spec, seed)`, never
-    /// on its history.
+    /// Applies a [`GraphDelta`] to the session's graph **in place** and
+    /// starts a new memo generation: every entry solved on the pre-delta
+    /// graph is dropped, and the next solve rebuilds the instance and
+    /// runs from scratch. A session's answer therefore depends only on
+    /// `(instance, spec, seed)`, never on its history.
     ///
     /// No entry survives a delta, however far from its group the delta
     /// lands: a staged solve's start nodes are the top `η + Σ τ` scores
@@ -687,49 +719,8 @@ impl WasoSession {
     /// identity never change: a cached group means the same attendees
     /// before and after any number of deltas.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<(), SessionError> {
-        let new_graph = delta.apply(&self.graph)?;
-
-        // The pre-delta fingerprint, cached or recomputed — the memo
-        // generation to sweep. Unavailable only when the session cannot
-        // build an instance at all (`k` unset, bad λ): then no solve has
-        // run under this configuration and there is nothing to sweep.
-        let old_fp = match self
-            .fingerprint_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            Some(fp) => Some(fp),
-            None => self.instance().ok().map(|i| InstanceFingerprint::of(&i)),
-        };
-
-        self.graph = new_graph;
+        self.graph = delta.apply(&self.graph)?;
         self.invalidate_instance();
-
-        let Some(old_fp) = old_fp else { return Ok(()) };
-        let old_digest = old_fp.digest();
-
-        // Incremental re-fingerprint: the λ transform and the node hash
-        // are both node-local, so only the delta's endpoints re-hash —
-        // O(Σ degree(endpoint)), not O(graph).
-        let instance = self.shared_instance()?;
-        let mut new_fp = old_fp;
-        for v in delta.touched() {
-            new_fp.update_node(&instance, v);
-        }
-        *self
-            .fingerprint_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = Some(new_fp);
-
-        // Memo sweep over the pre-delta generation. Entries under other
-        // digests (older configurations) are left alone: their keys can
-        // only match again if the configuration reverts *and* the graph
-        // fingerprints back to that exact state.
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        let cached = memo.entries.len();
-        memo.entries.retain(|key, _| key.digest != old_digest);
-        memo.stats.invalidated += (cached - memo.entries.len()) as u64;
         Ok(())
     }
 
@@ -817,9 +808,10 @@ struct JobTask {
     pool: Option<Arc<SharedPool>>,
     control: Arc<JobControl>,
     result_tx: Sender<Result<SolveResult, SessionError>>,
-    /// Memo insertion slot: when present, a cleanly-completed result is
-    /// cached under `key`.
-    memo: Option<(Arc<Mutex<SolveMemo>>, MemoKey)>,
+    /// Memo insertion slot of a cacheable miss: the memo, the key, and
+    /// the generation the miss read. A cleanly-completed result is
+    /// cached only if that generation is still current.
+    memo: Option<(Arc<Mutex<SolveMemo>>, MemoKey, u64)>,
 }
 
 impl JobTask {
@@ -843,19 +835,19 @@ impl JobTask {
         // result is whatever the job had when it was stopped, not a pure
         // function of (instance, spec, seed) — serving it to a later
         // uninterrupted solve would break the bit-identity contract.
-        if let (Some((memo, key)), Ok(result)) = (&self.memo, &outcome) {
+        if let (Some((memo, key, generation)), Ok(result)) = (self.memo.take(), &outcome) {
             if result.stats.termination == Termination::Completed {
-                memo.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entries
-                    .insert(key.clone(), result.clone());
+                memo.lock().unwrap_or_else(PoisonError::into_inner).insert(
+                    generation,
+                    key,
+                    result.clone(),
+                );
             }
         }
         // Release the job's resources — above all its pool Arc — BEFORE
         // publishing the result: a caller that has observed the outcome
         // must also observe the job's references gone (e.g. a session
         // dropped right after a batch asserts the pool was released).
-        self.memo = None;
         self.pool = None;
         drop(self.solver);
         self.control.finish();

@@ -2,14 +2,19 @@
 //!
 //! * solving between random deltas ≡ solving a fresh session over the
 //!   graph rebuilt from scratch — the same group and sample count,
-//!   bit-for-bit, across every pool width 1–8 (the incremental
-//!   re-fingerprint and the CSR rebuild are both exact, and a session's
-//!   answer never depends on its history);
+//!   bit-for-bit, across every pool width 1–8 (the CSR rebuild is
+//!   exact, and a session's answer never depends on its history);
 //! * a memo hit returns the original [`SolveResult`] bit-identically,
 //!   in O(1) (no solver runs — pinned through the hit/miss counters);
 //! * a delta invalidates **every** cached entry of the pre-delta graph:
 //!   start-node selection ranks the whole graph, so no delta is too far
-//!   from a cached group to change its solve.
+//!   from a cached group to change its solve;
+//! * so does every result-relevant configuration change, and a solve
+//!   still running when the generation changes does not cache;
+//! * the memo holds at most 1024 results, evicting the oldest first.
+
+use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Mutex, PoisonError};
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -112,8 +117,8 @@ proptest! {
                         a.group.willingness().to_bits(),
                         b.group.willingness().to_bits()
                     );
-                    // The post-delta fingerprint keys a working memo: a
-                    // repeat solve is a hit that replays the result exactly.
+                    // The new generation's memo works: a repeat solve is
+                    // a hit that replays the result exactly.
                     let again = session.solve_str(&spec).unwrap();
                     prop_assert_eq!(again.group.nodes(), a.group.nodes());
                     prop_assert_eq!(again.stats.samples_drawn, a.stats.samples_drawn);
@@ -151,7 +156,7 @@ fn memo_hits_are_bit_identical_and_counted() {
     let stats = session.memo_stats();
     assert_eq!((stats.hits, stats.misses, stats.invalidated), (1, 1, 0));
 
-    // A different spec, seed, or constraint set is a different key.
+    // A different spec or constraint set is a different key.
     session.solve_str("cbas-nd:budget=300,stages=5").unwrap();
     let stats = session.memo_stats();
     assert_eq!((stats.hits, stats.misses), (1, 2));
@@ -342,4 +347,123 @@ fn re_solve_after_delta_ignores_the_previous_answer() {
     let ids: Vec<u32> = fresh.group.nodes().iter().map(|v| v.0).collect();
     assert_eq!(ids, [0, 2, 8, 13, 16]);
     assert!((fresh.group.willingness() - 17.0834).abs() < 1e-4);
+}
+
+/// Reconfiguring a session starts a new memo generation: its entries
+/// are dropped and counted, and changing the setting back re-solves
+/// instead of replaying the old entry.
+#[test]
+fn reconfiguration_drops_entries() {
+    let spec = "cbas-nd:budget=150,stages=3";
+    let session = WasoSession::new(two_cliques()).k(3).seed(9);
+    let first = session.solve_str(spec).unwrap();
+
+    let session = session.k(4);
+    assert_eq!(session.memo_stats().invalidated, 1);
+    let session = session.k(3);
+    let again = session.solve_str(spec).unwrap();
+    assert_eq!(again.group, first.group);
+    assert_eq!(again.stats.samples_drawn, first.stats.samples_drawn);
+    let stats = session.memo_stats();
+    assert_eq!((stats.hits, stats.misses, stats.invalidated), (0, 2, 1));
+
+    let session = session.seed(10);
+    assert_eq!(session.memo_stats().invalidated, 2);
+    let session = session.seed(9);
+    let reseeded = session.solve_str(spec).unwrap();
+    assert_eq!(reseeded.group, first.group);
+    assert_eq!(reseeded.stats.samples_drawn, first.stats.samples_drawn);
+    let stats = session.memo_stats();
+    assert_eq!((stats.hits, stats.misses, stats.invalidated), (0, 3, 2));
+}
+
+/// Holds every `gate` solve until the test drops the matching sender.
+static GATE: Mutex<Option<Receiver<()>>> = Mutex::new(None);
+
+/// DGreedy behind [`GATE`]: its solve waits for the gate to open.
+struct GateSolver;
+
+impl Solver for GateSolver {
+    fn name(&self) -> &'static str {
+        "gate"
+    }
+
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        if let Some(gate) = GATE.lock().unwrap_or_else(PoisonError::into_inner).as_ref() {
+            // Err once the sender is dropped: the gate is open for good.
+            let _ = gate.recv();
+        }
+        DGreedy::new().solve(req)
+    }
+}
+
+/// The full registry plus `gate`.
+fn gated_registry() -> SolverRegistry {
+    let mut registry = waso::registry();
+    registry.register(waso::algos::RegistryEntry {
+        name: "gate",
+        aliases: &[],
+        label: "Gate",
+        summary: "DGreedy that waits for the test to open a gate",
+        capabilities: Capabilities::default(),
+        roster_rank: None,
+        costly: false,
+        options: &[],
+        build: |_| Ok(Box::new(GateSolver)),
+    });
+    registry
+}
+
+/// A job that read the memo before a delta and finished after it solved
+/// the pre-delta instance: it must not seed the new generation.
+#[test]
+fn a_job_in_flight_across_a_delta_is_not_cached() {
+    let (open, gate) = channel();
+    *GATE.lock().unwrap_or_else(PoisonError::into_inner) = Some(gate);
+    let delta = GraphDelta::SetInterest {
+        v: NodeId(0),
+        interest: 100.0,
+    };
+    let mut session = WasoSession::new(two_cliques())
+        .k(3)
+        .with_registry(gated_registry());
+    let spec = session.registry().parse("gate").unwrap();
+    let handle = session.submit(&spec).unwrap();
+    session.apply(&delta).unwrap();
+    drop(open);
+    let stale = handle.wait().unwrap();
+
+    let again = session.solve(&spec).unwrap();
+    let stats = session.memo_stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (0, 2),
+        "cached a pre-delta answer"
+    );
+    let fresh = WasoSession::new(delta.apply(&two_cliques()).unwrap())
+        .k(3)
+        .with_registry(gated_registry())
+        .solve(&spec)
+        .unwrap();
+    assert_eq!(again.group, fresh.group);
+    assert_ne!(stale.group, fresh.group, "the delta must change the answer");
+}
+
+/// The memo keeps at most 1024 results: the 1025th distinct spec evicts
+/// the first.
+#[test]
+fn the_memo_evicts_its_oldest_entry_past_capacity() {
+    let session = WasoSession::new(two_cliques()).k(3);
+    let spec = |i: u64| SolverSpec::cbas_nd().budget(20 + i).stages(1);
+    for i in 0..1025 {
+        session.solve(&spec(i)).unwrap();
+    }
+    assert_eq!(session.memo_stats().evicted, 1);
+
+    session.solve(&spec(1024)).unwrap();
+    let stats = session.memo_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1025));
+    session.solve(&spec(0)).unwrap();
+    let stats = session.memo_stats();
+    assert_eq!((stats.hits, stats.misses, stats.evicted), (1, 1026, 2));
 }

@@ -265,48 +265,6 @@ proptest! {
         prop_assert_eq!(pool.respawned_workers(), 0);
     }
 
-    /// Round-robin vs chunked deals are pure scheduling choices: the same
-    /// solves over `Deal::Striped` and `Deal::Chunked` pools are
-    /// bit-identical (pinning the ROADMAP "work stealing / chunked
-    /// striping" item's determinism audit down in advance).
-    #[test]
-    fn chunked_deal_is_bit_identical_to_striped(
-        seed in 0u64..10_000,
-        n in 12usize..36,
-        extra in 0usize..25,
-        k in 2usize..6,
-        budget in 8u64..80,
-        stages in 1u32..5,
-        pool_threads in 1usize..9,
-    ) {
-        use waso::algos::{Deal, SharedPool};
-
-        let inst = random_instance(seed, n, extra, k, true);
-        let graph = inst.graph().clone();
-        let spec = SolverSpec::cbas_nd().budget(budget).stages(stages).threads(3);
-        let serial = WasoSession::new(graph.clone()).k(k).seed(seed)
-            .solve(&SolverSpec::cbas_nd().budget(budget).stages(stages));
-        for deal in [Deal::Striped, Deal::Chunked] {
-            let pool = Arc::new(SharedPool::with_deal(pool_threads, deal));
-            let session = WasoSession::new(graph.clone()).k(k).seed(seed).attach_pool(pool);
-            let dealt = session.solve(&spec);
-            match (&serial, &dealt) {
-                (Ok(s), Ok(d)) => {
-                    prop_assert_eq!(&s.group, &d.group, "{:?}", deal);
-                    prop_assert_eq!(s.stats.samples_drawn, d.stats.samples_drawn);
-                    prop_assert_eq!(s.stats.backtracks, d.stats.backtracks);
-                    prop_assert_eq!(s.stats.pruned_start_nodes, d.stats.pruned_start_nodes);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                _ => prop_assert!(
-                    false,
-                    "feasibility diverged for {:?}: serial ok={}, dealt ok={}",
-                    deal, serial.is_ok(), dealt.is_ok()
-                ),
-            }
-        }
-    }
-
     /// The tentpole determinism pin: `submit` + `wait` is bit-identical
     /// to the blocking `solve` — and both to a direct registry-built
     /// solver run with no session machinery at all — for random
