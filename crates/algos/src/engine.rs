@@ -240,48 +240,37 @@ impl StagedEngine {
             control.arm_deadline(deadline);
         }
         let (starts, budgets, shared) = self.prepare(instance, mode)?;
-        let seed = req.seed;
 
         // Partial-mode samples grow from the same seed set but are
         // independent draws, so every mode runs on either executor.
-        let partial: Option<&[NodeId]> = match mode {
-            StartMode::Partial(seeds) => Some(seeds),
-            StartMode::Fresh => None,
-        };
-        let outcome = match self.base.threads {
+        let ctx = Arc::new(SolveCtx {
+            instance: Arc::clone(instance),
+            blocked: self.base.blocked.clone(),
+            shared,
+            seed: req.seed,
+            partial: match mode {
+                StartMode::Partial(seeds) => Some(seeds.to_vec()),
+                StartMode::Fresh => None,
+            },
+            stop: Some(control.stop_state()),
+        });
+        // No pool handed in: a threaded solve runs its own, joined on
+        // drop (after the job, which is declared later).
+        let own_pool;
+        let mut serial;
+        let mut job;
+        let exec: &mut dyn StageExec = match self.base.threads {
             None => {
                 let mut sampler = Sampler::for_instance(instance);
                 sampler.set_blocked(self.base.blocked.clone());
-                let mut exec = SerialExec {
-                    instance,
-                    shared: &shared,
+                serial = SerialExec {
+                    ctx: &ctx,
                     sampler,
-                    seed,
-                    partial,
-                    stop: Some(control.stop_state()),
+                    buf: Vec::new(),
                 };
-                self.stage_loop(
-                    instance,
-                    mode,
-                    &starts,
-                    &budgets,
-                    &shared,
-                    &mut exec,
-                    control,
-                    req.incumbent,
-                )
+                &mut serial
             }
             Some(threads) => {
-                let ctx = Arc::new(SolveCtx {
-                    instance: Arc::clone(instance),
-                    blocked: self.base.blocked.clone(),
-                    shared,
-                    seed,
-                    partial: partial.map(<[NodeId]>::to_vec),
-                    stop: Some(control.stop_state()),
-                });
-                // No pool handed in: this solve's own, joined on drop.
-                let own_pool;
                 let pool = match req.pool {
                     Some(pool) => pool,
                     None => {
@@ -289,19 +278,20 @@ impl StagedEngine {
                         &own_pool
                     }
                 };
-                let mut job = pool.submit(Arc::clone(&ctx));
-                self.stage_loop(
-                    instance,
-                    mode,
-                    &starts,
-                    &budgets,
-                    &ctx.shared,
-                    &mut job,
-                    control,
-                    req.incumbent,
-                )
+                job = pool.submit(Arc::clone(&ctx));
+                &mut job
             }
         };
+        let outcome = self.stage_loop(
+            instance,
+            mode,
+            &starts,
+            &budgets,
+            &ctx.shared,
+            exec,
+            control,
+            req.incumbent,
+        );
         self.finalize(instance, mode, t0, starts.len(), outcome)
     }
 

@@ -5,7 +5,8 @@
 //! executor to fill a result slot per item. Two executors exist:
 //!
 //! * `SerialExec` — one reusable [`Sampler`] on the calling thread
-//!   (engines without a `threads` count);
+//!   (engines without a `threads` count), drawing each stage as a
+//!   single span with the pool workers' own span loop;
 //! * a job of a [`SharedPool`] — a pool of owned
 //!   threads that any number of sessions and solves attach to
 //!   concurrently, with a job-level scheduler and self-healing workers.
@@ -30,12 +31,12 @@
 //!
 //! Stall cutoff: a failed draw means the start's component is smaller than
 //! `k` (or the seed set cannot be completed), so every other draw of that
-//! start fails too (deterministically). Both executors publish stalls in
-//! `StageShared::stalled` and skip the start's remaining items — their
-//! result slots stay `None`, which is exactly what drawing them would
-//! produce, so the cutoff is invisible to the merge. This keeps the
-//! historical break-on-first-stall cost profile and keeps serial/pooled
-//! wall-clock comparable on stall-heavy graphs.
+//! start fails too (deterministically). The span loop both executors
+//! run publishes stalls in `StageShared::stalled` and skips the start's
+//! remaining items — their result slots stay `None`, which is exactly
+//! what drawing them would produce, so the cutoff is invisible to the
+//! merge. This keeps the historical break-on-first-stall cost profile
+//! and keeps serial/pooled wall-clock comparable on stall-heavy graphs.
 
 mod shared;
 
@@ -137,9 +138,10 @@ impl StageShared {
     }
 }
 
-/// Everything one solve shares with the workers of a [`SharedPool`].
-/// Owned (`Arc`ed instance, owned seed list) because the pool's threads
-/// outlive any borrow a single solve could offer.
+/// Everything one solve's executor reads: the serial executor borrows
+/// it, the workers of a [`SharedPool`] hold an `Arc`. Owned (`Arc`ed
+/// instance, owned seed list) because the pool's threads outlive any
+/// borrow a single solve could offer.
 pub(crate) struct SolveCtx {
     /// The validated instance, cloned into an `Arc` once per solve (or
     /// once per *batch* — the session facade reuses one `Arc` across a
@@ -160,34 +162,6 @@ pub(crate) struct SolveCtx {
     pub stop: Option<Arc<StopState>>,
 }
 
-/// Draws one work item with the given sampler. `vectors` is empty for the
-/// uniform distribution; otherwise it holds one vector per start node. In
-/// partial mode (`seeds` present) the sample grows from the whole seed set
-/// instead of the item's start node — same RNG stream either way, so
-/// partial solves stripe across workers exactly like fresh ones.
-#[inline]
-fn draw_item(
-    sampler: &mut Sampler,
-    instance: &WasoInstance,
-    item: WorkItem,
-    vectors: &[ProbabilityVector],
-    stage: u64,
-    seed: u64,
-    partial: Option<&[NodeId]>,
-) -> Option<Sample> {
-    let mut rng = StdRng::seed_from_u64(crate::sample_seed(
-        seed,
-        item.start_index as u64,
-        stage,
-        item.q,
-    ));
-    let probs = vectors.get(item.start_index as usize);
-    match partial {
-        Some(seeds) => sampler.sample_from_partial(instance, seeds, probs, &mut rng),
-        None => sampler.sample(instance, item.start, probs, &mut rng),
-    }
-}
-
 /// One worker's share of a stage's item list: every item from `offset`
 /// on, `stride` apart. Results are keyed by item index, so which worker
 /// draws which span cannot affect the answer — only the schedule.
@@ -205,42 +179,52 @@ impl Span {
 }
 
 /// Draws one span of the current stage into `buf` (a shared-pool
-/// worker's share of one chunk).
+/// worker's share of one chunk, or a serial stage's whole item list).
 ///
-/// Returns `false` when `stop` tripped before the span finished: the
-/// partial draws in `buf` belong to a stage the engine will abandon
-/// wholesale (stopping "at the previous stage boundary"), so an early
-/// exit here can never change a merged result — it only bounds how long
-/// a cancel or deadline overshoots.
-#[allow(clippy::too_many_arguments)]
+/// Each item draws from its own `sample_seed` stream. `vectors` is empty
+/// for the uniform distribution; otherwise it holds one vector per start
+/// node. In partial mode the sample grows from the whole seed set instead
+/// of the item's start node — same RNG stream either way, so partial
+/// solves stripe across workers exactly like fresh ones.
+///
+/// Returns `false` when the job's stop signal tripped before the span
+/// finished: the partial draws in `buf` belong to a stage the engine will
+/// abandon wholesale (stopping "at the previous stage boundary"), so an
+/// early exit here can never change a merged result — it only bounds how
+/// long a cancel or deadline overshoots.
 fn draw_span(
     sampler: &mut Sampler,
-    instance: &WasoInstance,
-    shared: &StageShared,
-    partial: Option<&[NodeId]>,
+    ctx: &SolveCtx,
     stage: u64,
-    seed: u64,
     span: Span,
-    stop: Option<&StopState>,
     buf: &mut Vec<(usize, Option<Sample>)>,
 ) -> bool {
-    let items = shared.read_items();
-    let vectors = shared.read_vectors();
+    let items = ctx.shared.read_items();
+    let vectors = ctx.shared.read_vectors();
     let mut j = span.offset;
-    loop {
-        if stop.is_some_and(|s| s.stop_requested()) {
+    while let Some(&item) = items.get(j) {
+        if ctx.stop.as_deref().is_some_and(StopState::stop_requested) {
             return false;
-        }
-        let Some(&item) = items.get(j) else { break };
-        if !shared.is_stalled(item.start_index) {
-            let s = draw_item(sampler, instance, item, &vectors, stage, seed, partial);
-            if s.is_none() {
-                shared.mark_stalled(item.start_index);
-            }
-            buf.push((j, s));
         }
         // Skipped items' result slots stay None — the outcome a draw
         // would have produced.
+        if !ctx.shared.is_stalled(item.start_index) {
+            let mut rng = StdRng::seed_from_u64(crate::sample_seed(
+                ctx.seed,
+                item.start_index as u64,
+                stage,
+                item.q,
+            ));
+            let probs = vectors.get(item.start_index as usize);
+            let s = match ctx.partial.as_deref() {
+                Some(seeds) => sampler.sample_from_partial(&ctx.instance, seeds, probs, &mut rng),
+                None => sampler.sample(&ctx.instance, item.start, probs, &mut rng),
+            };
+            if s.is_none() {
+                ctx.shared.mark_stalled(item.start_index);
+            }
+            buf.push((j, s));
+        }
         j += span.stride;
     }
     true
@@ -265,16 +249,10 @@ pub(crate) trait StageExec {
 
 /// The calling-thread executor: one sampler, items drawn in order.
 pub(crate) struct SerialExec<'a> {
-    pub instance: &'a WasoInstance,
-    pub shared: &'a StageShared,
+    pub ctx: &'a SolveCtx,
     pub sampler: Sampler,
-    pub seed: u64,
-    /// Online-replanning / required-attendee mode: grow every sample from
-    /// this partial solution instead of the item's start node (§4.4.1).
-    pub partial: Option<&'a [NodeId]>,
-    /// The job's stop signal, checked between samples like pool workers
-    /// do.
-    pub stop: Option<Arc<StopState>>,
+    /// Drawn `(item index, sample)` pairs, reused across stages.
+    pub buf: Vec<(usize, Option<Sample>)>,
 }
 
 impl StageExec for SerialExec<'_> {
@@ -284,31 +262,22 @@ impl StageExec for SerialExec<'_> {
         results: &mut [Option<Sample>],
         slab: &mut Vec<Vec<NodeId>>,
     ) -> bool {
-        for buf in slab.drain(..) {
-            self.sampler.recycle(buf);
+        for spent in slab.drain(..) {
+            self.sampler.recycle(spent);
         }
-        let items = self.shared.read_items();
-        let vectors = self.shared.read_vectors();
-        for (j, &item) in items.iter().enumerate() {
-            if self.stop.as_deref().is_some_and(StopState::stop_requested) {
-                return false;
-            }
-            if self.shared.is_stalled(item.start_index) {
-                continue; // slot stays None, as a draw would produce
-            }
-            results[j] = draw_item(
-                &mut self.sampler,
-                self.instance,
-                item,
-                &vectors,
-                stage,
-                self.seed,
-                self.partial,
-            );
-            if results[j].is_none() {
-                self.shared.mark_stalled(item.start_index);
+        self.buf.clear();
+        let complete = draw_span(
+            &mut self.sampler,
+            self.ctx,
+            stage,
+            Span::stripe(0, 1),
+            &mut self.buf,
+        );
+        for (j, s) in self.buf.drain(..) {
+            if let Some(r) = results.get_mut(j) {
+                *r = s;
             }
         }
-        true
+        complete
     }
 }

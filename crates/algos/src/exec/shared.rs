@@ -303,17 +303,7 @@ fn worker_loop(
                 for spent in recycled.drain(..) {
                     entry.sampler.recycle(spent);
                 }
-                let complete = draw_span(
-                    &mut entry.sampler,
-                    &entry.ctx.instance,
-                    &entry.ctx.shared,
-                    entry.ctx.partial.as_deref(),
-                    stage,
-                    entry.ctx.seed,
-                    span,
-                    entry.ctx.stop.as_deref(),
-                    &mut buf,
-                );
+                let complete = draw_span(&mut entry.sampler, &entry.ctx, stage, span, &mut buf);
                 // Gauge updates precede the reply send: the channel's
                 // synchronization publishes them, so a coordinator that
                 // has collected every reply observes an idle pool.

@@ -2,8 +2,9 @@
 //!
 //! The auditor is deliberately dependency-free (it gates the build, so
 //! it must run in the same offline environment), which means `--format
-//! json` output and `--baseline` input are hand-rolled here. Only the
-//! subset the report/baseline schemas use is supported: objects keep
+//! json` output and the parser the report-schema test reads it back with
+//! are hand-rolled here. Only the subset the report schema uses is
+//! supported: objects keep
 //! insertion order, numbers are non-negative integers in practice
 //! (parsed as `f64`), and strings escape the JSON-mandatory set.
 

@@ -12,8 +12,8 @@
 //!
 //! See [`rules`] for the rule table and suppression grammar. Scoping is
 //! by path ([`SCOPES`]): determinism rules bind the solver hot-path
-//! crates, the no-panic rules bind the serving crate, the lock rules
-//! bind the shared-pool executor. The interprocedural rules
+//! crates, the no-panic rule roots at the serving crate and the graph
+//! I/O module, the lock rule binds the shared-pool executor. The interprocedural rules
 //! additionally read the *whole corpus* ([`CORPUS`]) so a panic three
 //! crates away from a serve dispatch path is still attributed to it.
 //!
@@ -39,8 +39,6 @@ pub use rules::{audit_source, Diagnostic, RuleId};
 
 /// Schema id stamped into `--format json` reports.
 pub const REPORT_SCHEMA: &str = "waso-audit-report/v1";
-/// Schema id of the committed ratchet baseline.
-pub const BASELINE_SCHEMA: &str = "waso-audit-baseline/v1";
 
 /// Where each rule applies, as workspace-relative path prefixes (a
 /// prefix naming a directory covers every `.rs` file under it).
@@ -48,15 +46,14 @@ pub const BASELINE_SCHEMA: &str = "waso-audit-baseline/v1";
 /// * `D1`/`D2`/`D3` bind the solver hot-path crates: order-dependent
 ///   accumulation, ambient entropy, or an unseeded RNG stream anywhere
 ///   in `algos`/`core`/`graph` can silently break bit-identity.
-/// * `P1` binds the serving crate — connection handling and dispatch
+/// * `P2` roots the serving crate — connection handling and dispatch
 ///   must answer typed errors, never panic — and the graph I/O module,
-///   whose read/write paths serve user-supplied files. `P2` extends the
-///   same contract *interprocedurally*: its scope names the root set
-///   (every serve fn), and reachability walks the whole corpus from
-///   there.
-/// * `L1`/`L2` bind the shared-pool executor, where the slot/stage lock
-///   family lives; `L2` additionally follows lock summaries through
-///   calls and flags sends performed under a held guard.
+///   whose read/write paths serve user-supplied files. Its scope names
+///   the root set (every fn in those files), and reachability walks the
+///   whole corpus from there.
+/// * `L2` binds the shared-pool executor, where the slot/stage lock
+///   family lives; it follows lock summaries through calls and flags
+///   sends performed under a held guard.
 pub const SCOPES: &[(RuleId, &[&str])] = &[
     (
         RuleId::D1,
@@ -70,12 +67,7 @@ pub const SCOPES: &[(RuleId, &[&str])] = &[
         RuleId::D3,
         &["crates/algos/src", "crates/core/src", "crates/graph/src"],
     ),
-    (RuleId::P1, &["crates/serve/src", "crates/graph/src/io.rs"]),
-    (RuleId::P2, &["crates/serve/src"]),
-    (
-        RuleId::L1,
-        &["crates/algos/src/exec.rs", "crates/algos/src/exec"],
-    ),
+    (RuleId::P2, &["crates/serve/src", "crates/graph/src/io.rs"]),
     (
         RuleId::L2,
         &["crates/algos/src/exec.rs", "crates/algos/src/exec"],
@@ -210,139 +202,6 @@ pub fn report_to_json(report: &AuditReport) -> Json {
     ])
 }
 
-/// The ratchet baseline: per-(file, rule) violation counts. Count-based
-/// (not line-based) so unrelated edits that shift lines don't churn it.
-#[derive(Debug, Default, PartialEq)]
-pub struct Baseline {
-    /// (file, rule) → allowed count, sorted by key.
-    pub entries: Vec<(String, RuleId, usize)>,
-}
-
-/// One baseline-vs-report difference.
-#[derive(Debug)]
-pub enum Drift {
-    /// More findings than the baseline allows — fails the ratchet.
-    Regression {
-        file: String,
-        rule: RuleId,
-        baseline: usize,
-        found: usize,
-    },
-    /// Fewer findings than recorded — the baseline can be tightened.
-    Improvement {
-        file: String,
-        rule: RuleId,
-        baseline: usize,
-        found: usize,
-    },
-}
-
-impl Baseline {
-    /// Distills a report into its ratchet form.
-    pub fn from_report(report: &AuditReport) -> Baseline {
-        let mut counts: std::collections::BTreeMap<(String, RuleId), usize> =
-            std::collections::BTreeMap::new();
-        for d in &report.diagnostics {
-            *counts.entry((d.file.clone(), d.rule)).or_default() += 1;
-        }
-        Baseline {
-            entries: counts
-                .into_iter()
-                .map(|((file, rule), n)| (file, rule, n))
-                .collect(),
-        }
-    }
-
-    pub fn to_json(&self) -> Json {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(file, rule, n)| {
-                Json::Obj(vec![
-                    ("file".to_string(), Json::str(file)),
-                    ("rule".to_string(), Json::str(rule.as_str())),
-                    ("count".to_string(), Json::num(*n as u64)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::str(BASELINE_SCHEMA)),
-            ("entries".to_string(), Json::Arr(entries)),
-        ])
-    }
-
-    pub fn from_json(doc: &Json) -> Result<Baseline, String> {
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(s) if s == BASELINE_SCHEMA => {}
-            other => return Err(format!("unsupported baseline schema {other:?}")),
-        }
-        let mut entries = Vec::new();
-        for e in doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("baseline has no `entries` array")?
-        {
-            let file = e
-                .get("file")
-                .and_then(Json::as_str)
-                .ok_or("entry missing `file`")?;
-            let rule = e
-                .get("rule")
-                .and_then(Json::as_str)
-                .and_then(RuleId::parse)
-                .ok_or("entry missing or bad `rule`")?;
-            let count = e
-                .get("count")
-                .and_then(Json::as_u64)
-                .ok_or("entry missing `count`")? as usize;
-            entries.push((file.to_string(), rule, count));
-        }
-        entries.sort();
-        Ok(Baseline { entries })
-    }
-
-    /// Compares a fresh report against this baseline. Regressions (new
-    /// (file, rule) keys, or grown counts) fail the ratchet;
-    /// improvements invite a `--write-baseline` tighten.
-    pub fn compare(&self, report: &AuditReport) -> Vec<Drift> {
-        let current = Baseline::from_report(report);
-        let base: std::collections::BTreeMap<(&str, RuleId), usize> = self
-            .entries
-            .iter()
-            .map(|(f, r, n)| ((f.as_str(), *r), *n))
-            .collect();
-        let cur: std::collections::BTreeMap<(&str, RuleId), usize> = current
-            .entries
-            .iter()
-            .map(|(f, r, n)| ((f.as_str(), *r), *n))
-            .collect();
-        let mut out = Vec::new();
-        for (&(file, rule), &found) in &cur {
-            let allowed = base.get(&(file, rule)).copied().unwrap_or(0);
-            if found > allowed {
-                out.push(Drift::Regression {
-                    file: file.to_string(),
-                    rule,
-                    baseline: allowed,
-                    found,
-                });
-            }
-        }
-        for (&(file, rule), &allowed) in &base {
-            let found = cur.get(&(file, rule)).copied().unwrap_or(0);
-            if found < allowed {
-                out.push(Drift::Improvement {
-                    file: file.to_string(),
-                    rule,
-                    baseline: allowed,
-                    found,
-                });
-            }
-        }
-        out
-    }
-}
-
 /// Recursively collects `.rs` files, sorted so the audit (like
 /// everything else here) is a pure function of the tree.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -399,20 +258,17 @@ mod tests {
         );
         assert_eq!(
             rules_for("crates/algos/src/exec/shared.rs"),
-            vec![RuleId::D1, RuleId::D2, RuleId::D3, RuleId::L1, RuleId::L2]
+            vec![RuleId::D1, RuleId::D2, RuleId::D3, RuleId::L2]
         );
         assert_eq!(
             rules_for("crates/algos/src/exec.rs"),
-            vec![RuleId::D1, RuleId::D2, RuleId::D3, RuleId::L1, RuleId::L2]
+            vec![RuleId::D1, RuleId::D2, RuleId::D3, RuleId::L2]
         );
-        assert_eq!(
-            rules_for("crates/serve/src/server.rs"),
-            vec![RuleId::P1, RuleId::P2]
-        );
+        assert_eq!(rules_for("crates/serve/src/server.rs"), vec![RuleId::P2]);
         // The graph I/O module is additionally under the no-panic rule.
         assert_eq!(
             rules_for("crates/graph/src/io.rs"),
-            vec![RuleId::D1, RuleId::D2, RuleId::D3, RuleId::P1]
+            vec![RuleId::D1, RuleId::D2, RuleId::D3, RuleId::P2]
         );
         assert_eq!(rules_for("crates/bench/src/lib.rs"), Vec::<RuleId>::new());
         // A sibling file must not match a directory prefix by accident.
@@ -420,60 +276,5 @@ mod tests {
             rules_for("crates/algos/src/execution.rs"),
             vec![RuleId::D1, RuleId::D2, RuleId::D3]
         );
-    }
-
-    #[test]
-    fn baseline_round_trips_and_ratchets() {
-        let report = AuditReport {
-            diagnostics: vec![
-                Diagnostic {
-                    file: "a.rs".into(),
-                    line: 3,
-                    rule: RuleId::P2,
-                    message: "m".into(),
-                    chain: vec!["f".into()],
-                },
-                Diagnostic {
-                    file: "a.rs".into(),
-                    line: 9,
-                    rule: RuleId::P2,
-                    message: "m".into(),
-                    chain: Vec::new(),
-                },
-            ],
-            files_audited: 1,
-        };
-        let base = Baseline::from_report(&report);
-        assert_eq!(base.entries, vec![("a.rs".to_string(), RuleId::P2, 2)]);
-        let back = Baseline::from_json(&Json::parse(&base.to_json().render()).unwrap()).unwrap();
-        assert_eq!(back, base);
-
-        // Same counts: no drift.
-        assert!(base.compare(&report).is_empty());
-        // One fixed: improvement, not regression.
-        let less = AuditReport {
-            diagnostics: report.diagnostics[..1].to_vec(),
-            files_audited: 1,
-        };
-        assert!(matches!(
-            base.compare(&less).as_slice(),
-            [Drift::Improvement { found: 1, .. }]
-        ));
-        // A new file: regression.
-        let mut more = AuditReport {
-            diagnostics: report.diagnostics.clone(),
-            files_audited: 1,
-        };
-        more.diagnostics.push(Diagnostic {
-            file: "b.rs".into(),
-            line: 1,
-            rule: RuleId::L2,
-            message: "m".into(),
-            chain: Vec::new(),
-        });
-        assert!(base
-            .compare(&more)
-            .iter()
-            .any(|d| matches!(d, Drift::Regression { file, .. } if file == "b.rs")));
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! waso-audit --workspace [--root DIR] [--rule IDS]... [--format FMT]
-//!            [--baseline FILE | --write-baseline FILE]
 //! waso-audit [--rule IDS]... [--format FMT] FILE...
 //! waso-audit --list-rules
 //! ```
@@ -12,15 +11,14 @@
 //! Explicit `FILE` arguments are audited under *all* rules (restricted
 //! by `--rule`), regardless of scope — handy for fixtures and editors.
 //!
-//! Exit status: 0 clean (or within the baseline), 1 violations (or
-//! baseline regressions), 2 usage or I/O error.
+//! Exit status: 0 clean, 1 violations, 2 usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use waso_audit::{
-    audit_source, audit_workspace_rules, find_workspace_root, json::Json, report_to_json,
-    AuditReport, Baseline, Drift, RuleId, SCOPES,
+    audit_source, audit_workspace_rules, find_workspace_root, report_to_json, AuditReport, RuleId,
+    SCOPES,
 };
 
 #[derive(PartialEq)]
@@ -35,26 +33,19 @@ struct Args {
     rules: Vec<RuleId>,
     list_rules: bool,
     format: Format,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
     "usage: waso-audit --workspace [--root DIR] [--rule IDS]... [--format FMT]\n\
-     \u{20}                 [--baseline FILE | --write-baseline FILE]\n\
      \u{20}      waso-audit [--rule IDS]... [--format FMT] FILE...\n\
      \u{20}      waso-audit --list-rules\n\
      \n\
-     \u{20} --rule IDS            comma-separated rule ids, repeatable: --rule P2,L2,D3\n\
-     \u{20} --format FMT          `text` (default) or `json` (a waso-audit-report/v1 document)\n\
-     \u{20} --baseline FILE       ratchet: findings beyond FILE's recorded counts fail;\n\
-     \u{20}                       fewer findings are reported as tightening opportunities\n\
-     \u{20} --write-baseline FILE distill this run's findings into FILE and exit\n\
+     \u{20} --rule IDS    comma-separated rule ids, repeatable: --rule P2,L2,D3\n\
+     \u{20} --format FMT  `text` (default) or `json` (a waso-audit-report/v1 document)\n\
      \n\
-     exit codes: 0 clean (or within the baseline), 1 violations (or baseline\n\
-     regressions), 2 usage or I/O error\n\
-     rules: D1 D2 D3 P1 P2 L1 L2 (SUP always runs); see --list-rules"
+     exit codes: 0 clean, 1 violations, 2 usage or I/O error\n\
+     rules: D1 D2 D3 P2 L2 (SUP always runs); see --list-rules"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -64,8 +55,6 @@ fn parse_args() -> Result<Args, String> {
         rules: Vec::new(),
         list_rules: false,
         format: Format::Text,
-        baseline: None,
-        write_baseline: None,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -94,14 +83,6 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown format `{other}` (text|json)")),
                 };
             }
-            "--baseline" => {
-                let file = it.next().ok_or("--baseline needs a file argument")?;
-                args.baseline = Some(PathBuf::from(file));
-            }
-            "--write-baseline" => {
-                let file = it.next().ok_or("--write-baseline needs a file argument")?;
-                args.write_baseline = Some(PathBuf::from(file));
-            }
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => {
@@ -109,9 +90,6 @@ fn parse_args() -> Result<Args, String> {
             }
             file => args.files.push(PathBuf::from(file)),
         }
-    }
-    if args.baseline.is_some() && args.write_baseline.is_some() {
-        return Err("--baseline and --write-baseline are mutually exclusive".to_string());
     }
     if !args.list_rules && !args.workspace && args.files.is_empty() {
         return Err("nothing to audit: pass --workspace or files".to_string());
@@ -196,20 +174,6 @@ fn main() -> ExitCode {
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
-    if let Some(path) = &args.write_baseline {
-        let doc = Baseline::from_report(&report).to_json().render();
-        if let Err(e) = std::fs::write(path, doc + "\n") {
-            eprintln!("waso-audit: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "waso-audit: wrote baseline ({} finding(s)) to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     match args.format {
         Format::Text => {
             for d in &report.diagnostics {
@@ -222,55 +186,6 @@ fn main() -> ExitCode {
             );
         }
         Format::Json => println!("{}", report_to_json(&report).render()),
-    }
-
-    // Under a baseline the ratchet decides: regressions fail even while
-    // violations remain grandfathered; improvements only invite a
-    // tighter baseline.
-    if let Some(path) = &args.baseline {
-        let base = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text))
-            .and_then(|doc| Baseline::from_json(&doc));
-        let base = match base {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("waso-audit: {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let drift = base.compare(&report);
-        let mut regressed = false;
-        for d in &drift {
-            match d {
-                Drift::Regression {
-                    file,
-                    rule,
-                    baseline,
-                    found,
-                } => {
-                    regressed = true;
-                    eprintln!(
-                        "waso-audit: ratchet regression: {file} has {found} {rule} finding(s), \
-                         baseline allows {baseline}"
-                    );
-                }
-                Drift::Improvement {
-                    file,
-                    rule,
-                    baseline,
-                    found,
-                } => eprintln!(
-                    "waso-audit: ratchet improvement: {file} is down to {found} {rule} \
-                     finding(s) from {baseline} — consider --write-baseline"
-                ),
-            }
-        }
-        return if regressed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
     }
 
     if report.diagnostics.is_empty() {

@@ -6,10 +6,8 @@
 //! | `D1` | No unordered `HashMap`/`HashSet` in determinism-scoped crates — iteration order leaks into accumulation order and breaks bit-identity. |
 //! | `D2` | No entropy/clock sources (`thread_rng`, `from_entropy`, `SystemTime`, `Instant::now`) — randomness flows from seeded `mix_seed` streams, time from the `StopState` deadline plumbing. |
 //! | `D3` | Determinism taint (interprocedural): every RNG construction must derive from a `mix_seed`-rooted source, and memo-keyed solve paths must not read ambient state (`env::var`) — solves are memoized as pure functions of (instance, spec, seed). |
-//! | `P1` | No `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`unreachable!` in serving paths — every fallible path answers with a typed protocol error. |
-//! | `P2` | Panic reachability (interprocedural): no function in the serve scope may *transitively* reach a panic-class call — or panic-capable slice indexing in the executor/session scope — through the call graph; `catch_unwind` is a barrier. Diagnostics carry the full call chain. |
-//! | `L1` | Lock-acquisition order must be consistent across functions — two functions taking the same pair of locks in opposite order is a deadlock in waiting. |
-//! | `L2` | Lock-graph cycles (interprocedural): per-fn held-lock summaries propagate through calls; any cycle in the global acquisition-order graph is flagged, as is a lock held across a channel `.send(…)` (a bounded-channel deadlock risk). |
+//! | `P2` | Panic reachability (interprocedural): no function in a rooted file (the serving crate, the graph I/O module) may reach a panic-class call (`unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`unreachable!`) — or panic-capable slice indexing in a rooted file or the executor/session scope — directly or through the call graph; `catch_unwind` is a barrier. Every fallible path answers with a typed protocol error. Diagnostics carry the full call chain. |
+//! | `L2` | Lock-graph cycles (interprocedural): per-fn held-lock summaries propagate through calls; any cycle in the global acquisition-order graph is flagged — two functions taking the same pair of locks in opposite order is a 2-cycle — as is a lock held across a channel `.send(…)` (a bounded-channel deadlock risk). |
 //! | `SUP` | The suppression grammar itself: every `audit:allow` must name known rules, carry a written reason, and actually suppress something. |
 //!
 //! Suppressions: `// audit:allow(D1): reason` covers its own line and
@@ -17,7 +15,7 @@
 //! `#[cfg(test)]` items and `#[test]` functions are skipped wholesale —
 //! the contracts bind shipping code, and tests assert panics on purpose.
 //!
-//! `D1`/`D2`/`P1`/`L1` are per-file token passes. `P2`/`L2`/`D3` are
+//! `D1`/`D2` are per-file token passes. `P2`/`L2`/`D3` are
 //! interprocedural: they run over a whole *corpus* of files at once
 //! (see [`audit_corpus`]), building the item tree and call graph from
 //! [`crate::items`]/[`crate::callgraph`] and computing fixpoints over
@@ -42,13 +40,9 @@ pub enum RuleId {
     /// Determinism taint: RNG constructions must be seed-rooted; no
     /// ambient-state reads in memo-keyed solve paths (interprocedural).
     D3,
-    /// No-panic: no panic-class calls in serving paths.
-    P1,
     /// Panic reachability: no serve-scope fn may transitively reach a
     /// panic-class call or panic-capable indexing (interprocedural).
     P2,
-    /// Lock discipline: consistent acquisition order.
-    L1,
     /// Lock-graph cycles and lock-held-across-send (interprocedural).
     L2,
     /// Suppression hygiene (always on; not user-selectable as a scope).
@@ -57,15 +51,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every scope-assignable rule (excludes `SUP`, which always runs).
-    pub const CHECKABLE: [RuleId; 7] = [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
-        RuleId::P1,
-        RuleId::P2,
-        RuleId::L1,
-        RuleId::L2,
-    ];
+    pub const CHECKABLE: [RuleId; 5] = [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::P2, RuleId::L2];
 
     /// The interprocedural rules: they need the whole corpus, not one
     /// file at a time.
@@ -76,9 +62,7 @@ impl RuleId {
             RuleId::D1 => "D1",
             RuleId::D2 => "D2",
             RuleId::D3 => "D3",
-            RuleId::P1 => "P1",
             RuleId::P2 => "P2",
-            RuleId::L1 => "L1",
             RuleId::L2 => "L2",
             RuleId::Sup => "SUP",
         }
@@ -89,9 +73,7 @@ impl RuleId {
             "D1" => Some(RuleId::D1),
             "D2" => Some(RuleId::D2),
             "D3" => Some(RuleId::D3),
-            "P1" => Some(RuleId::P1),
             "P2" => Some(RuleId::P2),
-            "L1" => Some(RuleId::L1),
             "L2" => Some(RuleId::L2),
             "SUP" => Some(RuleId::Sup),
             _ => None,
@@ -113,15 +95,11 @@ impl RuleId {
                 "RNG constructions must derive from a mix_seed-rooted source, and \
                  memo-keyed solve paths must not read ambient state (env::var)"
             }
-            RuleId::P1 => {
-                "no unwrap/expect/panic!/todo! in serving paths — \
-                 return typed protocol errors"
-            }
             RuleId::P2 => {
-                "no serve-scope fn may transitively reach a panic-class call or \
-                 panic-capable indexing; diagnostics carry the call chain"
+                "no fn in a rooted file (serve, graph I/O) may reach a panic-class \
+                 call or panic-capable indexing, directly or through calls; \
+                 diagnostics carry the call chain"
             }
-            RuleId::L1 => "lock-acquisition order must be consistent across functions",
             RuleId::L2 => {
                 "no cycles in the interprocedural lock-order graph; no lock held \
                  across a channel send (bounded-channel deadlock risk)"
@@ -212,8 +190,6 @@ pub fn audit_corpus(
             match rule {
                 RuleId::D1 => d1_hash_containers(file, lexed, skip, &mut raw[fi]),
                 RuleId::D2 => d2_entropy_clocks(file, lexed, skip, &mut raw[fi]),
-                RuleId::P1 => p1_panic_paths(file, lexed, skip, &mut raw[fi]),
-                RuleId::L1 => l1_lock_order(file, lexed, skip, &mut raw[fi]),
                 RuleId::D3 | RuleId::P2 | RuleId::L2 | RuleId::Sup => {}
             }
         }
@@ -515,156 +491,6 @@ fn d2_entropy_clocks(file: &str, lexed: &Lexed, skip: &[bool], raw: &mut Vec<Dia
                  seeded mix_seed streams and time from the StopState deadline plumbing"
             ),
         );
-    }
-}
-
-/// P1: panic-class calls — `.unwrap()`, `.expect(…)`, and the
-/// `panic!`-family macros.
-fn p1_panic_paths(file: &str, lexed: &Lexed, skip: &[bool], raw: &mut Vec<Diagnostic>) {
-    for (i, t) in lexed.tokens.iter().enumerate() {
-        if skip[i] {
-            continue;
-        }
-        let Tok::Ident(s) = &t.tok else { continue };
-        let method = (s == "unwrap" || s == "expect")
-            && i > 0
-            && lexed.punct(i - 1) == Some(b'.')
-            && lexed.punct(i + 1) == Some(b'(');
-        let mac = matches!(
-            s.as_str(),
-            "panic" | "todo" | "unimplemented" | "unreachable"
-        ) && lexed.punct(i + 1) == Some(b'!');
-        if method {
-            push(
-                raw,
-                file,
-                t.line,
-                RuleId::P1,
-                format!(
-                    "`.{s}()` can panic the serving path; handle the None/Err and answer \
-                     a typed protocol error instead"
-                ),
-            );
-        } else if mac {
-            push(
-                raw,
-                file,
-                t.line,
-                RuleId::P1,
-                format!(
-                    "`{s}!` aborts the serving path; every fallible path must return a \
-                     typed protocol error"
-                ),
-            );
-        }
-    }
-}
-
-/// L1: extracts each function's sequence of lock acquisitions — a
-/// `path.lock()`, `path.read()`, or `path.write()` with an *empty*
-/// argument list (which is what distinguishes sync primitives from
-/// `io::Read::read(&mut buf)`) — and flags any pair of locks two
-/// functions acquire in opposite orders.
-fn l1_lock_order(file: &str, lexed: &Lexed, skip: &[bool], raw: &mut Vec<Diagnostic>) {
-    let toks = &lexed.tokens;
-    // (function name, [(lock path, line of first acquisition)]).
-    let mut functions: Vec<(String, Vec<(String, u32)>)> = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if skip[i] || lexed.ident(i) != Some("fn") {
-            i += 1;
-            continue;
-        }
-        let Some(name) = lexed.ident(i + 1) else {
-            i += 1;
-            continue;
-        };
-        let name = name.to_string();
-        // The body: first `{` after the signature (a `;` first means a
-        // trait method declaration — no body).
-        let mut j = i + 2;
-        let mut body_start = None;
-        while j < toks.len() {
-            match lexed.punct(j) {
-                Some(b'{') => {
-                    body_start = Some(j);
-                    break;
-                }
-                Some(b';') => break,
-                _ => {}
-            }
-            j += 1;
-        }
-        let Some(start) = body_start else {
-            i = j + 1;
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut k = start;
-        while k < toks.len() {
-            match lexed.punct(k) {
-                Some(b'{') => depth += 1,
-                Some(b'}') => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let mut acquisitions: Vec<(String, u32)> = Vec::new();
-        for (idx, tok) in toks.iter().enumerate().take(k.min(toks.len())).skip(start) {
-            let Some(kind) = lexed.ident(idx) else {
-                continue;
-            };
-            if !matches!(kind, "lock" | "read" | "write") {
-                continue;
-            }
-            if lexed.punct(idx.wrapping_sub(1)) != Some(b'.')
-                || lexed.punct(idx + 1) != Some(b'(')
-                || lexed.punct(idx + 2) != Some(b')')
-            {
-                continue;
-            }
-            let path = lock_path(lexed, idx - 1);
-            if path.is_empty() {
-                continue;
-            }
-            if !acquisitions.iter().any(|(p, _)| *p == path) {
-                acquisitions.push((path, tok.line));
-            }
-        }
-        functions.push((name, acquisitions));
-        i = k + 1;
-    }
-
-    // Pairwise order consistency across all functions of the file.
-    // first_seen[(a, b)] = (fn, line) where a was acquired before b.
-    let mut first_seen: std::collections::BTreeMap<(String, String), (String, u32)> =
-        std::collections::BTreeMap::new();
-    for (fn_name, acqs) in &functions {
-        for (ai, (a, _)) in acqs.iter().enumerate() {
-            for (b, b_line) in &acqs[ai + 1..] {
-                if let Some((other_fn, other_line)) = first_seen.get(&(b.clone(), a.clone())) {
-                    push(
-                        raw,
-                        file,
-                        *b_line,
-                        RuleId::L1,
-                        format!(
-                            "lock order conflict: `{fn_name}` acquires `{a}` then `{b}`, \
-                             but `{other_fn}` (line {other_line}) acquires `{b}` then `{a}`"
-                        ),
-                    );
-                } else {
-                    first_seen
-                        .entry((a.clone(), b.clone()))
-                        .or_insert_with(|| (fn_name.clone(), *b_line));
-                }
-            }
-        }
     }
 }
 
@@ -1099,7 +925,9 @@ fn report_lock_cycle(
 
 /// A `path.lock()`/`path.read()`/`path.write()` acquisition at token
 /// `idx`, with the lock name qualified by the owning impl type so
-/// `self.state` in two different types stays two different locks.
+/// `self.state` in two different types stays two different locks. The
+/// argument list must be empty: that is what tells a sync primitive
+/// from `io::Read::read(&mut buf)`.
 fn lock_acquisition_at(file: &FileIndex, item: usize, idx: usize) -> Option<(String, u32)> {
     let lexed = &file.lexed;
     let kind = lexed.ident(idx)?;
@@ -1389,17 +1217,17 @@ mod tests {
     }
 
     #[test]
-    fn p1_ignores_non_panicking_cousins() {
+    fn p2_ignores_non_panicking_cousins() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or_else(|| 0) }\n\
                    fn g(x: Option<u32>) -> u32 { x.unwrap_or(1) }\n";
-        assert!(run(src, &[RuleId::P1]).is_empty());
+        assert!(run(src, &[RuleId::P2]).is_empty());
     }
 
     #[test]
     fn cfg_test_items_are_skipped_but_not_cfg_not_test() {
         let src = "#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); }\n}\n\
                    #[cfg(not(test))]\nfn g() { y.unwrap(); }\n";
-        let diags = run(src, &[RuleId::P1]);
+        let diags = run(src, &[RuleId::P2]);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].line, 6);
     }
@@ -1407,37 +1235,15 @@ mod tests {
     #[test]
     fn unused_and_unreasoned_suppressions_are_flagged() {
         let src = "// audit:allow(D1): nothing here trips D1\nfn f() {}\n\
-                   // audit:allow(P1)\nfn g() { x.unwrap(); }\n";
-        let diags = run(src, &[RuleId::D1, RuleId::P1]);
+                   // audit:allow(P2)\nfn g() { x.unwrap(); }\n";
+        let diags = run(src, &[RuleId::D1, RuleId::P2]);
         let rules: Vec<_> = diags.iter().map(|d| (d.line, d.rule)).collect();
         // Line 1: unused D1 suppression. Line 3: reasonless suppression
         // (which therefore does not suppress line 4's unwrap).
         assert_eq!(
             rules,
-            vec![(1, RuleId::Sup), (3, RuleId::Sup), (4, RuleId::P1)]
+            vec![(1, RuleId::Sup), (3, RuleId::Sup), (4, RuleId::P2)]
         );
-    }
-
-    #[test]
-    fn l1_flags_opposite_orders_only() {
-        let consistent = "fn a(&self) { let _x = self.m1.lock(); let _y = self.m2.lock(); }\n\
-                          fn b(&self) { let _x = self.m1.lock(); let _y = self.m2.lock(); }\n";
-        assert!(run(consistent, &[RuleId::L1]).is_empty());
-        let conflicting = "fn a(&self) { let _x = self.m1.lock(); let _y = self.m2.lock(); }\n\
-                           fn b(&self) { let _y = self.m2.lock(); let _x = self.m1.lock(); }\n";
-        let diags = run(conflicting, &[RuleId::L1]);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, RuleId::L1);
-        assert_eq!(diags[0].line, 2);
-    }
-
-    #[test]
-    fn l1_normalizes_indexed_locks_and_skips_io_read() {
-        let src = "fn a(&self) { let _g = self.slots[i].lock(); }\n\
-                   fn b(&self, f: &mut File) { f.read(&mut buf); }\n";
-        // Neither trips anything: one lock family, and `read` with
-        // arguments is io::Read, not RwLock.
-        assert!(run(src, &[RuleId::L1]).is_empty());
     }
 
     #[test]

@@ -4,5 +4,5 @@ fn reasonless() {}
 // audit:allow(Z9): no such rule exists
 fn unknown_rule() {}
 
-// audit:allow(P1): nothing on this or the next line can panic
+// audit:allow(P2): nothing on this or the next line can panic
 fn unused() {}

@@ -249,7 +249,7 @@ impl Server {
                 std::thread::Builder::new()
                     .name("waso-serve-dispatch".into())
                     .spawn(move || inner.dispatch_loop())
-                    // audit:allow(P1, P2): startup-time, before any connection exists — a server short of its dispatch crew cannot honour max_running, so fail fast
+                    // audit:allow(P2): startup-time, before any connection exists — a server short of its dispatch crew cannot honour max_running, so fail fast
                     .expect("spawning a dispatch thread")
             })
             .collect();

@@ -288,10 +288,6 @@ pub struct WasoSession {
     lambda: Option<Vec<f64>>,
     seed: u64,
     registry: SolverRegistry,
-    /// Pinned worker count for a lazily-spawned session pool; `None`
-    /// sizes it from the first pooled spec. Ignored once a pool is
-    /// attached.
-    pool_threads: Option<usize>,
     /// Pinned coordinator-crew width; `None` means
     /// `max(2, available_parallelism)`.
     batch_width: Option<usize>,
@@ -320,7 +316,6 @@ impl WasoSession {
             lambda: None,
             seed: DEFAULT_SEED,
             registry: registry(),
-            pool_threads: None,
             batch_width: None,
             jobs: Arc::default(),
             instance_cache: Mutex::new(None),
@@ -392,15 +387,6 @@ impl WasoSession {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self.invalidate_instance();
-        self
-    }
-
-    /// Pins the session pool's worker count. Without this, the pool is
-    /// sized by the first pooled spec's `threads` value. Either way the
-    /// answers are bit-identical — the count only affects wall-clock.
-    /// Ignored when a pool is [`WasoSession::attach_pool`]ed.
-    pub fn pool_threads(mut self, threads: usize) -> Self {
-        self.pool_threads = Some(threads.max(1));
         self
     }
 
@@ -724,13 +710,12 @@ impl WasoSession {
         Ok(())
     }
 
-    /// The session's pool, spawning a private one sized
-    /// `pool_threads.unwrap_or(spec_threads)` on first pooled use.
+    /// The session's pool, spawning a private one sized by the first
+    /// pooled spec's `threads` value on first pooled use. The count only
+    /// affects wall-clock: answers are bit-identical at any width.
     fn session_pool(&self, spec_threads: usize) -> Arc<SharedPool> {
         let mut guard = self.pool.lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(guard.get_or_insert_with(|| {
-            Arc::new(SharedPool::new(self.pool_threads.unwrap_or(spec_threads)))
-        }))
+        Arc::clone(guard.get_or_insert_with(|| Arc::new(SharedPool::new(spec_threads))))
     }
 
     /// A [`waso_algos::PoolStats`] health snapshot of the session's
@@ -1275,7 +1260,7 @@ mod tests {
         // match a fresh session's answers (the pool and the cached
         // instance are invisible in results).
         let g = waso_datasets::synthetic::facebook_like_n(80, 3);
-        let session = WasoSession::new(g.clone()).k(4).seed(9).pool_threads(3);
+        let session = WasoSession::new(g.clone()).k(4).seed(9);
         let spec_a = SolverSpec::cbas_nd().budget(50).stages(2).threads(8);
         let spec_b = SolverSpec::cbas().budget(50).stages(2).threads(1);
         for _ in 0..3 {
