@@ -44,8 +44,8 @@ pub struct CbasConfig {
     /// §4.4.1).
     pub blocked: Option<BitSet>,
     /// Wall-clock deadline, measured from solve start. When it elapses
-    /// the engine stops dealing work at the next stage boundary and
-    /// returns the current incumbent tagged
+    /// the engine stops within one sample and returns the incumbent of
+    /// the last completed stage tagged
     /// [`crate::Termination::Deadline`]. `None` (the default) never
     /// stops on time.
     pub deadline: Option<std::time::Duration>,

@@ -167,9 +167,9 @@ pub struct WorkerStats {
 }
 
 /// A point-in-time health snapshot of a [`SharedPool`] — the
-/// observability surface a serving deployment scrapes (and the
-/// `--figure pool` bench driver prints). All numbers are racy by nature:
-/// they describe the instant of the call, not a consistent cut.
+/// observability surface a serving deployment scrapes. All numbers are
+/// racy by nature: they describe the instant of the call, not a
+/// consistent cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker count (fixed at construction).

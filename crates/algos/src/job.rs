@@ -9,8 +9,9 @@
 //! group early. [`JobControl`] is the shared handle that exposes it:
 //!
 //! * the caller (a `SolveHandle`, a server, a test) **cancels** or arms a
-//!   **deadline**; the engine checks at every *stage boundary* and stops
-//!   dealing work the moment either trips;
+//!   **deadline**; the engine and its executors check before every
+//!   *sample*, so the solve stops within one sample of either tripping
+//!   and returns the incumbent of its last completed stage;
 //! * the engine **publishes** progress after every stage — stages done,
 //!   samples spent, the incumbent's willingness — and streams each
 //!   *improving* incumbent over an optional channel
@@ -103,8 +104,8 @@ const UNARMED: u64 = u64::MAX;
 /// executing its solve: a cancel flag plus the armed deadline, stored as
 /// nanoseconds since the control's creation so checking costs two relaxed
 /// atomic loads (plus one `Instant::now()` only while a deadline is
-/// armed). Pool workers consult this between *samples*, so a trip bounds
-/// overshoot far tighter than a stage boundary would.
+/// armed). Both executors consult this before every *sample*, so a trip
+/// bounds overshoot far tighter than a stage boundary would.
 #[derive(Debug)]
 pub(crate) struct StopState {
     cancelled: AtomicBool,
@@ -222,8 +223,8 @@ impl JobControl {
 
     /// The reason this job must stop, if any. Cancellation dominates an
     /// elapsed deadline (it is the more specific signal). Checked by the
-    /// engine at every stage boundary, and by pool workers between
-    /// samples via the shared stop state.
+    /// engine at every stage boundary, and by both executors before
+    /// every sample via the shared stop state.
     pub fn stop_reason(&self) -> Option<Termination> {
         if self.is_cancelled() {
             return Some(Termination::Cancelled);

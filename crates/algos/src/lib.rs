@@ -334,8 +334,8 @@ pub trait Solver {
 
     /// Solves `req`. Required attendees are enforced or rejected with
     /// [`SolveError::RequiredUnsupported`]; anytime solvers check
-    /// `req.control` at every stage boundary and stream incumbents
-    /// through it, single-pass ones follow [`SolveRequest::single_pass`].
+    /// `req.control` before every sample and stream incumbents through
+    /// it, single-pass ones follow [`SolveRequest::single_pass`].
     fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError>;
 }
 

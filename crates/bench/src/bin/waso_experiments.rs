@@ -6,7 +6,8 @@
 //! ```
 //!
 //! Prints each experiment's tables as markdown and writes one CSV per
-//! table under `--out` (default `results/`).
+//! table under `--out` (default `results/`). When `5d` or `decomp` runs,
+//! their records also go to `<out>/BENCH_engine.json`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -120,39 +121,17 @@ fn main() -> ExitCode {
         ctx.scale, ctx.seed, ctx.repeats
     );
 
-    // Record-emitting figures (engine/pool backend sweeps, the decomp
-    // ladder) accumulate machine-readable BenchRecords across the whole
-    // invocation; one BENCH_engine.json is written at the end so a single
-    // run can regenerate the complete committed yardstick.
+    // The Figure 5(d) sweep and the decomp ladder return BenchRecords;
+    // one BENCH_engine.json holding every record of the invocation is
+    // written at the end.
     let mut bench_records = Vec::new();
-    let mut engine_collected = false;
     for id in ids {
         let t0 = std::time::Instant::now();
-        let set = match id {
-            // `engine` and `pool` measure once for tables + records; the
-            // two ids differ only in which tables the caller highlights,
-            // so a run naming both contributes the records only once.
-            "engine" | "pool" => {
-                let (set, records) = waso_bench::experiments::engine::throughput_collect(&ctx);
-                if !engine_collected {
-                    bench_records.extend(records);
-                    engine_collected = true;
-                }
-                set
-            }
-            "decomp" => {
-                let (set, records) = waso_bench::experiments::decomp::ladder_collect(&ctx);
-                bench_records.extend(records);
-                set
-            }
-            _ => {
-                let Some(set) = run_figure(id, &ctx) else {
-                    eprintln!("unknown figure id '{id}'\n{}", usage());
-                    return ExitCode::from(2);
-                };
-                set
-            }
+        let Some((set, records)) = run_figure(id, &ctx) else {
+            eprintln!("unknown figure id '{id}'\n{}", usage());
+            return ExitCode::from(2);
         };
+        bench_records.extend(records);
         println!("{}", set.to_markdown());
         if let Err(e) = set.write_csvs(&args.out) {
             eprintln!("failed to write CSVs to {}: {e}", args.out.display());

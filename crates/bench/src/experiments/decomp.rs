@@ -8,8 +8,8 @@
 //! * `decomp:inner=cbas-nd,communities=auto,top=4` — community-partitioned
 //!   solves over induced subgraphs plus boundary repair.
 //!
-//! The committed records land in `BENCH_engine.json` next to the engine
-//! throughput sweep; the decomposed rows are expected to win wall-time at
+//! The records land in `BENCH_engine.json` next to the Figure 5(d)
+//! thread sweep; the decomposed rows are expected to win wall-time at
 //! n ≥ 10^5 with mean quality within a few percent. Note the 1-core
 //! measurement caveat: the win comes from *cheaper per-sample work* on
 //! community-sized subgraphs (smaller frontiers, fewer start nodes, no
@@ -22,7 +22,7 @@ use waso_core::WasoInstance;
 use waso_datasets::{synthetic, Scale};
 
 use crate::report::{BenchRecord, Cell, Table, TableSet};
-use crate::runner::{measure_spec_avg, ExperimentContext};
+use crate::runner::{bench_record, ExperimentContext};
 
 use super::fig5::cbasnd_spec;
 
@@ -50,7 +50,7 @@ pub fn decomp_spec(budget: u64) -> SolverSpec {
 }
 
 /// Measures the ladder: two records (whole-graph, decomposed) per rung.
-pub fn ladder_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
+fn ladder_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
     let registry = waso::registry();
     // The ladder runs in the sampling-dominated regime: the decomposition
     // pays a one-time O(rounds · m) label-propagation cost (~0.25 s at
@@ -69,15 +69,7 @@ pub fn ladder_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
             decomp_spec(budget),
         ];
         for spec in specs {
-            let meas = measure_spec_avg(&registry, &spec, &inst, ctx.seed, ctx.repeats);
-            records.push(BenchRecord {
-                workload: workload.clone(),
-                solver: spec.to_string(),
-                threads: 0,
-                mean_quality: meas.quality,
-                wall_seconds: meas.seconds,
-                samples_per_sec: meas.samples_per_sec,
-            });
+            records.push(bench_record(&registry, &workload, &spec, 0, &inst, ctx));
         }
     }
     records
@@ -85,7 +77,7 @@ pub fn ladder_records(ctx: &ExperimentContext) -> Vec<BenchRecord> {
 
 /// Renders the ladder as one table: paired rows per rung with the
 /// decomposed speedup and quality ratio spelled out.
-pub fn ladder_table(records: &[BenchRecord]) -> Table {
+fn ladder_table(records: &[BenchRecord]) -> Table {
     let mut t = Table::new(
         "decomp-ladder",
         "decomposed vs whole-graph solves at equal budget",
@@ -129,19 +121,13 @@ pub fn ladder_table(records: &[BenchRecord]) -> Table {
     t
 }
 
-/// Measures once, returning tables and the machine-readable records — the
-/// `waso-experiments` path, which folds the records into
-/// `BENCH_engine.json`.
-pub fn ladder_collect(ctx: &ExperimentContext) -> (TableSet, Vec<BenchRecord>) {
+/// Measures the ladder once, returning its table and its records — the
+/// `decomp` rows of `BENCH_engine.json`.
+pub fn ladder(ctx: &ExperimentContext) -> (TableSet, Vec<BenchRecord>) {
     let records = ladder_records(ctx);
     let mut set = TableSet::new();
     set.push(ladder_table(&records));
     (set, records)
-}
-
-/// Tables-only entry point (the [`super::run_figure`] route).
-pub fn ladder(ctx: &ExperimentContext) -> TableSet {
-    ladder_collect(ctx).0
 }
 
 #[cfg(test)]
@@ -152,7 +138,7 @@ mod tests {
     fn ladder_pairs_whole_and_decomposed_per_rung() {
         let mut ctx = ExperimentContext::new(Scale::Smoke);
         ctx.repeats = 1;
-        let records = ladder_records(&ctx);
+        let (set, records) = ladder(&ctx);
         assert_eq!(records.len(), 2 * ladder_sizes(Scale::Smoke).len());
         for pair in records.chunks(2) {
             assert_eq!(pair[0].workload, pair[1].workload);
@@ -161,10 +147,10 @@ mod tests {
             for r in pair {
                 assert!(r.samples_per_sec > 0.0, "{}: no throughput", r.solver);
                 assert!(r.mean_quality.is_some(), "{}: infeasible", r.solver);
+                assert_eq!(r.repeats, ctx.repeats);
             }
         }
-        let table = ladder_table(&records);
-        assert_eq!(table.rows.len(), records.len());
+        assert_eq!(set.tables[0].rows.len(), records.len());
     }
 
     #[test]

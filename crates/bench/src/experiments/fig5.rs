@@ -16,9 +16,10 @@ use waso_algos::SolverSpec;
 use waso_core::WasoInstance;
 use waso_datasets::synthetic;
 
-use crate::report::{Cell, Table, TableSet};
+use crate::report::{BenchRecord, Cell, Table, TableSet};
 use crate::runner::{
-    harness_spec, measure_spec, measure_spec_avg, roster_specs, ExperimentContext,
+    bench_record, cores, harness_spec, measure_spec, measure_spec_avg, roster_specs,
+    ExperimentContext,
 };
 
 pub(crate) const STAGES: u32 = 10;
@@ -166,26 +167,31 @@ pub fn time_vs_n(ctx: &ExperimentContext) -> TableSet {
     set
 }
 
-/// Figure 5(d): multi-threaded CBAS-ND speedup (1/2/4/8 threads).
-pub fn parallel_speedup(ctx: &ExperimentContext) -> TableSet {
+/// Thread counts of the Figure 5(d) sweep.
+pub const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Figure 5(d): multi-threaded CBAS-ND speedup. For each k it measures
+/// the serial solver, then a per-solve pool at each [`THREAD_SWEEP`]
+/// width, each as one [`BenchRecord`] (median of `ctx.repeats` solves);
+/// the records are the 5(d) rows of `BENCH_engine.json`.
+pub fn parallel_speedup(ctx: &ExperimentContext) -> (TableSet, Vec<BenchRecord>) {
     let registry = waso::registry();
     let g = synthetic::facebook_like(ctx.scale, ctx.seed);
-    let threads = [1usize, 2, 4, 8];
+    let n = g.num_nodes();
     let ks: Vec<usize> = match ctx.scale {
         waso_datasets::Scale::Smoke => vec![10],
         _ => vec![10, 20, 30],
     };
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
     let mut time = Table::new(
         "fig5d",
         format!(
-            "Figure 5(d): CBAS-ND execution time vs threads, seconds \
-             (host has {cores} cores — the attainable ceiling; the paper used 40)"
+            "Figure 5(d): CBAS-ND median execution time vs threads, seconds \
+             (host has {} cores — the attainable ceiling; the paper used 40)",
+            cores()
         ),
         &[
             "k",
+            "serial",
             "1 thread",
             "2 threads",
             "4 threads",
@@ -194,29 +200,26 @@ pub fn parallel_speedup(ctx: &ExperimentContext) -> TableSet {
         ],
     );
     // A heavier budget so the parallel section dominates.
-    let budget = ctx.budget() * 4;
-    let m = Some(ctx.harness_m(g.num_nodes()));
+    let serial = cbasnd_spec(ctx.budget() * 4, Some(ctx.harness_m(n)));
+    let mut records = Vec::new();
     for &k in &ks {
         let inst = Arc::new(WasoInstance::new(g.clone(), k).expect("k <= n"));
-        let mut secs = Vec::new();
-        for &t in &threads {
-            let spec = cbasnd_spec(budget, m).threads(t);
-            let meas = measure_spec(&registry, &spec, &inst, ctx.seed);
-            secs.push(meas.seconds);
-        }
-        let speedup = secs[0] / secs[3].max(1e-12);
-        time.push_row(vec![
-            Cell::from(k),
-            Cell::from(secs[0]),
-            Cell::from(secs[1]),
-            Cell::from(secs[2]),
-            Cell::from(secs[3]),
-            Cell::from(speedup),
-        ]);
+        let workload = format!("facebook-like/n={n}/k={k}");
+        let widths = std::iter::once((0, serial.clone()))
+            .chain(THREAD_SWEEP.map(|t| (t, serial.clone().threads(t))));
+        let per_k: Vec<BenchRecord> = widths
+            .map(|(threads, spec)| bench_record(&registry, &workload, &spec, threads, &inst, ctx))
+            .collect();
+        let secs: Vec<f64> = per_k.iter().map(|r| r.wall_seconds).collect();
+        let mut row = vec![Cell::from(k)];
+        row.extend(secs.iter().map(|&s| Cell::from(s)));
+        row.push(Cell::from(secs[1] / secs[4].max(1e-12)));
+        time.push_row(row);
+        records.extend(per_k);
     }
     let mut set = TableSet::new();
     set.push(time);
-    set
+    (set, records)
 }
 
 /// Figures 5(e)+(f): time and quality vs total budget T.
@@ -457,11 +460,34 @@ mod tests {
     }
 
     #[test]
-    fn parallel_speedup_reports_all_thread_counts() {
-        let set = parallel_speedup(&smoke());
+    fn parallel_speedup_records_every_width_with_identical_quality() {
+        let mut ctx = smoke();
+        ctx.repeats = 3;
+        let (set, records) = parallel_speedup(&ctx);
         let t = &set.tables[0];
-        assert_eq!(t.columns.len(), 6);
-        assert!(!t.rows.is_empty());
+        assert_eq!(t.columns.len(), 7);
+        let widths = 1 + THREAD_SWEEP.len();
+        assert_eq!(records.len(), t.rows.len() * widths);
+        for per_k in records.chunks(widths) {
+            assert_eq!(per_k[0].threads, 0, "serial comes first");
+            assert!(per_k[0].mean_quality.is_some());
+            for (r, threads) in per_k[1..].iter().zip(THREAD_SWEEP) {
+                assert_eq!(r.threads, threads);
+                assert_eq!(r.workload, per_k[0].workload);
+                // The determinism contract at bench level: every width
+                // solves the same seeds to the same groups.
+                assert_eq!(r.mean_quality, per_k[0].mean_quality, "{}", r.solver);
+            }
+        }
+        for r in &records {
+            assert_eq!(r.repeats, ctx.repeats);
+            assert!(
+                r.wall_seconds_p25 <= r.wall_seconds && r.wall_seconds <= r.wall_seconds_p75,
+                "{}: median outside its IQR",
+                r.solver
+            );
+            assert!(r.samples_per_sec > 0.0, "{}: no throughput", r.solver);
+        }
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! paper plots (x value + one column per algorithm). Tables render as
 //! GitHub markdown (for EXPERIMENTS.md) and CSV (for replotting).
 //!
-//! The engine-throughput trajectory additionally emits machine-readable
-//! [`BenchRecord`]s (workload, solver spec, quality, wall seconds,
-//! samples/sec, thread count) rendered as JSON — the committed
-//! `BENCH_engine.json` yardstick future perf PRs diff against.
+//! The Figure 5(d) thread sweep and the `decomp` ladder additionally emit
+//! machine-readable [`BenchRecord`]s (workload, solver spec, thread
+//! count, repeats, cores, quality, median wall seconds with its
+//! interquartile range, samples/sec) rendered as JSON — the committed
+//! `BENCH_engine.json`.
 
 use std::fmt::Write as _;
 use std::io;
@@ -218,7 +219,8 @@ impl TableSet {
     }
 }
 
-/// One machine-readable throughput measurement of the perf trajectory.
+/// One machine-readable measurement: one solver spec on one workload,
+/// solved `repeats` times with seeds `seed`, `seed + 1`, ….
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Workload identifier, e.g. `facebook-like/n=300/k=10`.
@@ -227,12 +229,20 @@ pub struct BenchRecord {
     pub solver: String,
     /// Worker threads (0 = the solver's serial path).
     pub threads: usize,
-    /// Mean willingness over the measured repeats (`null` when every
+    /// Solves measured.
+    pub repeats: u32,
+    /// Cores available to the measuring process.
+    pub cores: usize,
+    /// Mean willingness over the feasible repeats (`null` when every
     /// repeat was infeasible).
     pub mean_quality: Option<f64>,
-    /// Mean wall-clock seconds per solve.
+    /// Median wall-clock seconds per solve.
     pub wall_seconds: f64,
-    /// Aggregate sampling throughput over the measured repeats.
+    /// 25th percentile of the per-solve wall-clock seconds.
+    pub wall_seconds_p25: f64,
+    /// 75th percentile of the per-solve wall-clock seconds.
+    pub wall_seconds_p75: f64,
+    /// Median per-solve sampling throughput.
     pub samples_per_sec: f64,
 }
 
@@ -270,12 +280,17 @@ pub fn records_to_json(records: &[BenchRecord]) -> String {
         let _ = write!(
             out,
             "  {{\"workload\": \"{}\", \"solver\": \"{}\", \"threads\": {}, \
-             \"mean_quality\": {}, \"wall_seconds\": {}, \"samples_per_sec\": {}}}",
+             \"repeats\": {}, \"cores\": {}, \"mean_quality\": {}, \"wall_seconds\": {}, \
+             \"wall_seconds_p25\": {}, \"wall_seconds_p75\": {}, \"samples_per_sec\": {}}}",
             json_escape(&r.workload),
             json_escape(&r.solver),
             r.threads,
+            r.repeats,
+            r.cores,
             r.mean_quality.map_or("null".to_string(), json_num),
             json_num(r.wall_seconds),
+            json_num(r.wall_seconds_p25),
+            json_num(r.wall_seconds_p75),
             json_num(r.samples_per_sec),
         );
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
@@ -354,16 +369,24 @@ mod tests {
                 workload: "facebook-like/k=10".into(),
                 solver: "cbas-nd:budget=2000,stages=10".into(),
                 threads: 0,
+                repeats: 5,
+                cores: 2,
                 mean_quality: Some(123.456789),
                 wall_seconds: 0.25,
+                wall_seconds_p25: 0.125,
+                wall_seconds_p75: 0.375,
                 samples_per_sec: 8000.0,
             },
             BenchRecord {
                 workload: "planted\"weird\"".into(),
                 solver: "cbas-nd:threads=8".into(),
                 threads: 8,
+                repeats: 1,
+                cores: 2,
                 mean_quality: None,
                 wall_seconds: 0.5,
+                wall_seconds_p25: 0.5,
+                wall_seconds_p75: 0.5,
                 samples_per_sec: f64::NAN,
             },
         ];
@@ -372,6 +395,11 @@ mod tests {
         assert!(json.trim_end().ends_with(']'));
         assert!(json.contains("\"mean_quality\": 123.456789"));
         assert!(json.contains("\"threads\": 8"));
+        assert!(json.contains(
+            "\"repeats\": 5, \"cores\": 2, \"mean_quality\": 123.456789, \
+             \"wall_seconds\": 0.250000, \"wall_seconds_p25\": 0.125000, \
+             \"wall_seconds_p75\": 0.375000, \"samples_per_sec\": 8000.000000}"
+        ));
         assert!(json.contains("\"mean_quality\": null"));
         assert!(json.contains("\"samples_per_sec\": null"), "NaN → null");
         assert!(json.contains("planted\\\"weird\\\""), "quotes escaped");
@@ -388,8 +416,12 @@ mod tests {
             workload: "w".into(),
             solver: "s".into(),
             threads: 1,
+            repeats: 1,
+            cores: 1,
             mean_quality: Some(1.0),
             wall_seconds: 0.1,
+            wall_seconds_p25: 0.1,
+            wall_seconds_p75: 0.1,
             samples_per_sec: 10.0,
         }];
         write_records_json(&records, &path).unwrap();

@@ -12,6 +12,9 @@ use std::time::Instant;
 use waso_algos::{RegistryEntry, SolveError, SolveRequest, Solver, SolverRegistry, SolverSpec};
 use waso_core::WasoInstance;
 use waso_datasets::Scale;
+use waso_stats::percentile;
+
+use crate::report::BenchRecord;
 
 /// A timed solver run: quality, wall-clock seconds and sampling stats.
 #[derive(Debug, Clone)]
@@ -64,6 +67,31 @@ pub fn measure<S: Solver + ?Sized>(solver: &mut S, req: &SolveRequest<'_>) -> Me
     }
 }
 
+/// Runs `measure` once per seed `base_seed`, `base_seed + 1`, … —
+/// `repeats` runs in all.
+fn measure_runs<S: Solver + ?Sized>(
+    solver: &mut S,
+    instance: &Arc<WasoInstance>,
+    base_seed: u64,
+    repeats: u32,
+) -> Vec<Measurement> {
+    assert!(repeats >= 1);
+    (0..repeats)
+        .map(|r| {
+            measure(
+                solver,
+                &SolveRequest::new(instance, base_seed.wrapping_add(r as u64)),
+            )
+        })
+        .collect()
+}
+
+/// Mean willingness over the feasible runs (`None` when none was).
+fn mean_quality(runs: &[Measurement]) -> Option<f64> {
+    let qualities: Vec<f64> = runs.iter().filter_map(|m| m.quality).collect();
+    (!qualities.is_empty()).then(|| qualities.iter().sum::<f64>() / qualities.len() as f64)
+}
+
 /// Averages `measure` over `repeats` seeds (quality mean over feasible
 /// runs; time mean over all runs).
 pub fn measure_avg<S: Solver + ?Sized>(
@@ -72,31 +100,15 @@ pub fn measure_avg<S: Solver + ?Sized>(
     base_seed: u64,
     repeats: u32,
 ) -> Measurement {
-    assert!(repeats >= 1);
-    let mut q_sum = 0.0;
-    let mut q_count = 0u32;
-    let mut t_sum = 0.0;
-    let mut samples = 0u64;
-    let mut truncated = false;
-    for r in 0..repeats {
-        let m = measure(
-            solver,
-            &SolveRequest::new(instance, base_seed.wrapping_add(r as u64)),
-        );
-        if let Some(q) = m.quality {
-            q_sum += q;
-            q_count += 1;
-        }
-        t_sum += m.seconds;
-        samples += m.samples;
-        truncated |= m.truncated;
-    }
+    let runs = measure_runs(solver, instance, base_seed, repeats);
+    let seconds: f64 = runs.iter().map(|m| m.seconds).sum();
+    let samples = runs.iter().map(|m| m.samples).sum();
     Measurement {
-        quality: (q_count > 0).then(|| q_sum / q_count as f64),
-        seconds: t_sum / repeats as f64,
+        quality: mean_quality(&runs),
+        seconds: seconds / repeats as f64,
         samples,
-        truncated,
-        samples_per_sec: throughput(samples, t_sum),
+        truncated: runs.iter().any(|m| m.truncated),
+        samples_per_sec: throughput(samples, seconds),
     }
 }
 
@@ -174,144 +186,14 @@ pub fn measure_spec(
     instance: &Arc<WasoInstance>,
     seed: u64,
 ) -> Measurement {
-    let mut solver = registry
-        .build(spec)
-        .unwrap_or_else(|e| panic!("harness built an unusable spec '{spec}': {e}"));
+    let mut solver = build(registry, spec);
     measure(solver.as_mut(), &SolveRequest::new(instance, seed))
 }
 
-/// The per-solve-spawn baseline for batch comparisons: one solve per
-/// spec, each building the solver anew and (for pooled specs) spawning a
-/// fresh worker pool — exactly what a caller without a session pays.
-/// Quality is the mean over feasible jobs, `seconds` the mean per job,
-/// `samples_per_sec` the aggregate throughput.
-pub fn measure_spec_batch_baseline(
-    registry: &SolverRegistry,
-    specs: &[SolverSpec],
-    instance: &Arc<WasoInstance>,
-    seed: u64,
-) -> Measurement {
-    assert!(!specs.is_empty());
-    let mut q_sum = 0.0;
-    let mut q_count = 0u32;
-    let mut t_sum = 0.0;
-    let mut samples = 0u64;
-    let mut truncated = false;
-    for spec in specs {
-        let m = measure_spec(registry, spec, instance, seed);
-        if let Some(q) = m.quality {
-            q_sum += q;
-            q_count += 1;
-        }
-        t_sum += m.seconds;
-        samples += m.samples;
-        truncated |= m.truncated;
-    }
-    Measurement {
-        quality: (q_count > 0).then(|| q_sum / q_count as f64),
-        seconds: t_sum / specs.len() as f64,
-        samples,
-        truncated,
-        samples_per_sec: throughput(samples, t_sum),
-    }
-}
-
-/// Runs `jobs` on `session` and times them, panicking if any job was
-/// answered from the session memo: a memo hit replays a cached result in
-/// O(1), so a measurement that includes one times a lookup, not a solve.
-fn time_real_solves<T>(session: &waso::WasoSession, jobs: impl FnOnce() -> T) -> (T, f64) {
-    let hits = session.memo_stats().hits;
-    let t0 = Instant::now();
-    let out = jobs();
-    let seconds = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        session.memo_stats().hits,
-        hits,
-        "a measured job was a memo hit — give every job a distinct spec"
-    );
-    (out, seconds)
-}
-
-/// Aggregates a slice of per-job session outcomes measured over
-/// `seconds` of wall clock: quality mean over feasible jobs, `seconds`
-/// the mean per job, `samples_per_sec` the aggregate throughput.
-/// Spec-level failures are harness bugs and panic loudly; infeasible
-/// jobs are recorded, like [`measure`].
-fn aggregate_session_jobs(
-    specs: &[SolverSpec],
-    outcomes: Vec<Result<waso::algos::SolveResult, waso::SessionError>>,
-    seconds: f64,
-) -> Measurement {
-    let mut q_sum = 0.0;
-    let mut q_count = 0u32;
-    let mut samples = 0u64;
-    let mut truncated = false;
-    for (spec, outcome) in specs.iter().zip(outcomes) {
-        match outcome {
-            Ok(res) => {
-                q_sum += res.group.willingness();
-                q_count += 1;
-                samples += res.stats.samples_drawn;
-                truncated |= res.stats.truncated;
-            }
-            Err(waso::SessionError::Solve(SolveError::NoFeasibleGroup)) => {}
-            Err(e) => panic!("batch job '{spec}' misbehaved: {e}"),
-        }
-    }
-    Measurement {
-        quality: (q_count > 0).then(|| q_sum / q_count as f64),
-        seconds: seconds / specs.len() as f64,
-        samples,
-        truncated,
-        samples_per_sec: throughput(samples, seconds),
-    }
-}
-
-/// Runs `specs` through one [`waso::WasoSession::solve_batch`] — the
-/// instance validated and cloned once, every pooled job sharing the
-/// session's worker pool, independent jobs running **concurrently** over
-/// its scheduler — and measures the whole batch.
-pub fn measure_session_batch(session: &waso::WasoSession, specs: &[SolverSpec]) -> Measurement {
-    assert!(!specs.is_empty());
-    let (outcomes, seconds) = time_real_solves(session, || {
-        session
-            .solve_batch(specs)
-            .unwrap_or_else(|e| panic!("harness built an unusable batch session: {e}"))
-    });
-    aggregate_session_jobs(specs, outcomes, seconds)
-}
-
-/// Runs `specs` through one session **one job at a time** — the
-/// sequential counterpart of [`measure_session_batch`]: same shared
-/// instance and worker pool, no job-level concurrency. The gap between
-/// the two rows is what the concurrent scheduler buys.
-pub fn measure_session_each(session: &waso::WasoSession, specs: &[SolverSpec]) -> Measurement {
-    assert!(!specs.is_empty());
-    let (outcomes, seconds) = time_real_solves(session, || {
-        specs.iter().map(|spec| session.solve(spec)).collect()
-    });
-    aggregate_session_jobs(specs, outcomes, seconds)
-}
-
-/// Runs `specs` through explicit job handles, one at a time:
-/// `submit(spec)` + `wait()` per job. Since the blocking
-/// `WasoSession::solve` *is* submit+wait, the gap between this row and
-/// [`measure_session_each`] is pure noise — the record exists so a future
-/// divergence between the two paths (or a regression in the handle
-/// plumbing: thread spawn, channels, control publishing) shows up in the
-/// committed BENCH_engine.json trajectory.
-pub fn measure_session_submit_wait(
-    session: &waso::WasoSession,
-    specs: &[SolverSpec],
-) -> Measurement {
-    assert!(!specs.is_empty());
-    let (outcomes, seconds) = time_real_solves(session, || {
-        specs
-            .iter()
-            .map(|spec| session.submit(spec).and_then(|handle| handle.wait()))
-            .collect()
-    });
-    aggregate_session_jobs(specs, outcomes, seconds)
+fn build(registry: &SolverRegistry, spec: &SolverSpec) -> Box<dyn Solver> {
+    registry
+        .build(spec)
+        .unwrap_or_else(|e| panic!("harness built an unusable spec '{spec}': {e}"))
 }
 
 /// [`measure_spec`] averaged over `repeats` seeds.
@@ -322,10 +204,43 @@ pub fn measure_spec_avg(
     base_seed: u64,
     repeats: u32,
 ) -> Measurement {
-    let mut solver = registry
-        .build(spec)
-        .unwrap_or_else(|e| panic!("harness built an unusable spec '{spec}': {e}"));
-    measure_avg(solver.as_mut(), instance, base_seed, repeats)
+    measure_avg(build(registry, spec).as_mut(), instance, base_seed, repeats)
+}
+
+/// Cores available to this process (1 when the platform cannot tell).
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
+/// Solves `spec` on `instance` `ctx.repeats` times (seeds `ctx.seed`,
+/// `ctx.seed + 1`, …) and summarises the runs as one [`BenchRecord`]:
+/// median wall seconds with its interquartile range, median samples/sec,
+/// and mean quality over the feasible runs.
+pub fn bench_record(
+    registry: &SolverRegistry,
+    workload: &str,
+    spec: &SolverSpec,
+    threads: usize,
+    instance: &Arc<WasoInstance>,
+    ctx: &ExperimentContext,
+) -> BenchRecord {
+    let mut solver = build(registry, spec);
+    let runs = measure_runs(solver.as_mut(), instance, ctx.seed, ctx.repeats);
+    let seconds: Vec<f64> = runs.iter().map(|m| m.seconds).collect();
+    let rates: Vec<f64> = runs.iter().map(|m| m.samples_per_sec).collect();
+    let at = |values: &[f64], p| percentile(values, p).expect("at least one run");
+    BenchRecord {
+        workload: workload.to_string(),
+        solver: spec.to_string(),
+        threads,
+        repeats: ctx.repeats,
+        cores: cores(),
+        mean_quality: mean_quality(&runs),
+        wall_seconds: at(&seconds, 50.0),
+        wall_seconds_p25: at(&seconds, 25.0),
+        wall_seconds_p75: at(&seconds, 75.0),
+        samples_per_sec: at(&rates, 50.0),
+    }
 }
 
 /// Scale-dependent experiment parameters shared across figure drivers.
@@ -335,7 +250,8 @@ pub struct ExperimentContext {
     pub scale: Scale,
     /// Master seed; every generated graph and solver run derives from it.
     pub seed: u64,
-    /// Repetitions for averaged quality measurements.
+    /// Repetitions for averaged quality measurements and per
+    /// [`BenchRecord`].
     pub repeats: u32,
 }
 

@@ -20,7 +20,5 @@ pub mod synthetic;
 pub mod userstudy;
 
 pub use external::{load_edge_list, ExternalDataset};
-pub use synthetic::{
-    dblp_like, facebook_like, flickr_like, planted_partition_like, DatasetSpec, Scale,
-};
+pub use synthetic::{dblp_like, facebook_like, flickr_like, DatasetSpec, Scale};
 pub use userstudy::{ManualOutcome, ManualPlanner, ManualPlannerConfig, Opinion};

@@ -67,9 +67,8 @@ pub const FLICKR: DatasetSpec = DatasetSpec {
 /// Planted-partition benchmark workload (not one of the paper's crawls):
 /// ~50-person communities with near-uniform internal degrees, the regime
 /// where OCBA's budget concentrates on whole communities rather than hubs.
-/// The second workload of the engine-throughput trajectory
-/// (`BENCH_engine.json`) precisely because pruning behaves differently
-/// here than on the heavy-tailed BA-style graphs.
+/// The workload of the `decomp` ladder (`BENCH_engine.json`): its
+/// communities are what the decomposition solver partitions along.
 pub const PLANTED: DatasetSpec = DatasetSpec {
     name: "planted-partition",
     nodes: (300, 2_000, 100_000),
@@ -159,11 +158,6 @@ pub fn flickr_like_n(n: usize, seed: u64) -> SocialGraph {
         generate::community_ba(n, community, 5.min(hi), hi, 2.0, &mut rng)
     };
     ScoreModel::paper_asymmetric().realize(&topo, &mut rng)
-}
-
-/// Planted-partition network at a named scale.
-pub fn planted_partition_like(scale: Scale, seed: u64) -> SocialGraph {
-    planted_partition_like_n(PLANTED.node_count(scale), seed)
 }
 
 /// Planted-partition network with an explicit node count
@@ -274,7 +268,7 @@ mod tests {
 
     #[test]
     fn planted_partition_like_hits_target_density() {
-        let g = planted_partition_like(Scale::Smoke, 6);
+        let g = planted_partition_like_n(PLANTED.node_count(Scale::Smoke), 6);
         assert_eq!(g.num_nodes(), PLANTED.node_count(Scale::Smoke));
         let stats = metrics::degree_stats(&g).unwrap();
         assert!(
@@ -295,9 +289,10 @@ mod tests {
 
     #[test]
     fn planted_partition_like_is_deterministic() {
+        let n = PLANTED.node_count(Scale::Smoke);
         assert_eq!(
-            planted_partition_like(Scale::Smoke, 9),
-            planted_partition_like(Scale::Smoke, 9)
+            planted_partition_like_n(n, 9),
+            planted_partition_like_n(n, 9)
         );
     }
 
@@ -307,7 +302,7 @@ mod tests {
             facebook_like(Scale::Smoke, 5),
             dblp_like(Scale::Smoke, 5),
             flickr_like(Scale::Smoke, 5),
-            planted_partition_like(Scale::Smoke, 5),
+            planted_partition_like_n(PLANTED.node_count(Scale::Smoke), 5),
         ] {
             let max_eta = g.interests().iter().cloned().fold(f64::MIN, f64::max);
             assert!((max_eta - 1.0).abs() < 1e-9, "interest max {max_eta}");

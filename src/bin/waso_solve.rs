@@ -14,9 +14,9 @@
 //!   --start-nodes M       shorthand for the start-nodes= spec option
 //!   --threads N           shorthand for the threads= spec option
 //!   --deadline-ms MS      shorthand for the deadline_ms= spec option:
-//!                         stop at the next stage boundary once the
-//!                         wall-clock budget elapses, returning the best
-//!                         incumbent found so far (anytime solvers)
+//!                         stop within one sample once the wall-clock
+//!                         budget elapses, returning the incumbent of the
+//!                         last completed stage (anytime solvers)
 //!   --patience N          shorthand for the patience= spec option: stop
 //!                         after N consecutive non-improving stages
 //!   --require ID          required attendee (repeatable; enforced for

@@ -35,7 +35,8 @@
 //! [`WasoSession::submit`] / [`WasoSession::submit_batch`] return
 //! [`SolveHandle`]s that poll ([`SolveHandle::try_result`]), block
 //! ([`SolveHandle::wait`]), cancel ([`SolveHandle::cancel`] — the job
-//! stops at its next stage boundary and returns its best-so-far group),
+//! stops within one sample and returns the best group of its last
+//! completed stage),
 //! report progress, and stream improving incumbents
 //! ([`SolveHandle::incumbents`]); the spec knobs `deadline_ms=` and
 //! `patience=` bound a job's latency declaratively. The blocking calls
@@ -490,8 +491,8 @@ impl WasoSession {
     /// Submits a solve as a background **job** and returns its
     /// [`SolveHandle`] immediately. The handle can [`SolveHandle::wait`]
     /// for the result, [`SolveHandle::try_result`] without blocking,
-    /// [`SolveHandle::cancel`] the job (it stops at the next stage
-    /// boundary, returning its current incumbent tagged
+    /// [`SolveHandle::cancel`] the job (it stops within one sample,
+    /// returning the incumbent of its last completed stage tagged
     /// [`waso_algos::Termination::Cancelled`]), watch
     /// [`SolveHandle::progress`], and stream each improving incumbent via
     /// [`SolveHandle::incumbents`]. The spec's `deadline_ms=` /
@@ -876,8 +877,8 @@ fn drain_jobs(jobs: &Mutex<JobQueue>) {
 /// Dropping a handle without waiting **cancels** its job — a handle is
 /// the only way to receive the result, so an abandoned job would be pure
 /// waste (the serving analogy: the client hung up). The cancel stops the
-/// job at its next stage boundary; worker threads belong to the session's
-/// pool and are never leaked either way.
+/// job within one sample; worker threads belong to the session's pool
+/// and are never leaked either way.
 #[derive(Debug)]
 pub struct SolveHandle {
     control: Arc<JobControl>,
@@ -969,10 +970,10 @@ impl SolveHandle {
         self.result.clone()
     }
 
-    /// Requests cancellation: the job stops dealing work at its next
-    /// stage boundary and its result becomes the current incumbent,
-    /// tagged [`waso_algos::Termination::Cancelled`] (or
-    /// [`SolveError::NoIncumbent`] if no stage had completed).
+    /// Requests cancellation: the job stops within one sample, abandons
+    /// its in-flight stage, and its result becomes the incumbent of the
+    /// last completed stage, tagged [`waso_algos::Termination::Cancelled`]
+    /// (or [`SolveError::NoIncumbent`] if no stage had completed).
     /// Idempotent; a no-op once the job finished.
     pub fn cancel(&self) {
         self.control.cancel();
