@@ -635,8 +635,9 @@ impl Solver for StagedEngine {
     /// published after every stage. A threaded engine runs as one job of
     /// `req.pool`, sharing its workers with every other job it serves
     /// (§5.3.1, Figure 5(d)); with no pool it creates one of its
-    /// `threads` workers for the solve and drops it at the end. A worker
-    /// panic is healed by the pool instead of failing the solve.
+    /// `threads` workers for the solve and drops it at the end. A chunk
+    /// whose draw panics is re-drawn in place by its worker instead of
+    /// failing the solve.
     ///
     /// Required attendees seed every sample's growth (CBAS-ND only;
     /// uniform CBAS rejects them). The required set need not be connected

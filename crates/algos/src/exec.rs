@@ -9,7 +9,8 @@
 //!   single span with the pool workers' own span loop;
 //! * a job of a [`SharedPool`] — a pool of owned
 //!   threads that any number of sessions and solves attach to
-//!   concurrently, with a job-level scheduler and self-healing workers.
+//!   concurrently, with a job-level scheduler and workers that re-draw
+//!   a panicking chunk in place.
 //!   A threaded solve that is handed no pool creates a `SharedPool` of
 //!   its own and drops it when the solve ends.
 //!
@@ -76,7 +77,7 @@ pub(crate) struct WorkItem {
 /// workers only ever *read* these fields, so a worker that panics while
 /// holding a read guard leaves the data untouched — treating that as
 /// poison would let one injected (or real) worker panic wedge every other
-/// job sharing the state, defeating the pool's self-healing.
+/// job sharing the state, defeating the pool's in-place re-draws.
 pub(crate) struct StageShared {
     /// The current stage's flattened work list (reused across stages).
     pub items: RwLock<Vec<WorkItem>>,

@@ -1,4 +1,4 @@
-//! [`SharedPool`] — the process-wide, self-healing worker pool.
+//! [`SharedPool`] — the process-wide worker pool.
 //!
 //! One set of owned worker threads serves **any number of concurrent
 //! solves** ("jobs"): every `WasoSession` of a process can attach to the
@@ -13,29 +13,28 @@
 //!   between a heavy job's chunks instead of queueing behind the heavy
 //!   job as a whole.
 //! * **Per-(job, worker) reply channels.** Each job attaches to each
-//!   worker with its own reply channel. A worker that panics unwinds its
-//!   job table, dropping every reply sender it held — so *every* attached
-//!   job observes the death as a disconnect on its own result channel,
-//!   never as a hang. `std::sync::mpsc` delivers all sent messages before
-//!   reporting disconnection, so a reply that was actually produced is
-//!   never re-drawn.
-//! * **Generation-tagged slots.** Each worker slot carries a generation
-//!   counter. The first coordinator to observe a death respawns the
-//!   worker under the slot's lock and bumps the generation; coordinators
-//!   that observed the same dead generation find it already healed,
-//!   re-attach, and re-issue exactly the chunks whose replies never
-//!   arrived. The pool never poisons: a panicked worker costs one respawn
-//!   and a re-draw of its in-flight samples, nothing else.
+//!   worker with its own reply channel, so a worker's answers reach
+//!   exactly the job that asked. A worker that somehow exits drops every
+//!   reply sender it held, and every attached job observes that as a
+//!   disconnect on its own channel and panics loudly — never a hang.
+//! * **Re-draw in place.** A worker draws each chunk under
+//!   `catch_unwind`. A panicking draw costs the job's sampler (its
+//!   workspace may be mid-update): the worker builds a fresh one and
+//!   draws the whole span again. The thread never dies, so no job ever
+//!   loses its worker. After `MAX_REDRAWS_PER_CHUNK` panics in a row
+//!   the failure is deterministic (a sampler bug, not a fluke): the
+//!   worker answers "gave up" and the job's coordinator panics.
 //!
 //! Determinism is untouched by any of this: samples draw from per-item
-//! RNG streams and merge by item index, so *which* worker (or its
-//! replacement) draws a sample is invisible in results. A solve over a
+//! RNG streams and merge by item index, so *which* worker draws a
+//! sample, and how many times, is invisible in results. A solve over a
 //! shared pool is bit-identical to the same solve run serially,
 //! regardless of how many other jobs or sessions share the pool
 //! (`tests/properties.rs` pins this down; the failure-injection suite
-//! pins the healing path).
+//! pins the re-draw path).
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -46,11 +45,10 @@ use waso_graph::NodeId;
 use super::{draw_span, SolveCtx, Span, StageExec};
 use crate::sampler::{Sample, Sampler};
 
-/// How many consecutive instant worker deaths a coordinator tolerates
-/// while healing one slot before concluding the failure is deterministic
-/// (e.g. a sampler bug that kills every replacement too) and panicking
-/// loudly instead of respawning forever.
-const MAX_HEALS_PER_CHUNK: usize = 16;
+/// How many panics in a row a worker tolerates while drawing one chunk
+/// before concluding the failure is deterministic (e.g. a sampler bug
+/// that every fresh sampler hits too) and giving the chunk up.
+const MAX_REDRAWS_PER_CHUNK: u32 = 16;
 
 /// The per-slot deal of one stage: worker `w` of `T` draws items
 /// `w, w+T, w+2T, …`. Every item is dealt exactly once and results merge
@@ -92,8 +90,10 @@ struct ChunkReply {
     buf: Vec<(usize, Option<Sample>)>,
     empties: Vec<Vec<NodeId>>,
     /// Whether the span was drawn in full (`false`: the job's stop signal
-    /// tripped mid-span; the engine abandons the stage).
-    complete: bool,
+    /// tripped mid-span; the engine abandons the stage). `None`: every
+    /// one of [`MAX_REDRAWS_PER_CHUNK`] draws panicked and the worker
+    /// gave the chunk up.
+    complete: Option<bool>,
 }
 
 /// Worker-side state for one attached job.
@@ -103,50 +103,54 @@ struct WorkerJob {
     reply: Sender<ChunkReply>,
 }
 
-/// The test-only failure hook: arms one `(slot, stage)` pair; the worker
-/// in that slot panics on the first chunk it receives for that stage.
-/// Fires once, then disarms itself.
+/// A sampler for `ctx`'s instance, honouring its blocked set.
+fn job_sampler(ctx: &SolveCtx) -> Sampler {
+    let mut sampler = Sampler::for_instance(&ctx.instance);
+    sampler.set_blocked(ctx.blocked.clone());
+    sampler
+}
+
+/// The test-only failure hook: arms one `(slot, stage)` pair with a
+/// number of fires; the worker in that slot panics on that many draws
+/// of that stage's chunks, then the hook disarms itself.
 #[derive(Default)]
 struct FailPoint {
     armed: AtomicBool,
-    plan: Mutex<Option<(usize, u64)>>,
+    plan: Mutex<Option<(usize, u64, u32)>>,
 }
 
 impl FailPoint {
-    fn arm(&self, slot: usize, stage: u64) {
-        *self.plan.lock().unwrap_or_else(PoisonError::into_inner) = Some((slot, stage));
+    fn arm(&self, slot: usize, stage: u64, fires: u32) {
+        *self.plan.lock().unwrap_or_else(PoisonError::into_inner) = Some((slot, stage, fires));
         self.armed.store(true, Ordering::SeqCst);
     }
 
-    /// Panics iff the armed plan matches; called by workers per chunk.
+    /// Panics iff the armed plan matches; called by workers per draw,
+    /// inside the draw's `catch_unwind`.
     fn check(&self, slot: usize, stage: u64) {
         if !self.armed.load(Ordering::Relaxed) {
             return;
         }
         let mut plan = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
-        if *plan == Some((slot, stage)) {
-            *plan = None;
-            self.armed.store(false, Ordering::SeqCst);
+        if let Some((_, _, fires)) = plan.filter(|&(s, st, _)| (s, st) == (slot, stage)) {
+            *plan = (fires > 1).then(|| (slot, stage, fires - 1));
+            self.armed.store(plan.is_some(), Ordering::SeqCst);
             drop(plan); // release before unwinding — don't poison the hook
-                        // audit:allow(P2): test-only fault-injection hook — panicking on cue is its entire purpose, and it only fires when a test arms it
             panic!("injected failure: shared-pool worker {slot} at stage {stage}");
         }
     }
 }
 
-/// One worker slot of the pool. The generation counter distinguishes a
-/// slot's successive incarnations, so concurrent coordinators that saw
-/// the same death respawn at most one replacement.
-struct Slot {
-    generation: u64,
-    tx: Sender<WorkerMsg>,
-    handle: Option<JoinHandle<()>>,
+/// State every worker shares with the pool: the failure hook and the
+/// re-draw counter.
+#[derive(Default)]
+struct PoolShared {
+    fail: FailPoint,
+    redraws: AtomicU64,
 }
 
 /// Per-slot utilization gauge, shared between the pool (snapshot reads)
-/// and the slot's current worker thread (writes). The gauge belongs to
-/// the *slot*, not the thread: a respawned replacement inherits it, so
-/// `chunks_processed` counts the slot's lifetime work.
+/// and the slot's worker thread (writes).
 #[derive(Debug, Default)]
 struct WorkerGauge {
     /// `true` while the worker is drawing a chunk (between dequeue and
@@ -182,8 +186,9 @@ pub struct PoolStats {
     pub queued_chunks: Vec<(u64, u64)>,
     /// Per-slot busy/idle flags and lifetime chunk counters.
     pub workers: Vec<WorkerStats>,
-    /// Workers respawned after a panic ([`SharedPool::respawned_workers`]).
-    pub respawned_workers: u64,
+    /// Chunk draws that panicked and were discarded
+    /// ([`SharedPool::redrawn_chunks`]).
+    pub redrawn_chunks: u64,
 }
 
 impl PoolStats {
@@ -200,58 +205,41 @@ impl PoolStats {
 
 impl std::fmt::Display for PoolStats {
     /// One line for logs/benches: `3 workers (1 busy), 2 jobs, 5 queued
-    /// chunks, 0 respawns`.
+    /// chunks, 0 re-draws`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} workers ({} busy), {} jobs, {} queued chunks, {} respawns",
+            "{} workers ({} busy), {} jobs, {} queued chunks, {} re-draws",
             self.threads,
             self.busy_workers(),
             self.active_jobs,
             self.total_queued(),
-            self.respawned_workers
+            self.redrawn_chunks
         )
     }
 }
 
-/// The process-wide, self-healing worker pool. See the module docs for
-/// the scheduling and recovery model; construction is [`SharedPool::new`].
-/// Share one across sessions with `Arc<SharedPool>` — every method takes
-/// `&self`.
+/// The process-wide worker pool. See the module docs for the scheduling
+/// and panic model; construction is [`SharedPool::new`]. Share one
+/// across sessions with `Arc<SharedPool>` — every method takes `&self`.
 pub struct SharedPool {
-    slots: Vec<Mutex<Slot>>,
-    /// Slot-lifetime utilization gauges; replacements inherit their
-    /// slot's gauge.
+    /// Each worker's inbox, by slot.
+    inboxes: Vec<Sender<WorkerMsg>>,
+    workers: Vec<JoinHandle<()>>,
     gauges: Vec<Arc<WorkerGauge>>,
-    threads: usize,
     next_job: AtomicU64,
-    respawns: AtomicU64,
     /// In-flight chunk counts per active job (dispatched, not collected).
     job_depths: Mutex<BTreeMap<u64, u64>>,
-    fail: Arc<FailPoint>,
+    shared: Arc<PoolShared>,
 }
 
 impl std::fmt::Debug for SharedPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedPool")
-            .field("threads", &self.threads)
-            .field("respawns", &self.respawns.load(Ordering::Relaxed))
+            .field("threads", &self.threads())
+            .field("redrawn_chunks", &self.redrawn_chunks())
             .finish_non_exhaustive()
     }
-}
-
-fn spawn_worker(
-    slot: usize,
-    fail: Arc<FailPoint>,
-    gauge: Arc<WorkerGauge>,
-) -> (Sender<WorkerMsg>, JoinHandle<()>) {
-    let (tx, rx) = channel::<WorkerMsg>();
-    let handle = std::thread::Builder::new()
-        .name(format!("waso-pool-{slot}"))
-        .spawn(move || worker_loop(slot, rx, fail, gauge))
-        // audit:allow(P2): thread exhaustion at pool construction/heal — a pool that cannot run workers cannot make progress, so fail fast
-        .expect("spawning a shared-pool worker thread");
-    (tx, handle)
 }
 
 /// The worker body: a job table keyed by job id, chunks drawn with the
@@ -259,21 +247,12 @@ fn spawn_worker(
 /// for an unknown job id is stale (the job detached or its coordinator
 /// died) and is dropped; a reply that cannot be delivered detaches the
 /// job explicitly — teardown never depends on channel-drop ordering.
-fn worker_loop(
-    slot: usize,
-    rx: Receiver<WorkerMsg>,
-    fail: Arc<FailPoint>,
-    gauge: Arc<WorkerGauge>,
-) {
+fn worker_loop(slot: usize, rx: Receiver<WorkerMsg>, shared: &PoolShared, gauge: &WorkerGauge) {
     let mut jobs: BTreeMap<u64, WorkerJob> = BTreeMap::new();
-    // A replacement inherits its slot's gauge; clear the busy flag its
-    // panicked predecessor may have left set.
-    gauge.busy.store(false, Ordering::Relaxed);
     while let Ok(msg) = rx.recv() {
         match msg {
             WorkerMsg::Attach { job, ctx, reply } => {
-                let mut sampler = Sampler::for_instance(&ctx.instance);
-                sampler.set_blocked(ctx.blocked.clone());
+                let sampler = job_sampler(&ctx);
                 jobs.insert(
                     job,
                     WorkerJob {
@@ -293,17 +272,14 @@ fn worker_loop(
                 mut buf,
                 mut recycled,
             } => {
-                gauge.busy.store(true, Ordering::Relaxed);
-                fail.check(slot, stage);
                 let Some(entry) = jobs.get_mut(&job) else {
-                    gauge.busy.store(false, Ordering::Relaxed);
                     continue; // stale chunk of a detached job
                 };
-                buf.clear();
+                gauge.busy.store(true, Ordering::Relaxed);
                 for spent in recycled.drain(..) {
                     entry.sampler.recycle(spent);
                 }
-                let complete = draw_span(&mut entry.sampler, &entry.ctx, stage, span, &mut buf);
+                let complete = draw_chunk(slot, shared, entry, stage, span, &mut buf);
                 // Gauge updates precede the reply send: the channel's
                 // synchronization publishes them, so a coordinator that
                 // has collected every reply observes an idle pool.
@@ -325,52 +301,84 @@ fn worker_loop(
     }
 }
 
+/// Draws `span` into `buf`, catching panics: a panicked draw's samples
+/// and sampler are discarded and the whole span is drawn again by a
+/// fresh sampler — bit-identically, since every item has its own RNG
+/// stream. `None` after [`MAX_REDRAWS_PER_CHUNK`] panics in a row.
+fn draw_chunk(
+    slot: usize,
+    shared: &PoolShared,
+    entry: &mut WorkerJob,
+    stage: u64,
+    span: Span,
+    buf: &mut Vec<(usize, Option<Sample>)>,
+) -> Option<bool> {
+    for _ in 0..MAX_REDRAWS_PER_CHUNK {
+        buf.clear();
+        let drawn = catch_unwind(AssertUnwindSafe(|| {
+            shared.fail.check(slot, stage);
+            draw_span(&mut entry.sampler, &entry.ctx, stage, span, buf)
+        }));
+        match drawn {
+            Ok(complete) => return Some(complete),
+            Err(_) => {
+                shared.redraws.fetch_add(1, Ordering::SeqCst);
+                entry.sampler = job_sampler(&entry.ctx);
+            }
+        }
+    }
+    None
+}
+
 impl SharedPool {
     /// A pool of `threads` owned workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let fail = Arc::new(FailPoint::default());
+        let shared = Arc::new(PoolShared::default());
         let gauges: Vec<Arc<WorkerGauge>> = (0..threads)
             .map(|_| Arc::new(WorkerGauge::default()))
             .collect();
-        let slots = gauges
+        let (inboxes, workers) = gauges
             .iter()
             .enumerate()
-            .map(|(s, gauge)| {
-                let (tx, handle) = spawn_worker(s, Arc::clone(&fail), Arc::clone(gauge));
-                Mutex::new(Slot {
-                    generation: 0,
-                    tx,
-                    handle: Some(handle),
-                })
+            .map(|(slot, gauge)| {
+                let (tx, rx) = channel::<WorkerMsg>();
+                let (shared, gauge) = (Arc::clone(&shared), Arc::clone(gauge));
+                let handle = std::thread::Builder::new()
+                    .name(format!("waso-pool-{slot}"))
+                    .spawn(move || worker_loop(slot, rx, &shared, &gauge))
+                    // audit:allow(P2): thread exhaustion at pool construction — a pool that cannot run workers cannot make progress, so fail fast
+                    .expect("spawning a shared-pool worker thread");
+                (tx, handle)
             })
-            .collect();
+            .unzip();
         Self {
-            slots,
+            inboxes,
+            workers,
             gauges,
-            threads,
             next_job: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
             job_depths: Mutex::new(BTreeMap::new()),
-            fail,
+            shared,
         }
     }
 
     /// Worker count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.inboxes.len()
     }
 
-    /// How many workers have been respawned after a panic over the pool's
-    /// lifetime. Zero on a healthy pool; observability for the
-    /// failure-injection suite and for serving-side health checks.
-    pub fn respawned_workers(&self) -> u64 {
-        self.respawns.load(Ordering::SeqCst)
+    /// How many chunk draws panicked and were discarded over the pool's
+    /// lifetime — each one re-drawn in place, or, for the last of
+    /// `MAX_REDRAWS_PER_CHUNK` in a row, given up. Zero on a healthy
+    /// pool; observability for the failure-injection suite and for
+    /// serving-side health checks.
+    pub fn redrawn_chunks(&self) -> u64 {
+        self.shared.redraws.load(Ordering::SeqCst)
     }
 
     /// A point-in-time health snapshot: active jobs, per-job queue
     /// depths (chunks dispatched but not yet collected), per-worker
-    /// busy/idle flags and lifetime chunk counters, and the respawn
+    /// busy/idle flags and lifetime chunk counters, and the re-draw
     /// count. Cheap — a handful of relaxed atomic loads plus one short
     /// lock — so serving deployments can scrape it on every health poll.
     pub fn stats(&self) -> PoolStats {
@@ -382,7 +390,7 @@ impl SharedPool {
             .map(|(&job, &depth)| (job, depth))
             .collect();
         PoolStats {
-            threads: self.threads,
+            threads: self.threads(),
             active_jobs: queued_chunks.len(),
             queued_chunks,
             workers: self
@@ -393,7 +401,7 @@ impl SharedPool {
                     chunks_processed: g.chunks.load(Ordering::Relaxed),
                 })
                 .collect(),
-            respawned_workers: self.respawned_workers(),
+            redrawn_chunks: self.redrawn_chunks(),
         }
     }
 
@@ -415,17 +423,16 @@ impl SharedPool {
     }
 
     /// Test-only failure injection: the worker in `slot` panics on the
-    /// next chunk it receives for stage `stage` (of any job). Fires once.
-    /// The pool detects the death, respawns the worker and re-issues the
-    /// lost samples — results are unchanged; see the failure-injection
-    /// test suite. A `slot >= threads()` never fires. Hidden from the
-    /// documented API: this exists for the cross-crate test suites and
-    /// chaos drills, not for production callers (when disarmed — always,
-    /// outside those suites — it costs one relaxed atomic load per
-    /// chunk).
+    /// next chunk draw for stage `stage` (of any job). Fires once. The
+    /// worker catches the panic and re-draws the chunk in place —
+    /// results are unchanged; see the failure-injection test suite. A
+    /// `slot >= threads()` never fires. Hidden from the documented API:
+    /// this exists for the cross-crate test suites and chaos drills, not
+    /// for production callers (when disarmed — always, outside those
+    /// suites — it costs one relaxed atomic load per chunk).
     #[doc(hidden)]
     pub fn inject_worker_panic(&self, slot: usize, stage: u64) {
-        self.fail.arm(slot, stage);
+        self.shared.fail.arm(slot, stage, 1);
     }
 
     /// Submits one solve as a job: attaches it to every worker and
@@ -434,46 +441,31 @@ impl SharedPool {
     pub(crate) fn submit(&self, ctx: Arc<SolveCtx>) -> PoolJob<'_> {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         self.track_depth(id, Some(0)); // job is now visible in stats()
-        let mut job = PoolJob {
+        let links = self
+            .inboxes
+            .iter()
+            .map(|tx| {
+                let (reply_tx, reply_rx) = channel();
+                // A send to an exited worker fails here; the job then
+                // sees the disconnect at its first collect.
+                let _ = tx.send(WorkerMsg::Attach {
+                    job: id,
+                    ctx: Arc::clone(&ctx),
+                    reply: reply_tx,
+                });
+                Link {
+                    tx: tx.clone(),
+                    reply_rx,
+                }
+            })
+            .collect();
+        PoolJob {
             pool: self,
-            ctx,
             id,
-            links: Vec::with_capacity(self.threads),
+            links,
             spare_bufs: Vec::new(),
             spare_containers: Vec::new(),
-        };
-        for s in 0..self.threads {
-            job.relink(s, None);
         }
-        job
-    }
-
-    /// The current `(sender, generation)` of `slot`, respawning its
-    /// worker first when the caller observed generation `seen_dead` fail.
-    /// Slot locks serialize respawns: whichever coordinator gets there
-    /// first replaces the thread, everyone else sees the bumped
-    /// generation and just re-attaches. `None` for an out-of-range slot
-    /// — callers treat that like a dead worker they cannot heal.
-    fn live_slot(&self, slot: usize, seen_dead: Option<u64>) -> Option<(Sender<WorkerMsg>, u64)> {
-        let mut guard = self
-            .slots
-            .get(slot)?
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if seen_dead == Some(guard.generation) {
-            if let Some(handle) = guard.handle.take() {
-                // The thread has panicked (or is unwinding); join returns
-                // its Err payload, which the respawn supersedes.
-                let _ = handle.join();
-            }
-            let gauge = self.gauges.get(slot).map(Arc::clone).unwrap_or_default();
-            let (tx, handle) = spawn_worker(slot, Arc::clone(&self.fail), gauge);
-            guard.tx = tx;
-            guard.handle = Some(handle);
-            guard.generation += 1;
-            self.respawns.fetch_add(1, Ordering::SeqCst);
-        }
-        Some((guard.tx.clone(), guard.generation))
     }
 }
 
@@ -481,38 +473,29 @@ impl Drop for SharedPool {
     fn drop(&mut self) {
         // Explicit shutdown: close every worker's inbox first (all
         // workers start exiting concurrently), then join. Jobs cannot be
-        // in flight here — a live job borrows the pool.
-        for slot in &mut self.slots {
-            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            let (dead_tx, _) = channel();
-            slot.tx = dead_tx;
-        }
-        for slot in &mut self.slots {
-            let slot = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if let Some(handle) = slot.handle.take() {
-                // A worker that panicked already surfaced the failure to
-                // its coordinators; the join result adds nothing here.
-                let _ = handle.join();
-            }
+        // in flight here — a live job borrows the pool (and its links'
+        // senders are dropped with it).
+        self.inboxes.clear();
+        for handle in self.workers.drain(..) {
+            // Workers catch their draws' panics, so a join error adds
+            // nothing a coordinator has not already reported.
+            let _ = handle.join();
         }
     }
 }
 
-/// A job's link to one worker slot: the slot's sender as of the
-/// generation the job last attached at, plus the job's private reply
-/// channel for that worker.
+/// A job's link to one worker slot: the worker's inbox plus the job's
+/// private reply channel for that worker.
 struct Link {
     tx: Sender<WorkerMsg>,
-    generation: u64,
     reply_rx: Receiver<ChunkReply>,
 }
 
 /// One solve's coordinator handle over a [`SharedPool`]: submits a chunk
-/// per worker per stage, collects and merges the replies, and heals dead
-/// workers as it finds them. Detaches the job from every worker on drop.
+/// per worker per stage and collects and merges the replies. Detaches
+/// the job from every worker on drop.
 pub(crate) struct PoolJob<'p> {
     pool: &'p SharedPool,
-    ctx: Arc<SolveCtx>,
     id: u64,
     links: Vec<Link>,
     /// Result buffers returned by collected chunks, reused by the next
@@ -523,49 +506,8 @@ pub(crate) struct PoolJob<'p> {
 }
 
 impl PoolJob<'_> {
-    /// (Re-)attaches this job to `slot`. `seen_dead` carries the
-    /// generation the caller observed failing (None on first attach);
-    /// the pool respawns the worker if nobody else has yet.
-    fn relink(&mut self, slot: usize, seen_dead: Option<u64>) {
-        let mut seen = seen_dead;
-        for _ in 0..MAX_HEALS_PER_CHUNK {
-            // An out-of-range slot cannot be healed; fall through to the
-            // give-up abort below instead of indexing out of bounds.
-            let Some((tx, generation)) = self.pool.live_slot(slot, seen) else {
-                break;
-            };
-            let (reply_tx, reply_rx) = channel();
-            let attached = tx
-                .send(WorkerMsg::Attach {
-                    job: self.id,
-                    ctx: Arc::clone(&self.ctx),
-                    reply: reply_tx,
-                })
-                .is_ok();
-            if attached {
-                let link = Link {
-                    tx,
-                    generation,
-                    reply_rx,
-                };
-                if let Some(l) = self.links.get_mut(slot) {
-                    *l = link;
-                } else {
-                    debug_assert_eq!(slot, self.links.len());
-                    self.links.push(link);
-                }
-                return;
-            }
-            // The replacement died before taking the attach — treat this
-            // generation as dead too and try again.
-            seen = Some(generation);
-        }
-        // audit:allow(P2): designed abort — after MAX_HEALS_PER_CHUNK consecutive respawn failures the host is too sick to solve; the serve dispatch crew shields jobs with catch_unwind
-        panic!("shared-pool worker {slot} died {MAX_HEALS_PER_CHUNK} times in a row; giving up");
-    }
-
-    /// Sends one chunk to `slot`, healing (respawn + re-attach) on a dead
-    /// worker until the send lands.
+    /// Sends one chunk to `slot`. A send to an exited worker is dropped:
+    /// its reply channel is disconnected too, and `collect` reports it.
     fn dispatch(
         &mut self,
         slot: usize,
@@ -574,101 +516,59 @@ impl PoolJob<'_> {
         slab: &mut Vec<Vec<NodeId>>,
         per_worker: usize,
     ) {
+        // deal_spans only produces slots in 0..links.len(), so a
+        // missing link is unreachable; drop the chunk over panicking.
+        let Some(link) = self.links.get(slot) else {
+            debug_assert!(false, "dispatch to unlinked slot {slot}");
+            return;
+        };
         let buf = self.spare_bufs.pop().unwrap_or_default();
         // Up to `per_worker` spent node buffers ride along to the worker.
         let mut recycled = self.spare_containers.pop().unwrap_or_default();
         let cut = slab.len().saturating_sub(per_worker);
         recycled.extend(slab.drain(cut..));
-        let mut msg = WorkerMsg::Chunk {
+        let msg = WorkerMsg::Chunk {
             job: self.id,
             stage,
             span,
             buf,
             recycled,
         };
-        loop {
-            // deal_spans only produces slots in 0..links.len(), so a
-            // missing link is unreachable; drop the chunk over panicking.
-            let Some(link) = self.links.get(slot) else {
-                debug_assert!(false, "dispatch to unlinked slot {slot}");
-                return;
-            };
-            match link.tx.send(msg) {
-                Ok(()) => {
-                    self.pool.track_depth(self.id, Some(1));
-                    return;
-                }
-                Err(std::sync::mpsc::SendError(undelivered)) => {
-                    // Dead worker noticed at dispatch: heal, then re-send
-                    // the identical chunk. relink panics if replacements
-                    // keep dying, so this loop terminates.
-                    let seen = link.generation;
-                    self.relink(slot, Some(seen));
-                    msg = undelivered;
-                }
-            }
+        if link.tx.send(msg).is_ok() {
+            self.pool.track_depth(self.id, Some(1));
         }
     }
 
-    /// Collects `slot`'s reply for the given chunk, healing and
-    /// re-issuing the chunk when the worker died with it in flight.
-    /// Returns whether the chunk was drawn in full (`false`: the job's
-    /// stop signal tripped mid-span).
-    fn collect(
-        &mut self,
-        slot: usize,
-        stage: u64,
-        span: Span,
-        results: &mut [Option<Sample>],
-    ) -> bool {
-        for _ in 0..MAX_HEALS_PER_CHUNK {
-            // Same invariant as dispatch: every dealt slot has a link.
-            let Some(link) = self.links.get(slot) else {
-                debug_assert!(false, "collect from unlinked slot {slot}");
-                return false;
-            };
-            match link.reply_rx.recv() {
-                Ok(ChunkReply {
-                    mut buf,
-                    empties,
-                    complete,
-                }) => {
-                    for (j, s) in buf.drain(..) {
-                        if let Some(r) = results.get_mut(j) {
-                            *r = s;
-                        }
-                    }
-                    self.spare_bufs.push(buf);
-                    self.spare_containers.push(empties);
-                    self.pool.track_depth(self.id, Some(-1));
-                    return complete;
-                }
-                Err(_) => {
-                    // The worker died before answering: its in-flight
-                    // samples were never drawn (mpsc delivers every sent
-                    // reply before disconnecting), so re-issuing the span
-                    // draws each exactly once. The dead worker's buffers
-                    // are gone; the replacement starts with fresh ones.
-                    let seen = link.generation;
-                    self.relink(slot, Some(seen));
-                    if let Some(link) = self.links.get(slot) {
-                        let _ = link.tx.send(WorkerMsg::Chunk {
-                            job: self.id,
-                            stage,
-                            span,
-                            buf: Vec::new(),
-                            recycled: Vec::new(),
-                        });
-                    }
-                    // A failed re-send means the replacement died too; the
-                    // next recv errors immediately and we heal again.
-                }
+    /// Collects `slot`'s reply for the current chunk and merges it into
+    /// `results`. Returns whether the chunk was drawn in full (`false`:
+    /// the job's stop signal tripped mid-span).
+    fn collect(&mut self, slot: usize, stage: u64, results: &mut [Option<Sample>]) -> bool {
+        // Same invariant as dispatch: every dealt slot has a link.
+        let Some(link) = self.links.get(slot) else {
+            debug_assert!(false, "collect from unlinked slot {slot}");
+            return false;
+        };
+        let Ok(ChunkReply {
+            mut buf,
+            empties,
+            complete: Some(complete),
+        }) = link.reply_rx.recv()
+        else {
+            // audit:allow(P2): designed abort — the worker gave the chunk up after MAX_REDRAWS_PER_CHUNK panics in a row (or exited), so the failure is deterministic and no answer exists; the session hands it to the waiter as SessionError::Panicked
+            panic!(
+                "shared-pool worker {slot} could not draw its stage-{stage} chunk: \
+                 {MAX_REDRAWS_PER_CHUNK} panics in a row, or the worker exited; giving up"
+            );
+        };
+        for (j, s) in buf.drain(..) {
+            if let Some(r) = results.get_mut(j) {
+                *r = s;
             }
         }
-        // audit:allow(P2): designed abort — after MAX_HEALS_PER_CHUNK consecutive worker deaths on one chunk the host is too sick to solve; the serve dispatch crew shields jobs with catch_unwind
-        panic!(
-            "shared-pool worker {slot} died {MAX_HEALS_PER_CHUNK} times re-drawing one chunk; giving up"
-        );
+        self.spare_bufs.push(buf);
+        self.spare_containers.push(empties);
+        self.pool.track_depth(self.id, Some(-1));
+        complete
     }
 }
 
@@ -688,8 +588,8 @@ impl StageExec for PoolJob<'_> {
         // incomplete — workers answer in order, and leaving a reply in
         // flight would corrupt the next stage.
         let mut all_complete = true;
-        for &(slot, span) in &spans {
-            all_complete &= self.collect(slot, stage, span, results);
+        for &(slot, _) in &spans {
+            all_complete &= self.collect(slot, stage, results);
         }
         all_complete
     }
@@ -699,8 +599,8 @@ impl Drop for PoolJob<'_> {
     fn drop(&mut self) {
         self.pool.track_depth(self.id, None);
         for link in &self.links {
-            // Explicit detach; a dead worker (send error) holds no state
-            // for this job anyway, and replies still in flight are
+            // Explicit detach; an exited worker (send error) holds no
+            // state for this job anyway, and replies still in flight are
             // dropped with our receiver — teardown is ordering-free.
             let _ = link.tx.send(WorkerMsg::Detach { job: self.id });
         }
@@ -798,11 +698,11 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(baselines, raced);
-        assert_eq!(pool.respawned_workers(), 0);
+        assert_eq!(pool.redrawn_chunks(), 0);
     }
 
     #[test]
-    fn injected_panic_heals_and_redraws_in_flight_samples() {
+    fn injected_panic_is_redrawn_in_place() {
         let inst = instance(40, 4, 3);
         let healthy = {
             let pool = SharedPool::new(2);
@@ -813,11 +713,11 @@ mod tests {
             pool.inject_worker_panic(slot, 0);
             let wounded = stage_results(&pool, &ctx_with_items(&inst, 10, 5), 10);
             assert_eq!(wounded, healthy, "slot={slot}");
-            assert_eq!(pool.respawned_workers(), 1, "slot={slot}");
-            // The healed pool keeps serving new jobs.
+            assert_eq!(pool.redrawn_chunks(), 1, "slot={slot}");
+            // The pool keeps serving new jobs, with no further re-draws.
             let again = stage_results(&pool, &ctx_with_items(&inst, 10, 5), 10);
             assert_eq!(again, healthy, "slot={slot}");
-            assert_eq!(pool.respawned_workers(), 1, "slot={slot}");
+            assert_eq!(pool.redrawn_chunks(), 1, "slot={slot}");
         }
     }
 
@@ -841,7 +741,7 @@ mod tests {
         let ctx = ctx_with_items(&inst, 8, 9);
         let results = stage_results(&pool, &ctx, 8);
         assert!(results.iter().any(|s| s.is_some()));
-        assert_eq!(pool.respawned_workers(), 0);
+        assert_eq!(pool.redrawn_chunks(), 0);
         drop(pool); // must join cleanly — a hang fails the test by timeout
     }
 
@@ -868,7 +768,7 @@ mod tests {
         let busy = pool.stats();
         assert_eq!(busy.queued_chunks.len(), 1);
         assert_eq!(busy.total_queued(), 1);
-        job.collect(0, 0, Span::stripe(0, 2), &mut vec![None; 8]);
+        job.collect(0, 0, &mut vec![None; 8]);
         let collected = pool.stats();
         assert_eq!(collected.total_queued(), 0);
         assert_eq!(collected.active_jobs, 1, "job still attached");
@@ -882,7 +782,7 @@ mod tests {
         assert_eq!(done.busy_workers(), 0);
         let total: u64 = done.workers.iter().map(|w| w.chunks_processed).sum();
         assert!(total >= 3, "both stages' chunks counted: {total}");
-        assert_eq!(done.respawned_workers, 0);
+        assert_eq!(done.redrawn_chunks, 0);
         // The one-liner renders every gauge.
         let line = done.to_string();
         assert!(line.contains("2 workers"), "{line}");
@@ -890,11 +790,11 @@ mod tests {
     }
 
     #[test]
-    fn stale_links_heal_at_dispatch_after_another_jobs_panic() {
-        // Two jobs share a one-worker pool. Job A's chunk triggers the
-        // injected panic and A heals at collect; job B's link predates
-        // the death, so B's next dispatch hits the send-error path and
-        // must re-attach to the replacement — without a second respawn.
+    fn a_job_attached_before_another_jobs_panic_is_unaffected() {
+        // Two jobs share a one-worker pool. Job B attaches first; job A's
+        // chunk then triggers the injected panic and is re-drawn in
+        // place. The worker never died, so B's link stays good: B's
+        // stage matches the healthy baseline with no further re-draw.
         let inst = instance(30, 3, 6);
         let healthy = {
             let p = SharedPool::new(1);
@@ -906,7 +806,7 @@ mod tests {
         pool.inject_worker_panic(0, 0);
         let a = stage_results(&pool, &ctx_with_items(&inst, 6, 1), 6);
         assert_eq!(a, healthy);
-        assert_eq!(pool.respawned_workers(), 1);
+        assert_eq!(pool.redrawn_chunks(), 1);
         let mut results: Vec<Option<Sample>> = vec![None; 6];
         let mut slab = Vec::new();
         job_b.run_stage(0, &mut results, &mut slab);
@@ -915,6 +815,27 @@ mod tests {
             .map(|s| s.map(|s| s.willingness))
             .collect();
         assert_eq!(b, healthy);
-        assert_eq!(pool.respawned_workers(), 1, "no spurious second respawn");
+        assert_eq!(pool.redrawn_chunks(), 1, "one panic, one re-draw");
+    }
+
+    #[test]
+    fn a_chunk_that_keeps_panicking_is_given_up_and_the_pool_lives_on() {
+        let inst = instance(30, 3, 7);
+        let healthy = {
+            let p = SharedPool::new(2);
+            stage_results(&p, &ctx_with_items(&inst, 8, 2), 8)
+        };
+        let pool = SharedPool::new(2);
+        pool.shared.fail.arm(1, 0, MAX_REDRAWS_PER_CHUNK);
+        let gave_up = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            stage_results(&pool, &ctx_with_items(&inst, 8, 2), 8)
+        }));
+        assert!(gave_up.is_err(), "the coordinator must abort the stage");
+        assert_eq!(pool.redrawn_chunks(), u64::from(MAX_REDRAWS_PER_CHUNK));
+        // The hook is spent and the worker survived its give-up: a later
+        // job on the same pool draws the healthy answer.
+        let again = stage_results(&pool, &ctx_with_items(&inst, 8, 2), 8);
+        assert_eq!(again, healthy);
+        assert_eq!(pool.redrawn_chunks(), u64::from(MAX_REDRAWS_PER_CHUNK));
     }
 }

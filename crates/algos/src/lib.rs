@@ -9,7 +9,7 @@
 //! | [`sampler`] | §3.1 | random growth of partial solutions (uniform / probability-vector weighted) |
 //! | [`ocba`] | §3.1–3.2 | computational-budget allocation across start nodes, stage derivation |
 //! | [`engine`] | §3–§4, §5.3.1 | **the** staged-sampling loop: allocation × distribution × execution |
-//! | [`exec`] | §5.3.1 | stage executors: serial, or a job of the self-healing [`SharedPool`] |
+//! | [`exec`] | §5.3.1 | stage executors: serial, or a job of the process-wide [`SharedPool`] |
 //! | [`cbas`] | §3 | `CbasConfig` — CBAS is the engine with uniform candidate selection |
 //! | [`cross_entropy`] | §4.2–4.3 | sparse node-selection probability vectors, elite updates, smoothing |
 //! | [`cbasnd`] | §4 | `CbasNdConfig` — CBAS-ND(-G) is the engine with cross-entropy neighbour differentiation |

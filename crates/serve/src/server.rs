@@ -18,12 +18,12 @@
 //!    `deadline_from_submit=` has its deadline re-armed against the
 //!    *admission* timestamp, so time spent queued behind other tenants
 //!    counts against the SLA.
-//! 3. **Completion** (the same crew member, waiting on the job inline
-//!    under `catch_unwind`, so a solver panic answers `ERR FAILED`
-//!    instead of killing the crew member): the result is parked in the
-//!    job table for `POLL`/`WAIT`, the tenant's quota slot frees, and
-//!    the crew member goes back for the next job. The table retains the
-//!    newest [`ServeConfig::retain_finished`] terminal responses; older ones
+//! 3. **Completion** (the same crew member, waiting on the job inline;
+//!    a solver panic reaches it as `SessionError::Panicked` and answers
+//!    `ERR FAILED`): the result is parked in the job table for
+//!    `POLL`/`WAIT`, the tenant's quota slot frees, and the crew member
+//!    goes back for the next job. The table retains the newest
+//!    [`ServeConfig::retain_finished`] terminal responses; older ones
 //!    are evicted and answer `ERR UNKNOWN_JOB`, so a long-running
 //!    server's memory is bounded by its retention cap, not by the total
 //!    jobs it has ever served.
@@ -583,12 +583,11 @@ impl Inner {
             // cancelled outcome.
             handle.control().cancel();
         }
-        // `wait` panics if the job's coordinator died (a solver bug);
-        // contain it to this job so the crew member lives on.
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait())) {
-            Ok(Ok(result)) => done_response(&result),
-            Ok(Err(e)) => solve_error_response(&e),
-            Err(_) => err(ErrCode::Failed, "solver panicked".to_string()),
+        // A solver panic arrives as `SessionError::Panicked`, which
+        // answers `ERR FAILED solver panicked` like any other failure.
+        match handle.wait() {
+            Ok(result) => done_response(&result),
+            Err(e) => solve_error_response(&e),
         }
     }
 

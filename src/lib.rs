@@ -12,7 +12,7 @@
 //! parallel runs) executes through **one** stage loop —
 //! [`waso_algos::engine::StagedEngine`] — whose budget-allocation policy,
 //! candidate distribution and execution (serial, or a job of the
-//! self-healing [`waso_algos::SharedPool`] that any number of sessions
+//! process-wide [`waso_algos::SharedPool`] that any number of sessions
 //! share) are orthogonal axes. Every solver is a pure function of
 //! `(instance, seed)`, bit-identical across thread counts, deals,
 //! concurrent batches and even worker panics; see the Architecture

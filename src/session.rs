@@ -124,6 +124,9 @@ pub enum SessionError {
     /// (unknown node, self-loop, adding an existing edge, removing a
     /// missing one).
     Delta(DeltaError),
+    /// The solver panicked (a solver bug). The job's control is finished
+    /// and its coordinator lives on to run the session's next job.
+    Panicked,
 }
 
 impl fmt::Display for SessionError {
@@ -139,6 +142,7 @@ impl fmt::Display for SessionError {
             SessionError::Spec(e) => write!(f, "unusable solver spec: {e}"),
             SessionError::Solve(e) => write!(f, "solve failed: {e}"),
             SessionError::Delta(e) => write!(f, "delta rejected: {e}"),
+            SessionError::Panicked => write!(f, "solver panicked"),
         }
     }
 }
@@ -271,8 +275,8 @@ impl SolveMemo {
 ///   of the process) or spawned on the first solve whose spec asks for
 ///   threads, and reused by every pooled solve after it, amortizing
 ///   thread creation across the session (§5.3.1 at serving scale). The
-///   pool is self-healing (a panicked worker is respawned and its
-///   in-flight samples re-drawn) and its scheduler runs jobs from any
+///   pool's workers survive panics (a panicked chunk is re-drawn in
+///   place by a fresh sampler) and its scheduler runs jobs from any
 ///   number of sessions concurrently. The determinism contract makes all
 ///   of that unobservable in results: solves are bit-identical for every
 ///   worker count and tenant mix, so the session guarantee (same
@@ -801,9 +805,8 @@ struct JobTask {
 }
 
 impl JobTask {
-    /// Runs the solve and reports through the job's channels. Never
-    /// panics past itself: the control is marked finished and the result
-    /// sent (or the sender dropped) no matter how the solve ends.
+    /// Runs the solve and reports through the job's channels. A panic
+    /// unwinds out of here; [`drain_jobs`] answers it.
     fn run(mut self) {
         let req = SolveRequest::new(&self.instance, self.seed)
             .required(&self.required)
@@ -846,9 +849,10 @@ impl JobTask {
 /// uncounting itself happen under the queue lock, so a job enqueued at
 /// that moment sees the freed place and starts a new coordinator.
 ///
-/// A panicking job (a solver bug) is contained: its waiter sees the
-/// death through the dropped result sender, and the coordinator moves on
-/// to the next queued job — one bad job cannot starve the rest.
+/// A panicking job (a solver bug) is contained: its control is
+/// finished, its waiter receives [`SessionError::Panicked`], and the
+/// coordinator moves on to the next queued job — one bad job cannot
+/// starve the rest.
 fn drain_jobs(jobs: &Mutex<JobQueue>) {
     loop {
         let task = {
@@ -865,8 +869,10 @@ fn drain_jobs(jobs: &Mutex<JobQueue>) {
         // incumbents() iterators would block forever and progress()
         // would report the dead job as running.
         let control = Arc::clone(&task.control);
+        let result_tx = task.result_tx.clone();
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run())).is_err() {
             control.finish();
+            let _ = result_tx.send(Err(SessionError::Panicked));
         }
     }
 }
@@ -930,40 +936,26 @@ impl SolveHandle {
 
     /// Blocks until the job finishes and returns its result. Bit-identical
     /// to what the blocking [`WasoSession::solve`] returns — `solve` *is*
-    /// this call.
-    ///
-    /// # Panics
-    ///
-    /// If the job's coordinator thread died without reporting (a solver
-    /// panic) — the same loud failure the blocking call would have been.
+    /// this call. A solver that panicked answers
+    /// [`SessionError::Panicked`].
     pub fn wait(mut self) -> Result<SolveResult, SessionError> {
-        if self.result.is_none() {
-            match self.result_rx.recv() {
-                Ok(outcome) => self.result = Some(outcome),
-                // audit:allow(P2): documented `# Panics` contract — re-raises a solver panic; the serve dispatch crew shields with catch_unwind
-                Err(_) => panic!("solve job died without reporting a result"),
-            }
+        match self.result.take() {
+            Some(outcome) => outcome,
+            None => self.result_rx.recv().unwrap_or(Err(SessionError::Panicked)),
         }
-        // audit:allow(P2): `result` was populated on both branches above
-        self.result.take().expect("result cached above")
     }
 
     /// Non-blocking poll: the job's result if it has finished, `None`
     /// while it is still running. Repeatable; composes with a later
-    /// [`SolveHandle::wait`].
-    ///
-    /// # Panics
-    ///
-    /// If the job's coordinator thread died without reporting (a solver
-    /// panic) — the same loud failure [`SolveHandle::wait`] raises, so a
-    /// poll-only client cannot mistake a dead job for a running one.
+    /// [`SolveHandle::wait`]. A solver that panicked answers
+    /// [`SessionError::Panicked`].
     pub fn try_result(&mut self) -> Option<Result<SolveResult, SessionError>> {
         if self.result.is_none() {
             match self.result_rx.try_recv() {
                 Ok(outcome) => self.result = Some(outcome),
                 Err(std::sync::mpsc::TryRecvError::Empty) => {}
                 Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    panic!("solve job died without reporting a result")
+                    self.result = Some(Err(SessionError::Panicked));
                 }
             }
         }
@@ -1277,7 +1269,7 @@ mod tests {
     fn sessions_share_one_pool_across_different_graphs() {
         // Two sessions over *different* instances attached to one
         // process-wide pool: every solve matches a fresh
-        // session bit-for-bit, and no worker is ever respawned.
+        // session bit-for-bit, and no chunk is ever re-drawn.
         let pool = Arc::new(SharedPool::new(2));
         let g1 = waso_datasets::synthetic::facebook_like_n(60, 3);
         let g2 = waso_datasets::synthetic::facebook_like_n(90, 3);
@@ -1298,7 +1290,7 @@ mod tests {
             assert_eq!(a.group, fresh1.solve(&spec).unwrap().group);
             assert_eq!(b.group, fresh2.solve(&spec).unwrap().group);
         }
-        assert_eq!(pool.respawned_workers(), 0);
+        assert_eq!(pool.redrawn_chunks(), 0);
         drop((s1, s2));
         assert_eq!(Arc::strong_count(&pool), 1, "sessions release the pool");
     }

@@ -243,14 +243,14 @@ fn dropping_a_handle_cancels_its_job_and_the_pool_stays_usable() {
     let served = session.solve(&spec).unwrap();
     let fresh = WasoSession::new(g).k(5).seed(10).solve(&spec).unwrap();
     assert_eq!(served.group, fresh.group);
-    assert_eq!(pool.respawned_workers(), 0);
+    assert_eq!(pool.redrawn_chunks(), 0);
 }
 
 #[test]
-fn cancel_races_a_worker_respawn_without_wedging_the_pool() {
-    // Arm a worker panic, submit a pooled job, cancel it mid-heal: the
-    // pool must respawn the worker, never hang, and serve the next solve
-    // bit-identically.
+fn cancel_races_a_worker_re_draw_without_wedging_the_pool() {
+    // Arm a worker panic, submit a pooled job, cancel it around the
+    // re-draw: the worker must re-draw the chunk in place, never hang,
+    // and the pool must serve the next solve bit-identically.
     let g = graph(80);
     let spec = long_spec().threads(2);
     for slot in 0..2 {
@@ -261,8 +261,8 @@ fn cancel_races_a_worker_respawn_without_wedging_the_pool() {
             .attach_pool(Arc::clone(&pool));
         pool.inject_worker_panic(slot, 1);
         let handle = session.submit(&spec).unwrap();
-        // Let the solve reach (and heal through) the armed stage, then
-        // cancel while the respawn dust may still be settling.
+        // Let the solve reach (and re-draw through) the armed stage,
+        // then cancel while later stages may still be in flight.
         let _ = handle.incumbents().take(2).count();
         handle.cancel();
         match handle.wait() {
@@ -270,7 +270,7 @@ fn cancel_races_a_worker_respawn_without_wedging_the_pool() {
             Err(SessionError::Solve(SolveError::NoIncumbent { .. })) => {}
             Err(other) => panic!("slot {slot}: unexpected error {other}"),
         }
-        // The healed pool serves the next (fresh-session-identical) solve.
+        // The pool serves the next (fresh-session-identical) solve.
         let after = session.solve(&quick_spec().threads(2)).unwrap();
         let fresh = WasoSession::new(g.clone())
             .k(5)
@@ -278,8 +278,67 @@ fn cancel_races_a_worker_respawn_without_wedging_the_pool() {
             .solve(&quick_spec().threads(2))
             .unwrap();
         assert_eq!(after.group, fresh.group, "slot={slot}");
-        assert_eq!(pool.respawned_workers(), 1, "slot={slot}");
+        assert_eq!(pool.redrawn_chunks(), 1, "slot={slot}");
     }
+}
+
+struct PanickingSolver;
+
+impl Solver for PanickingSolver {
+    fn name(&self) -> &'static str {
+        "panicker"
+    }
+
+    fn solve(&mut self, _: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        panic!("injected solver panic")
+    }
+}
+
+#[test]
+fn a_solver_panic_reaches_the_waiter_as_a_value() {
+    let mut registry = waso::registry();
+    registry.register(waso::algos::RegistryEntry {
+        name: "panicker",
+        aliases: &[],
+        label: "Panicker",
+        summary: "panics on every solve",
+        capabilities: Capabilities::default(),
+        roster_rank: None,
+        costly: false,
+        options: &[],
+        build: |_| Ok(Box::new(PanickingSolver)),
+    });
+    let panicker = SolverSpec::parse("panicker").unwrap();
+    // One coordinator: the next job runs only if the panic left it alive.
+    let session = WasoSession::new(graph(60))
+        .k(4)
+        .seed(13)
+        .batch_width(1)
+        .with_registry(registry);
+    let mut handle = session.submit(&panicker).unwrap();
+    // The stream ends once the job is finished.
+    assert_eq!(handle.incumbents().count(), 0);
+    assert!(handle.progress().finished);
+    // The control finishes just before the result is sent: poll for it.
+    let polled = loop {
+        match handle.try_result() {
+            Some(outcome) => break outcome,
+            None => std::thread::sleep(std::time::Duration::from_millis(1)),
+        }
+    };
+    assert!(matches!(polled, Err(SessionError::Panicked)));
+    assert!(matches!(handle.wait(), Err(SessionError::Panicked)));
+    assert_eq!(SessionError::Panicked.to_string(), "solver panicked");
+
+    let spec = quick_spec().threads(2);
+    let next = session.solve(&spec).unwrap();
+    let fresh = WasoSession::new(graph(60))
+        .k(4)
+        .seed(13)
+        .solve(&spec)
+        .unwrap();
+    assert_eq!(next.group, fresh.group);
+    assert_eq!(next.stats.samples_drawn, fresh.stats.samples_drawn);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Failure injection: a pool worker that panics mid-stage must be
-//! invisible in results. The `SharedPool` detects the death on the job's
-//! reply channel, respawns the slot, re-issues the in-flight samples, and
-//! keeps serving — no poisoning, no hangs, no result drift. These tests
+//! invisible in results. The worker catches the panic, rebuilds the job's
+//! sampler, re-draws the chunk in place, and keeps serving — no
+//! poisoning, no hangs, no result drift. These tests
 //! drive that end-to-end through the public session API (the exec-level
 //! choreography is unit-tested in `waso-algos`).
 //!
@@ -37,16 +37,16 @@ fn worker_panic_mid_stage_is_invisible_and_heals_the_pool() {
         .seed(7)
         .attach_pool(Arc::clone(&pool));
 
-    // Worker 1 dies on the first chunk of stage 2 — mid-solve, with that
-    // chunk's samples in flight.
+    // Worker 1 panics on the first chunk of stage 2 — mid-solve, with
+    // that chunk's samples half drawn.
     pool.inject_worker_panic(1, 2);
     let wounded = session.solve(&spec()).unwrap();
     assert_eq!(wounded.group, healthy.group, "panic changed the answer");
     assert_eq!(wounded.stats.samples_drawn, healthy.stats.samples_drawn);
     assert_eq!(wounded.stats.backtracks, healthy.stats.backtracks);
-    assert_eq!(pool.respawned_workers(), 1, "the dead worker was respawned");
+    assert_eq!(pool.redrawn_chunks(), 1, "the panicked chunk was re-drawn");
 
-    // The *next* solve on the same session succeeds on the healed pool.
+    // The *next* solve on the same session succeeds on the same pool.
     // A repeat of the identical spec would be a memo hit (bit-identical,
     // but no pool traffic), so nudge the budget to force a real run.
     let next_spec = spec().budget(61);
@@ -57,7 +57,7 @@ fn worker_panic_mid_stage_is_invisible_and_heals_the_pool() {
         .solve(&next_spec)
         .unwrap();
     assert_eq!(next.group, next_healthy.group);
-    assert_eq!(pool.respawned_workers(), 1, "healed once, healed for good");
+    assert_eq!(pool.redrawn_chunks(), 1, "one panic, one re-draw");
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn every_worker_slot_recovers_at_every_stage() {
                 wounded.group, healthy.group,
                 "slot={slot} stage={stage} changed the answer"
             );
-            assert_eq!(pool.respawned_workers(), 1, "slot={slot} stage={stage}");
+            assert_eq!(pool.redrawn_chunks(), 1, "slot={slot} stage={stage}");
         }
     }
 }
@@ -116,7 +116,7 @@ fn worker_panic_during_a_concurrent_batch_leaves_every_job_identical() {
         assert_eq!(b.group, a.group, "{spec}");
         assert_eq!(b.stats.samples_drawn, a.stats.samples_drawn, "{spec}");
     }
-    assert_eq!(pool.respawned_workers(), 1);
+    assert_eq!(pool.redrawn_chunks(), 1);
 }
 
 #[test]
@@ -148,7 +148,7 @@ fn session_drop_mid_batch_after_job_errors_neither_hangs_nor_leaks() {
         // Session dropped here with the pool mid-life.
     }
     assert_eq!(Arc::strong_count(&pool), 1, "the session released the pool");
-    // An injected death *after* the tenants detached must not wedge the
+    // An injected panic *after* the tenants detached must not wedge the
     // final teardown either: arm a failpoint that never fires.
     pool.inject_worker_panic(0, 99);
     drop(pool); // joins both workers; hanging here fails the test
@@ -165,7 +165,7 @@ fn repeated_injections_keep_healing() {
     for round in 1..=3u64 {
         // Distinct budgets per round: a repeat of an identical spec is a
         // memo hit that never reaches the pool, and this test is about
-        // the pool healing under repeated injections.
+        // the pool re-drawing under repeated injections.
         let round_spec = spec().budget(50 + 10 * round);
         let healthy = WasoSession::new(graph.clone())
             .k(5)
@@ -175,6 +175,6 @@ fn repeated_injections_keep_healing() {
         pool.inject_worker_panic((round as usize) % 3, round % 4);
         let wounded = session.solve(&round_spec).unwrap();
         assert_eq!(wounded.group, healthy.group, "round {round}");
-        assert_eq!(pool.respawned_workers(), round, "round {round}");
+        assert_eq!(pool.redrawn_chunks(), round, "round {round}");
     }
 }

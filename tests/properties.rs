@@ -261,8 +261,8 @@ proptest! {
         });
         check(&b1, "two-sessions/1");
         check(&b2, "two-sessions/2");
-        // Healthy runs never respawn a worker.
-        prop_assert_eq!(pool.respawned_workers(), 0);
+        // Healthy runs never re-draw a chunk.
+        prop_assert_eq!(pool.redrawn_chunks(), 0);
     }
 
     /// The tentpole determinism pin: `submit` + `wait` is bit-identical
