@@ -275,58 +275,17 @@ impl Sampler {
 
 /// Selects the `m` start nodes of CBAS phase 1: the nodes with the largest
 /// `η + Σ incident τ` ([`SocialGraph::start_node_score`]), skipping blocked
-/// nodes. Ties break toward smaller ids (determinism). `O(n log m)`.
+/// nodes. Ties break toward smaller ids (determinism).
+///
+/// A walk of the graph's cached [`SocialGraph::start_order`]: O(m + the
+/// blocked nodes skipped), after one O(|E| + n log n) build per graph.
 pub fn select_start_nodes(g: &SocialGraph, m: usize, blocked: Option<&BitSet>) -> Vec<NodeId> {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    /// Min-heap entry: the *worst* kept candidate sits on top.
-    struct Entry {
-        score: f64,
-        node: u32,
-    }
-    impl PartialEq for Entry {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == Ordering::Equal
-        }
-    }
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reverse: BinaryHeap is a max-heap, we want the minimum score on
-            // top. Higher node id = worse on ties, so it pops first.
-            other
-                .score
-                .partial_cmp(&self.score)
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| other.node.cmp(&self.node).reverse())
-        }
-    }
-
-    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(m + 1);
-    for v in g.node_ids() {
-        if blocked.is_some_and(|b| b.contains(v.index())) {
-            continue;
-        }
-        let score = g.start_node_score(v);
-        heap.push(Entry { score, node: v.0 });
-        if heap.len() > m {
-            heap.pop();
-        }
-    }
-    let mut picked: Vec<(f64, u32)> = heap.into_iter().map(|e| (e.score, e.node)).collect();
-    // Highest score first; ties by smaller id.
-    picked.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| a.1.cmp(&b.1))
-    });
-    picked.into_iter().map(|(_, v)| NodeId(v)).collect()
+    g.start_order()
+        .iter()
+        .filter(|&&v| !blocked.is_some_and(|b| b.contains(v as usize)))
+        .take(m)
+        .map(|&v| NodeId(v))
+        .collect()
 }
 
 /// The paper's default number of start nodes, `m = ⌈n/k⌉` (§5.1: "The
@@ -643,6 +602,137 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// CBAS phase 1 as it was before the cached start order: a bounded
+    /// min-heap over every node's score, O(n log m) per call.
+    fn heap_select_start_nodes(g: &SocialGraph, m: usize, blocked: Option<&BitSet>) -> Vec<NodeId> {
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        /// Min-heap entry: the *worst* kept candidate sits on top.
+        struct Entry {
+            score: f64,
+            node: u32,
+        }
+        impl PartialEq for Entry {
+            fn eq(&self, other: &Self) -> bool {
+                self.cmp(other) == Ordering::Equal
+            }
+        }
+        impl Eq for Entry {}
+        impl PartialOrd for Entry {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Entry {
+            fn cmp(&self, other: &Self) -> Ordering {
+                other
+                    .score
+                    .partial_cmp(&self.score)
+                    .unwrap_or(Ordering::Equal)
+                    .then_with(|| other.node.cmp(&self.node).reverse())
+            }
+        }
+
+        let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(m + 1);
+        for v in g.node_ids() {
+            if blocked.is_some_and(|b| b.contains(v.index())) {
+                continue;
+            }
+            let score = g.start_node_score(v);
+            heap.push(Entry { score, node: v.0 });
+            if heap.len() > m {
+                heap.pop();
+            }
+        }
+        let mut picked: Vec<(f64, u32)> = heap.into_iter().map(|e| (e.score, e.node)).collect();
+        picked.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.1.cmp(&b.1))
+        });
+        picked.into_iter().map(|(_, v)| NodeId(v)).collect()
+    }
+
+    mod start_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The walk of the cached start order picks exactly what the
+            /// old heap picked: on scored graphs, on unit-weight graphs
+            /// (ties by degree, or every score tied on a complete graph),
+            /// with and without random blocked sets, for m ∈ {0, 1,
+            /// random, n, n + 3}.
+            #[test]
+            fn start_selection_matches_the_heap(
+                seed in any::<u64>(),
+                n in 2usize..60,
+                shape in 0u8..3,
+                m_kind in 0u8..5,
+                block_one_in in 0u32..4,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let g = match shape {
+                    0 => scored_ba(n, 2.min(n - 1), &mut rng),
+                    1 => generate::barabasi_albert(n, 2.min(n - 1), &mut rng).into_unit_graph(),
+                    _ => generate::complete_topology(n).into_unit_graph(),
+                };
+                let total = g.num_nodes();
+                let m = match m_kind {
+                    0 => 0,
+                    1 => 1,
+                    2 => rng.random_range(0..=total),
+                    3 => total,
+                    _ => total + 3,
+                };
+                // 0 means no blocked set; otherwise each node is blocked
+                // with probability 1 / (block_one_in + 1).
+                let blocked = (block_one_in > 0).then(|| {
+                    let mut b = BitSet::new(total);
+                    for v in 0..total {
+                        if rng.random_range(0..=block_one_in) == 0 {
+                            b.insert(v);
+                        }
+                    }
+                    b
+                });
+                // Twice: the first call builds the order, the second reuses it.
+                for _ in 0..2 {
+                    prop_assert_eq!(
+                        select_start_nodes(&g, m, blocked.as_ref()),
+                        heap_select_start_nodes(&g, m, blocked.as_ref())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nan_and_signed_zero_scores_rank_deterministically() {
+        let interests = [0.0, f64::NAN, -0.0, 2.0, f64::NAN, -1.0, 0.0];
+        let build = || {
+            let mut b = GraphBuilder::new();
+            for eta in interests {
+                b.add_node(eta);
+            }
+            b.build()
+        };
+        // Numbers first (-0.0 ties 0.0, so ids decide), NaN last by id.
+        let want: Vec<NodeId> = [3, 0, 2, 6, 5, 1, 4].map(NodeId).to_vec();
+        assert_eq!(select_start_nodes(&build(), 7, None), want);
+        assert_eq!(select_start_nodes(&build(), 3, None), want[..3]);
+        let mut blocked = BitSet::new(7);
+        blocked.insert(0);
+        blocked.insert(1);
+        assert_eq!(
+            select_start_nodes(&build(), 10, Some(&blocked)),
+            [3, 2, 6, 5, 4].map(NodeId)
+        );
     }
 
     #[test]

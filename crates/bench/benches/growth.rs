@@ -6,8 +6,12 @@
 //! `weighted` draws with the initial vector (one explicit entry);
 //! `weighted_trained` draws with a vector after a few cross-entropy stages,
 //! whose many explicit entries are what a CBAS-ND solve samples with.
+//!
+//! `select_start_nodes` times CBAS phase 1 at n = 20 000: the first call
+//! on a fresh graph, which builds the graph's start order, and a warm
+//! call, which only walks it.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -90,5 +94,32 @@ fn bench_unconstrained_growth(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_growth, bench_unconstrained_growth);
+fn bench_start_nodes(c: &mut Criterion) {
+    // The perfbench graph and start-node count.
+    let g = synthetic::facebook_like_n(20_000, 1);
+    let m = 32;
+    let mut group = c.benchmark_group("select_start_nodes");
+    // Each iteration gets a clone whose order is not built yet; the
+    // timing includes dropping that clone.
+    group.bench_function("first_call_n20000", |b| {
+        b.iter_batched(
+            || g.clone(),
+            |fresh| black_box(select_start_nodes(&fresh, m, None)),
+            BatchSize::LargeInput,
+        );
+    });
+    // Builds `g`'s order, so the calibration run below is warm too.
+    select_start_nodes(&g, m, None);
+    group.bench_function("warm_n20000", |b| {
+        b.iter(|| black_box(select_start_nodes(&g, m, None)));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_growth,
+    bench_unconstrained_growth,
+    bench_start_nodes
+);
 criterion_main!(benches);

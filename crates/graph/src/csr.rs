@@ -10,6 +10,7 @@
 //! need a reverse-edge lookup.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node (person) in a [`SocialGraph`]; a dense index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,7 +46,11 @@ impl From<NodeId> for u32 {
 ///
 /// Node `i` carries interest score `η_i`; the directed slot `i → j` carries
 /// tightness `τ_{i,j}`. Adjacency lists are sorted by neighbour id.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and `Debug` cover the CSR arrays only: the lazily built
+/// [`SocialGraph::start_order`] is derived data and never tells two
+/// graphs apart.
+#[derive(Clone)]
 pub struct SocialGraph {
     /// CSR row offsets, length `n + 1`.
     offsets: Vec<u32>,
@@ -59,6 +64,54 @@ pub struct SocialGraph {
     interest: Vec<f64>,
     /// Largest degree, computed once at build time.
     max_degree: u32,
+    /// Every node ranked by [`SocialGraph::start_node_score`], built on
+    /// first use and kept for the graph's lifetime. Sound only because
+    /// the graph is immutable: a delta returns a new graph with an empty
+    /// cell. An in-place mutator (an O(delta) write path) must reset it.
+    start_order: OnceLock<Box<[u32]>>,
+}
+
+impl PartialEq for SocialGraph {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so a new field cannot be forgotten here.
+        let Self {
+            offsets,
+            neighbors,
+            tightness,
+            pair_weight,
+            interest,
+            max_degree,
+            start_order: _,
+        } = self;
+        *offsets == other.offsets
+            && *neighbors == other.neighbors
+            && *tightness == other.tightness
+            && *pair_weight == other.pair_weight
+            && *interest == other.interest
+            && *max_degree == other.max_degree
+    }
+}
+
+impl fmt::Debug for SocialGraph {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Self {
+            offsets,
+            neighbors,
+            tightness,
+            pair_weight,
+            interest,
+            max_degree,
+            start_order: _,
+        } = self;
+        f.debug_struct("SocialGraph")
+            .field("offsets", offsets)
+            .field("neighbors", neighbors)
+            .field("tightness", tightness)
+            .field("pair_weight", pair_weight)
+            .field("interest", interest)
+            .field("max_degree", max_degree)
+            .finish()
+    }
 }
 
 impl SocialGraph {
@@ -82,6 +135,7 @@ impl SocialGraph {
             pair_weight,
             interest,
             max_degree,
+            start_order: OnceLock::new(),
         }
     }
 
@@ -204,6 +258,25 @@ impl SocialGraph {
         self.interest[i] + 0.5 * incident
     }
 
+    /// Every node ranked for CBAS phase 1: highest
+    /// [`SocialGraph::start_node_score`] first, ties to the smaller id.
+    /// Scores compare numerically (`-0.0 == 0.0`) and NaN ranks after
+    /// every number, so the order is total and deterministic.
+    ///
+    /// Built on the first call — one O(|E|) scoring pass and one
+    /// O(n log n) sort — and kept for the graph's lifetime; later calls
+    /// are O(1). Clones carry a built order with them.
+    pub fn start_order(&self) -> &[u32] {
+        self.start_order.get_or_init(|| {
+            let mut keys: Vec<u128> = self
+                .node_ids()
+                .map(|v| start_rank_key(self.start_node_score(v), v.0))
+                .collect();
+            keys.sort_unstable();
+            keys.into_iter().map(|key| key as u32).collect()
+        })
+    }
+
     /// Sum of all interests plus all directed tightness scores — the
     /// willingness of selecting *everyone*, used by the Theorem-2
     /// virtual-node construction (`η_v = ε + Σ_i (η_i + Σ_j τ_{i,j})`).
@@ -211,14 +284,40 @@ impl SocialGraph {
         self.interest.iter().sum::<f64>() + self.tightness.iter().sum::<f64>()
     }
 
-    /// Memory footprint of the CSR arrays in bytes (diagnostics).
+    /// Memory footprint of the CSR arrays, plus the start order once
+    /// built, in bytes (diagnostics).
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * 4
             + self.neighbors.len() * 4
             + self.tightness.len() * 8
             + self.pair_weight.len() * 8
             + self.interest.len() * 8
+            + self.start_order.get().map_or(0, |order| order.len() * 4)
     }
+}
+
+/// Sort key of the start order, smallest first: the score's rank in the
+/// high 64 bits and the node id in the low 32, so equal scores go to the
+/// smaller id. Higher scores rank first, `-0.0` ranks with `0.0`, and NaN
+/// ranks after every number. At n = 20 000 (2-core VM) one sort of these
+/// integer keys took ~1.0 ms, against ~2.6 ms for `(score, id)` pairs
+/// under a float comparator.
+fn start_rank_key(score: f64, id: u32) -> u128 {
+    let rank = if score.is_nan() {
+        u64::MAX
+    } else {
+        // `+ 0.0` maps -0.0 to 0.0. Setting the sign bit of a non-negative
+        // float and inverting a negative one orders the bits as the
+        // numbers ascend; the final `!` makes higher scores rank first.
+        let bits = (score + 0.0).to_bits();
+        let ascending = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        !ascending
+    };
+    (u128::from(rank) << 32) | u128::from(id)
 }
 
 #[cfg(test)]
@@ -327,6 +426,45 @@ mod tests {
             b.add_edge_symmetric(hub, l, 1.0).unwrap();
         }
         assert_eq!(b.build().max_degree(), 5);
+    }
+
+    #[test]
+    fn start_order_ranks_by_score_then_id() {
+        let g = triangle();
+        // Scores: v0 = 12, v1 = 23, v2 = 30 + 2 + 1 = 33.
+        assert_eq!(g.start_order(), &[2, 1, 0]);
+        let mut b = GraphBuilder::new();
+        let etas = [
+            1.0,
+            f64::NAN,
+            2.0,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            -1e-310,
+            5e-324,
+        ];
+        for eta in etas {
+            b.add_node(eta);
+        }
+        // -0.0 ties 0.0 and both NaNs rank last, so ids decide.
+        assert_eq!(b.build().start_order(), &[6, 2, 0, 5, 10, 3, 4, 9, 7, 1, 8]);
+    }
+
+    #[test]
+    fn a_built_start_order_is_invisible_to_eq_and_debug() {
+        let g = triangle();
+        let unbuilt = g.clone();
+        let before = g.memory_bytes();
+        g.start_order();
+        assert_eq!(g, unbuilt);
+        assert_eq!(format!("{g:?}"), format!("{unbuilt:?}"));
+        assert_eq!(g.memory_bytes(), before + 3 * 4);
+        // A clone of a built graph carries the order.
+        assert_eq!(g.clone().memory_bytes(), g.memory_bytes());
     }
 
     #[test]

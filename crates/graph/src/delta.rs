@@ -70,6 +70,9 @@ pub enum DeltaError {
     /// [`GraphDelta::RemoveEdge`] / [`GraphDelta::SetTightness`] named
     /// an edge that does not exist.
     MissingEdge(u32, u32),
+    /// An interest or tightness score is NaN or infinite: it would
+    /// poison every willingness sum and the start-node ranking.
+    NonFiniteScore,
 }
 
 impl std::fmt::Display for DeltaError {
@@ -81,6 +84,7 @@ impl std::fmt::Display for DeltaError {
                 write!(f, "edge ({u}, {v}) already exists; use SetTightness")
             }
             DeltaError::MissingEdge(u, v) => write!(f, "edge ({u}, {v}) does not exist"),
+            DeltaError::NonFiniteScore => write!(f, "delta carries a non-finite score"),
         }
     }
 }
@@ -98,6 +102,17 @@ impl GraphDelta {
                 Ok(())
             }
         };
+        let finite = match *self {
+            GraphDelta::AddEdge { tau_uv, tau_vu, .. }
+            | GraphDelta::SetTightness { tau_uv, tau_vu, .. } => {
+                tau_uv.is_finite() && tau_vu.is_finite()
+            }
+            GraphDelta::SetInterest { interest, .. } => interest.is_finite(),
+            GraphDelta::RemoveEdge { .. } => true,
+        };
+        if !finite {
+            return Err(DeltaError::NonFiniteScore);
+        }
         match *self {
             GraphDelta::AddEdge { u, v, .. } => {
                 check(u)?;
@@ -301,6 +316,54 @@ mod tests {
         ];
         for (delta, err) in bad {
             assert_eq!(delta.apply(&g).unwrap_err(), err);
+        }
+    }
+
+    #[test]
+    fn non_finite_interest_is_rejected() {
+        let g = path3();
+        for interest in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let d = GraphDelta::SetInterest {
+                v: NodeId(1),
+                interest,
+            };
+            assert_eq!(d.validate(&g), Err(DeltaError::NonFiniteScore));
+        }
+    }
+
+    #[test]
+    fn non_finite_tightness_is_rejected() {
+        let g = path3();
+        for (tau_uv, tau_vu) in [
+            (f64::NAN, 0.5),
+            (0.5, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.5),
+        ] {
+            let d = GraphDelta::SetTightness {
+                u: NodeId(0),
+                v: NodeId(1),
+                tau_uv,
+                tau_vu,
+            };
+            assert_eq!(d.validate(&g), Err(DeltaError::NonFiniteScore));
+        }
+    }
+
+    #[test]
+    fn non_finite_new_edge_is_rejected() {
+        let g = path3();
+        for (tau_uv, tau_vu) in [
+            (0.5, f64::NAN),
+            (f64::INFINITY, 0.5),
+            (0.5, f64::NEG_INFINITY),
+        ] {
+            let d = GraphDelta::AddEdge {
+                u: NodeId(0),
+                v: NodeId(2),
+                tau_uv,
+                tau_vu,
+            };
+            assert_eq!(d.apply(&g).unwrap_err(), DeltaError::NonFiniteScore);
         }
     }
 }

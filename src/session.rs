@@ -1067,6 +1067,28 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_delta_leaves_graph_and_memo_untouched() {
+        let mut session = WasoSession::new(path4()).k(3);
+        let spec = "cbas-nd:budget=60,stages=2";
+        let first = session.solve_str(spec).unwrap();
+        let generation = session.memo.lock().unwrap().generation;
+        let err = session
+            .apply(&GraphDelta::SetInterest {
+                v: NodeId(1),
+                interest: f64::NAN,
+            })
+            .unwrap_err();
+        assert_eq!(err, SessionError::Delta(DeltaError::NonFiniteScore));
+        assert_eq!(session.graph(), &path4());
+        assert_eq!(session.memo.lock().unwrap().generation, generation);
+        // The cached entry survived: the repeat solve is a hit.
+        let again = session.solve_str(spec).unwrap();
+        assert_eq!(again.group, first.group);
+        let stats = session.memo_stats();
+        assert_eq!((stats.hits, stats.invalidated), (1, 0));
+    }
+
+    #[test]
     fn missing_k_is_an_error() {
         let err = WasoSession::new(path4()).solve_str("dgreedy").unwrap_err();
         assert_eq!(err, SessionError::GroupSizeNotSet);

@@ -18,6 +18,7 @@ use std::sync::{Mutex, PoisonError};
 
 use proptest::collection;
 use proptest::prelude::*;
+use waso::algos::sampler::select_start_nodes;
 use waso::prelude::*;
 use waso_graph::{generate, GraphDelta, InterestModel, ScoreModel, TightnessModel};
 
@@ -257,6 +258,43 @@ fn a_delta_outside_the_cached_group_still_invalidates_it() {
     assert_eq!(after.group.nodes(), fresh.group.nodes());
     assert_eq!(after.group.nodes(), [NodeId(0), NodeId(2), NodeId(3)]);
     assert_eq!(after.group.willingness(), 119.0);
+}
+
+/// A graph caches its start-node ranking, so the ranking must be the
+/// post-delta graph's after a delta: lifting the lowest-ranked node's
+/// interest puts it first among the start nodes of the next solve, and
+/// that solve equals a fresh session's on the post-delta graph.
+#[test]
+fn a_delta_reranks_start_nodes_on_the_new_graph() {
+    let spec = "cbas-nd:budget=150,stages=3,start-nodes=2";
+    let mut session = WasoSession::new(two_cliques()).k(3).seed(5);
+    // Builds the pre-delta order on the session's graph and, through the
+    // solve, on the instance's copy of it.
+    let before = select_start_nodes(session.graph(), 2, None);
+    assert_eq!(before, [NodeId(7), NodeId(6)]);
+    session.solve_str(spec).unwrap();
+
+    let delta = GraphDelta::SetInterest {
+        v: NodeId(0),
+        interest: 100.0,
+    };
+    session.apply(&delta).unwrap();
+    let after = session.solve_str(spec).unwrap();
+    let post = delta.apply(&two_cliques()).unwrap();
+    let fresh = WasoSession::new(post.clone())
+        .k(3)
+        .seed(5)
+        .solve_str(spec)
+        .unwrap();
+    assert_eq!(after.group.nodes(), fresh.group.nodes());
+    assert_eq!(
+        after.group.willingness().to_bits(),
+        fresh.group.willingness().to_bits()
+    );
+    assert_eq!(after.stats.samples_drawn, fresh.stats.samples_drawn);
+    for g in [session.graph(), session.instance().unwrap().graph(), &post] {
+        assert_eq!(select_start_nodes(g, 2, None), [NodeId(0), NodeId(7)]);
+    }
 }
 
 /// The satellite regression: solve → delta touching the group → solve
