@@ -127,7 +127,7 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<SocialGraph, ReadError> {
             }
             "v" => {
                 let id: u32 = next_num(&mut tok, "node id", line_no)?;
-                let eta: f64 = next_num(&mut tok, "interest", line_no)?;
+                let eta = next_score(&mut tok, "interest", line_no)?;
                 max_id = max_id.max(id);
                 saw_any = true;
                 interests.push((id, eta));
@@ -135,8 +135,8 @@ pub fn read_graph<R: BufRead>(input: R) -> Result<SocialGraph, ReadError> {
             "e" => {
                 let u: u32 = next_num(&mut tok, "edge endpoint", line_no)?;
                 let v: u32 = next_num(&mut tok, "edge endpoint", line_no)?;
-                let tau_uv: f64 = next_num(&mut tok, "tightness", line_no)?;
-                let tau_vu: f64 = next_num(&mut tok, "tightness", line_no)?;
+                let tau_uv = next_score(&mut tok, "tightness", line_no)?;
+                let tau_vu = next_score(&mut tok, "tightness", line_no)?;
                 max_id = max_id.max(u).max(v);
                 saw_any = true;
                 edges.push((u, v, tau_uv, tau_vu));
@@ -184,6 +184,25 @@ fn next_num<T: std::str::FromStr>(
         line,
         message: format!("bad {what} '{raw}'"),
     })
+}
+
+/// [`next_num`] for an interest or tightness score, which must be
+/// finite: a NaN or ±∞ score would poison every willingness sum and the
+/// start-node ranking of the loaded graph.
+fn next_score(
+    tok: &mut std::str::SplitWhitespace<'_>,
+    what: &str,
+    line: usize,
+) -> Result<f64, ReadError> {
+    let score: f64 = next_num(tok, what, line)?;
+    if score.is_finite() {
+        Ok(score)
+    } else {
+        Err(ReadError::Parse {
+            line,
+            message: format!("non-finite {what} '{score}'"),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -244,6 +263,50 @@ mod tests {
 
         let err = from_str("x 1 2\n").unwrap_err();
         assert!(err.to_string().contains("unknown record"));
+    }
+
+    /// The line number and message of a text that must not load.
+    fn parse_error(text: &str) -> (usize, String) {
+        match from_str(text).unwrap_err() {
+            ReadError::Parse { line, message } => (line, message),
+            other => panic!("{text:?}: expected a parse error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn nan_interest_is_a_parse_error() {
+        let (line, message) = parse_error("n 2\nv 0 nan\n");
+        assert_eq!((line, message.as_str()), (2, "non-finite interest 'NaN'"));
+    }
+
+    #[test]
+    fn infinite_interest_is_a_parse_error() {
+        let (line, message) = parse_error("v 0 1.5\nv 1 inf\n");
+        assert_eq!((line, message.as_str()), (2, "non-finite interest 'inf'"));
+    }
+
+    #[test]
+    fn negative_infinite_interest_is_a_parse_error() {
+        let (line, message) = parse_error("v 1 -infinity\n");
+        assert_eq!((line, message.as_str()), (1, "non-finite interest '-inf'"));
+    }
+
+    #[test]
+    fn nan_tightness_is_a_parse_error() {
+        let (line, message) = parse_error("e 0 1 1.0 1.0\ne 1 2 NaN 1.0\n");
+        assert_eq!((line, message.as_str()), (2, "non-finite tightness 'NaN'"));
+    }
+
+    #[test]
+    fn infinite_tightness_is_a_parse_error() {
+        let (line, message) = parse_error("# header\ne 0 1 1.0 inf\n");
+        assert_eq!((line, message.as_str()), (2, "non-finite tightness 'inf'"));
+    }
+
+    #[test]
+    fn negative_infinite_tightness_is_a_parse_error() {
+        let (line, message) = parse_error("e 0 1 -inf 2.0\n");
+        assert_eq!((line, message.as_str()), (1, "non-finite tightness '-inf'"));
     }
 
     #[test]

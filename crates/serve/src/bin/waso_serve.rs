@@ -137,8 +137,6 @@ fn run(args: Args) -> Result<(), String> {
 
     // All tenants share one process-wide pool, attached up front so its
     // width is a deployment choice, not whatever the first spec asks.
-    // The session's coordinator crew matches the dispatch crew, so every
-    // dispatched job has a coordinator to run it.
     let threads = args.pool_threads.unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|c| c.get())
@@ -147,7 +145,6 @@ fn run(args: Args) -> Result<(), String> {
     let session = WasoSession::new(graph)
         .k(args.k)
         .seed(args.seed)
-        .batch_width(args.config.max_running)
         .attach_pool(Arc::new(SharedPool::new(threads)));
 
     for tenant in &args.config.tenants {

@@ -8,18 +8,21 @@
 //!    be configured (`ERR UNKNOWN_TENANT`), the spec must build
 //!    (`ERR BAD_SPEC`), the server must not be load-shedding
 //!    (`ERR SHED`), and the tenant must be under its inflight quota
-//!    (`ERR QUOTA`). Admitted jobs get an id, a **submit timestamp**,
-//!    and a slot in the tenant's FIFO.
+//!    (`ERR QUOTA`). Admitted jobs get an id, a slot in the tenant's
+//!    FIFO, and their [`JobControl`]: the one handle `POLL` reads and
+//!    `CANCEL` and shutdown stop the job through, from admission to
+//!    completion. A spec carrying `deadline_from_submit=` has its
+//!    deadline armed on it here, so time spent queued behind other
+//!    tenants counts against the SLA.
 //! 2. **Dispatch** (the dispatch crew: [`ServeConfig::max_running`]
-//!    threads started with the server, so at most that many jobs run):
-//!    an idle crew member picks the next job **round-robin across
-//!    tenants** — a flooding tenant cannot starve the others — and
-//!    submits it to the session. A spec carrying
-//!    `deadline_from_submit=` has its deadline re-armed against the
-//!    *admission* timestamp, so time spent queued behind other tenants
-//!    counts against the SLA.
-//! 3. **Completion** (the same crew member, waiting on the job inline;
-//!    a solver panic reaches it as `SessionError::Panicked` and answers
+//!    threads started with the server): an idle crew member picks the
+//!    next job **round-robin across tenants** — a flooding tenant cannot
+//!    starve the others — marks it running, and solves it on its own
+//!    thread under the job's control (`WasoSession::solve_with`). The
+//!    crew is the only thread budget for jobs, so at most
+//!    `max_running` run, and every job reported running is solving.
+//! 3. **Completion** (the same crew member, when the solve returns; a
+//!    solver panic comes back as `SessionError::Panicked` and answers
 //!    `ERR FAILED`): the result is parked in the job table for
 //!    `POLL`/`WAIT`, the tenant's quota slot frees, and the crew member
 //!    goes back for the next job. The table retains the newest
@@ -40,7 +43,7 @@ use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use waso::prelude::*;
 
@@ -52,9 +55,10 @@ use crate::tenant::{FairQueue, TenantConfig};
 pub struct ServeConfig {
     /// The tenants `SUBMIT` will accept, each with its inflight quota.
     pub tenants: Vec<TenantConfig>,
-    /// Dispatch width: the number of dispatch threads, so at most this
-    /// many jobs run concurrently; the rest wait in the fair queue.
-    /// Clamped to ≥ 1.
+    /// Dispatch width: the number of dispatch threads. Each solves the
+    /// job it took on its own thread, so at most this many jobs run at
+    /// once and every running job is solving; the rest wait in the fair
+    /// queue. Clamped to ≥ 1.
     pub max_running: usize,
     /// Load-shed bound: refuse `SUBMIT`s while this many jobs are
     /// already queued (waiting for a dispatch slot). Clamped to ≥ 1.
@@ -118,8 +122,8 @@ impl ServeConfig {
 enum JobState {
     /// Admitted, waiting for a dispatch slot.
     Queued,
-    /// Dispatched; the control is the live progress/cancel surface.
-    Running(Arc<JobControl>),
+    /// Taken by a dispatch thread, which is solving it.
+    Running,
     /// Terminal; the parked response answers every later `POLL`/`WAIT`.
     Finished(Response),
 }
@@ -127,14 +131,10 @@ enum JobState {
 struct JobEntry {
     tenant: usize,
     spec: SolverSpec,
-    /// Admission time — the anchor `deadline_from_submit=` is re-armed
-    /// against at dispatch, so queue wait counts against the SLA.
-    submitted_at: Instant,
+    /// Made at admission and solved under at dispatch: the job's
+    /// progress, cancel and deadline surface for its whole life.
+    control: Arc<JobControl>,
     state: JobState,
-    /// A `CANCEL` landed in the dispatch window — after a dispatch thread
-    /// popped the job off the queue but before it was marked `Running`.
-    /// The dispatch thread applies it right after arming the control.
-    cancel_requested: bool,
 }
 
 /// Everything the mutex guards.
@@ -177,16 +177,15 @@ impl State {
         }
     }
 
-    /// Pops the next job that still has a table entry, counting it as
+    /// Pops the next job that still has a table entry and marks it
     /// running. Queue ids whose entry has vanished are drained and
     /// skipped — an orphaned id must not occupy a dispatch thread.
-    fn pop_dispatchable(&mut self) -> Option<(u64, SolverSpec, Instant)> {
+    fn pop_dispatchable(&mut self) -> Option<(u64, SolverSpec, Arc<JobControl>)> {
         while let Some(job) = self.queue.pop() {
-            if let Some(entry) = self.jobs.get(&job) {
-                let spec = entry.spec.clone();
-                let submitted_at = entry.submitted_at;
+            if let Some(entry) = self.jobs.get_mut(&job) {
+                entry.state = JobState::Running;
                 self.running += 1;
-                return Some((job, spec, submitted_at));
+                return Some((job, entry.spec.clone(), Arc::clone(&entry.control)));
             }
         }
         None
@@ -298,8 +297,8 @@ impl Server {
         self.inner.handle(request)
     }
 
-    /// Stops accepting, cancels every live job, and joins the server's
-    /// own threads — each dispatch thread once its cancelled job has
+    /// Stops accepting, cancels every job, and joins the server's own
+    /// threads — each dispatch thread once its cancelled job has
     /// stopped. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         {
@@ -309,9 +308,7 @@ impl Server {
             }
             st.shutdown = true;
             for entry in st.jobs.values() {
-                if let JobState::Running(control) = &entry.state {
-                    control.cancel();
-                }
+                entry.control.cancel();
             }
         }
         self.inner.wake.notify_all();
@@ -403,6 +400,10 @@ impl Inner {
                 format!("tenant {tenant:?} is at its quota of {quota} inflight jobs"),
             );
         }
+        let control = Arc::new(JobControl::new());
+        if let Some(ms) = spec.deadline_from_submit {
+            control.arm_deadline(Duration::from_millis(ms));
+        }
         let job = st.next_job;
         st.next_job += 1;
         st.jobs.insert(
@@ -410,9 +411,8 @@ impl Inner {
             JobEntry {
                 tenant: tidx,
                 spec,
-                submitted_at: Instant::now(),
+                control,
                 state: JobState::Queued,
-                cancel_requested: false,
             },
         );
         st.queue.push(tidx, job);
@@ -430,7 +430,8 @@ impl Inner {
             None => unknown_job(job),
             Some(entry) => match &entry.state {
                 JobState::Queued => Response::Queued,
-                JobState::Running(control) => {
+                JobState::Running => {
+                    let control = &entry.control;
                     let progress = control.progress();
                     Response::Running {
                         stages: progress.stages_done,
@@ -471,31 +472,22 @@ impl Inner {
             return unknown_job(job);
         };
         match &entry.state {
-            // `Queued` alone is not proof the job is still ours to
-            // finalize: a dispatch thread pops a job and releases the
-            // lock before marking it `Running`. Unlinking it from the
-            // queue is the arbiter — if that fails, the dispatch thread
-            // owns the job, so leave it a pending cancel (applied right
-            // after the control exists) instead of finalizing here,
-            // which would double-free its quota and running slots.
+            // A queued job is still ours: it leaves the queue (a pop
+            // marks a job running under this same lock) and ends here.
             JobState::Queued => {
                 let tenant = entry.tenant;
-                if st.queue.remove(job) {
-                    let retain = self.config.retain_finished;
-                    st.park_finished(job, Response::Cancelled, retain);
-                    if let Some(n) = st.inflight.get_mut(tenant) {
-                        *n -= 1;
-                    }
-                    drop(st);
-                    // A WAITer of this job is parked on the condvar.
-                    self.wake.notify_all();
-                } else if let Some(entry) = st.jobs.get_mut(&job) {
-                    entry.cancel_requested = true;
+                st.queue.remove(job);
+                st.park_finished(job, Response::Cancelled, self.config.retain_finished);
+                if let Some(n) = st.inflight.get_mut(tenant) {
+                    *n -= 1;
                 }
+                drop(st);
+                // A WAITer of this job is parked on the condvar.
+                self.wake.notify_all();
             }
             // The solve stops at its next per-sample stop check; its
             // dispatch thread parks the (cancelled) outcome as usual.
-            JobState::Running(control) => control.cancel(),
+            JobState::Running => entry.control.cancel(),
             JobState::Finished(_) => {}
         }
         Response::Cancelled
@@ -521,10 +513,12 @@ impl Inner {
     }
 
     /// One dispatch crew member: until shutdown, picks the next queued
-    /// job round-robin across tenants, runs it, and parks its response.
+    /// job round-robin across tenants, solves it on this thread under
+    /// its control, and parks its response. The solve runs outside the
+    /// lock, so POLL/SUBMIT stay responsive under dispatch.
     fn dispatch_loop(&self) {
         loop {
-            let (job, spec, submitted_at) = {
+            let (job, spec, control) = {
                 let mut st = self.locked();
                 loop {
                     if st.shutdown {
@@ -536,58 +530,14 @@ impl Inner {
                     st = self.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            let response = self.run_dispatched(job, &spec, submitted_at);
+            // Build failures (a constraint the solver cannot honour) and
+            // solver panics (`SessionError::Panicked`) surface as this
+            // job's terminal state.
+            let response = match self.session.solve_with(&spec, control) {
+                Ok(result) => done_response(&result),
+                Err(e) => solve_error_response(&e),
+            };
             self.finish_dispatched(job, response);
-        }
-    }
-
-    /// Submits one popped job to the session and waits for its outcome.
-    /// Solver construction and the wait happen outside the lock, so
-    /// POLL/SUBMIT stay responsive under dispatch.
-    fn run_dispatched(&self, job: u64, spec: &SolverSpec, submitted_at: Instant) -> Response {
-        let handle = match self.session.submit(spec) {
-            Ok(handle) => handle,
-            // Build failures (e.g. a constraint the solver cannot
-            // honour) surface as this job's terminal state.
-            Err(e) => return solve_error_response(&e),
-        };
-        if let Some(ms) = spec.deadline_from_submit {
-            // Re-arm against the admission timestamp: the session armed
-            // dispatch-relative (all it can see), and deadlines combine
-            // earliest-wins, so this strictly tightens it to
-            // submit-relative.
-            handle
-                .control()
-                .arm_deadline_at(submitted_at + Duration::from_millis(ms));
-        }
-        let cancel = {
-            let mut st = self.locked();
-            // Shutdown cancels only `Running` controls; a job marked
-            // running after it must cancel itself, or joining this
-            // thread would wait out the whole solve.
-            let shutdown = st.shutdown;
-            match st.jobs.get_mut(&job) {
-                Some(entry) => {
-                    entry.state = JobState::Running(Arc::clone(handle.control()));
-                    entry.cancel_requested || shutdown
-                }
-                // The entry vanished mid-dispatch: nothing can observe
-                // this job any more, so stop the solve rather than keep
-                // this thread on it.
-                None => true,
-            }
-        };
-        if cancel {
-            // A CANCEL landed while we were mid-dispatch; honour it now
-            // that the control exists. The wait below returns the
-            // cancelled outcome.
-            handle.control().cancel();
-        }
-        // A solver panic arrives as `SessionError::Panicked`, which
-        // answers `ERR FAILED solver panicked` like any other failure.
-        match handle.wait() {
-            Ok(result) => done_response(&result),
-            Err(e) => solve_error_response(&e),
         }
     }
 

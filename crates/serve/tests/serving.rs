@@ -739,3 +739,97 @@ fn a_solver_panic_answers_failed_and_the_dispatch_crew_lives_on() {
         other => panic!("expected STATS, got {other}"),
     }
 }
+
+// ---------------------------------------------------------------------
+// One job crew: `max_running` dispatch threads are the only threads
+// jobs run on, so every job reported running is solving.
+// ---------------------------------------------------------------------
+
+/// The process's thread count and thread names, read from
+/// `/proc/self` (Linux); `None` where the OS does not expose them.
+fn thread_census() -> Option<(usize, Vec<String>)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let count = status
+        .lines()
+        .find_map(|line| line.strip_prefix("Threads:"))?
+        .trim()
+        .parse()
+        .ok()?;
+    let names = std::fs::read_dir("/proc/self/task")
+        .ok()?
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim().to_string())
+        .collect();
+    Some((count, names))
+}
+
+#[test]
+fn every_running_job_is_solving_on_its_dispatch_thread() {
+    // One more dispatch thread than a session's default coordinator
+    // width, on a session left at that default: a job that waited for a
+    // coordinator behind the others would show as stalled here.
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let max_running = cores.max(2) + 1;
+    let extras = 2;
+    let pool = Arc::new(SharedPool::new(2));
+    // Many small serial stages: each running job publishes progress
+    // within milliseconds and runs until cancelled.
+    let spec = |i: usize| format!("cbas-nd:budget={},stages=100000", 400_000_000 + i);
+    // Other tests of this binary start and stop threads alongside, which
+    // can only inflate a single reading; the smallest rise over a few
+    // rounds is this server's own.
+    let mut rise = usize::MAX;
+    for round in 0..3 {
+        let config = ServeConfig::new(vec![TenantConfig::new("alice", max_running + extras)])
+            .max_running(max_running)
+            .shed_queued_jobs(64);
+        let server = Server::start(session(60, 4, 3, &pool), config);
+        let before = thread_census();
+        let jobs: Vec<u64> = (0..max_running + extras)
+            .map(|i| job_id(submit(&server, "alice", &spec(round * 100 + i))))
+            .collect();
+
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut solving = Vec::new();
+        while solving.len() < max_running {
+            assert!(
+                Instant::now() < deadline,
+                "round {round}: only jobs {solving:?} of {max_running} running made progress"
+            );
+            solving.clear();
+            for &job in &jobs {
+                match server.handle(Request::Poll { job }) {
+                    Response::Running { stages, .. } if stages > 0 => solving.push(job),
+                    Response::Running { .. } | Response::Queued => {}
+                    other => panic!("round {round}: job {job} ended early: {other}"),
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if let (Some((before, _)), Some((after, names))) = (&before, thread_census()) {
+            rise = rise.min(after.saturating_sub(*before));
+            assert!(
+                !names.iter().any(|name| name == "waso-job"),
+                "round {round}: a session coordinator is running: {names:?}"
+            );
+        }
+
+        // Queued extras first, so a freed dispatch thread finds nothing.
+        for &job in jobs.iter().rev() {
+            server.handle(Request::Cancel { job });
+        }
+        for &job in &jobs {
+            match server.handle(Request::Wait { job }) {
+                Response::Done { .. } | Response::Cancelled => {}
+                other => panic!("round {round}: job {job}: expected a terminal state, got {other}"),
+            }
+        }
+        match server.handle(Request::Stats) {
+            Response::Stats(stats) => assert_eq!((stats.running, stats.queued), (0, 0)),
+            other => panic!("expected STATS, got {other}"),
+        }
+    }
+    if rise != usize::MAX {
+        assert_eq!(rise, 0, "jobs started threads beyond the dispatch crew");
+    }
+}

@@ -60,8 +60,9 @@
 //!
 //! // Serving-style: submit the solve as a job handle instead of
 //! // blocking. Handles poll, cancel, stream incumbents — and `wait()`
-//! // returns exactly what the blocking call would have (`solve` *is*
-//! // submit+wait). Spec knobs `deadline_ms=`/`patience=` bound latency.
+//! // returns exactly what the blocking call would have (both run
+//! // `JobTask::run`; `submit` adds a coordinator). Spec knobs
+//! // `deadline_ms=`/`patience=` bound latency.
 //! let handle = session
 //!     .submit(&SolverSpec::cbas_nd().budget(200).stages(4))
 //!     .unwrap();

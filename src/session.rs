@@ -25,11 +25,13 @@
 //! over that shared state with per-job error reporting — bit-identical
 //! to solving each spec alone, in the slice's order.
 //!
-//! Every job, batched or not, goes onto one session-held FIFO drained by
-//! at most [`WasoSession::batch_width`] coordinator threads. A
-//! coordinator exits when it finds the FIFO empty, so the thread count
-//! follows that width, never the number of submitted jobs, and an idle
-//! session holds no threads at all.
+//! A blocking solve runs on the caller's thread and starts none. A job
+//! handed to [`WasoSession::submit`] / [`WasoSession::submit_batch`]
+//! goes onto one session-held FIFO drained by at most
+//! [`WasoSession::batch_width`] coordinator threads. A coordinator exits
+//! when it finds the FIFO empty, so the thread count follows that width,
+//! never the number of submitted jobs, and an idle session holds no
+//! threads at all.
 //!
 //! The solve surface itself is built on **job handles**:
 //! [`WasoSession::submit`] / [`WasoSession::submit_batch`] return
@@ -39,9 +41,12 @@
 //! completed stage),
 //! report progress, and stream improving incumbents
 //! ([`SolveHandle::incumbents`]); the spec knobs `deadline_ms=` and
-//! `patience=` bound a job's latency declaratively. The blocking calls
-//! are thin wrappers (`solve` *is* submit+wait), so handle-based and
-//! blocking results are bit-identical by construction.
+//! `patience=` bound a job's latency declaratively. A caller that keeps
+//! its own [`JobControl`] (a server, which cancels and polls jobs by id)
+//! solves under it with [`WasoSession::solve_with`]. Blocking and
+//! handle-based solves share one job body: both run `JobTask::run`;
+//! `submit` adds a coordinator. Their results are therefore
+//! bit-identical by construction.
 //!
 //! ```
 //! use waso::prelude::*;
@@ -125,7 +130,8 @@ pub enum SessionError {
     /// missing one).
     Delta(DeltaError),
     /// The solver panicked (a solver bug). The job's control is finished
-    /// and its coordinator lives on to run the session's next job.
+    /// and the thread that ran it lives on: a coordinator goes on to the
+    /// session's next job, a blocking caller gets this value back.
     Panicked,
 }
 
@@ -225,7 +231,7 @@ impl MemoKey {
 
 /// The session's solve memo: the completed results of the current
 /// **generation**, keyed by [`MemoKey`], at most [`MEMO_CAPACITY`] of
-/// them. Shared (`Arc`) with job coordinators so finished solves insert
+/// them. Shared (`Arc`) with every running job so finished solves insert
 /// their results.
 #[derive(Debug, Default)]
 struct SolveMemo {
@@ -304,7 +310,7 @@ pub struct WasoSession {
     /// The worker pool every pooled solve of this session runs over —
     /// attached, or spawned on first pooled use.
     pool: Mutex<Option<Arc<SharedPool>>>,
-    /// The solve memo. `Arc`-shared with job coordinators so completed
+    /// The solve memo. `Arc`-shared with every running job so completed
     /// solves insert their results after `submit` has returned.
     memo: Arc<Mutex<SolveMemo>>,
 }
@@ -396,11 +402,13 @@ impl WasoSession {
     }
 
     /// Pins the coordinator-crew width: at most `n` of this session's
-    /// jobs run concurrently, however they were submitted
-    /// ([`WasoSession::submit`], [`WasoSession::submit_batch`], the
-    /// blocking wrappers); the rest wait in the session's FIFO. Each
-    /// coordinator drives whole jobs; per-sample parallelism lives in
-    /// the worker pool the jobs share. Clamped to ≥ 1.
+    /// submitted jobs run concurrently ([`WasoSession::submit`],
+    /// [`WasoSession::submit_batch`] and the batch wrappers over it); the
+    /// rest wait in the session's FIFO. A blocking [`WasoSession::solve`]
+    /// or [`WasoSession::solve_with`] runs on its caller's thread and is
+    /// not bounded by it. Each coordinator drives whole jobs; per-sample
+    /// parallelism lives in the worker pool the jobs share. Clamped to
+    /// ≥ 1.
     ///
     /// The default is `max(2, available_parallelism)` — **at least two**
     /// coordinators, so jobs genuinely overlap even on a 1-core box
@@ -478,11 +486,41 @@ impl WasoSession {
     /// the solver under the session's seed policy — over the session-held
     /// worker pool when the spec asks for threads.
     ///
-    /// A thin wrapper over [`WasoSession::submit`] + [`SolveHandle::wait`]
-    /// — the blocking and handle-based paths are one code path, so their
-    /// bit-identical results are structural, not coincidental.
+    /// The solve runs on the calling thread under a fresh [`JobControl`]:
+    /// [`WasoSession::solve_with`] without a caller-held control.
     pub fn solve(&self, spec: &SolverSpec) -> Result<SolveResult, SessionError> {
-        self.submit(spec)?.wait()
+        self.solve_with(spec, Arc::new(JobControl::new()))
+    }
+
+    /// [`WasoSession::solve`] under a caller-held `control`: another
+    /// thread can cancel the solve, poll its progress or read its latest
+    /// incumbent through it while this call blocks, and a deadline armed
+    /// on it before the call (to count time the caller kept the job
+    /// queued) bounds the solve. The spec's `deadline_from_submit=` is
+    /// armed on it as well; deadlines combine earliest-wins.
+    ///
+    /// The job runs on the calling thread: no coordinator is started, and
+    /// a solver panic is caught and returned as
+    /// [`SessionError::Panicked`]. `control` is finished when this
+    /// returns. The result is bit-identical to [`WasoSession::submit`] +
+    /// [`SolveHandle::wait`]: both run `JobTask::run`; `submit` adds a
+    /// coordinator.
+    pub fn solve_with(
+        &self,
+        spec: &SolverSpec,
+        control: Arc<JobControl>,
+    ) -> Result<SolveResult, SessionError> {
+        let prepared = self
+            .shared_instance()
+            .and_then(|instance| self.prepare_job(&instance, spec, Arc::clone(&control)));
+        match prepared {
+            Ok(Job::Run(task)) => task.run_caught(),
+            Ok(Job::Cached(result)) => Ok(result),
+            Err(e) => {
+                control.finish();
+                Err(e)
+            }
+        }
     }
 
     /// [`WasoSession::solve`] from a spec string (`"cbas-nd:budget=500"`),
@@ -507,11 +545,11 @@ impl WasoSession {
     /// [`WasoSession::batch_width`] coordinators takes it. Spec-level
     /// failures (unknown algorithm, unusable option, unsatisfiable
     /// constraints) surface here, before it is queued. The job's result
-    /// is **bit-identical** to [`WasoSession::solve`] with the same spec
-    /// — `solve` *is* submit+wait.
+    /// is **bit-identical** to [`WasoSession::solve`] with the same spec:
+    /// both run `JobTask::run`; `submit` adds a coordinator.
     pub fn submit(&self, spec: &SolverSpec) -> Result<SolveHandle, SessionError> {
         let instance = self.shared_instance()?;
-        let (task, handle) = self.prepare_job(&instance, spec)?;
+        let (task, handle) = self.submit_job(&instance, spec)?;
         self.enqueue(task);
         Ok(handle)
     }
@@ -554,7 +592,7 @@ impl WasoSession {
         let mut tasks = Vec::new();
         let mut handles = Vec::new();
         for spec in specs {
-            match spec.and_then(|s| self.prepare_job(&instance, s.borrow())) {
+            match spec.and_then(|s| self.submit_job(&instance, s.borrow())) {
                 // A memo hit yields no task: the handle is pre-loaded.
                 Ok((task, handle)) => {
                     tasks.extend(task);
@@ -599,19 +637,20 @@ impl WasoSession {
             .collect())
     }
 
-    /// Builds one ready-to-run job: merges and validates constraints,
-    /// resolves and builds the solver, binds the (lazily spawned) worker
-    /// pool, and wires up the control/result/incumbent plumbing shared
-    /// with the job's [`SolveHandle`].
+    /// Builds one ready-to-run job under `control`: merges and validates
+    /// constraints, resolves and builds the solver, binds the (lazily
+    /// spawned) worker pool, and arms the spec's `deadline_from_submit=`.
     ///
-    /// A memo hit short-circuits everything after validation: the
-    /// returned task is `None` and the handle is pre-loaded with the
-    /// cached result — bit-identical to the solve that produced it.
+    /// A memo hit short-circuits everything after validation: the cached
+    /// result — bit-identical to the solve that produced it — comes back
+    /// as [`Job::Cached`], with its final progress published on `control`
+    /// and `control` finished.
     fn prepare_job(
         &self,
         instance: &Arc<WasoInstance>,
         spec: &SolverSpec,
-    ) -> Result<(Option<JobTask>, SolveHandle), SessionError> {
+        control: Arc<JobControl>,
+    ) -> Result<Job, SessionError> {
         // Union of session-level and spec-level required attendees,
         // first-mention order. The merged set is re-validated: the spec
         // half never went through `instance()`.
@@ -640,7 +679,13 @@ impl WasoSession {
             if let Some(result) = memo.entries.get(&key).cloned() {
                 memo.stats.hits += 1;
                 drop(memo);
-                return Ok((None, SolveHandle::cached(result)));
+                control.publish_stage(
+                    result.stats.stages,
+                    result.stats.samples_drawn,
+                    Some((result.group.willingness(), result.group.nodes())),
+                );
+                control.finish();
+                return Ok(Job::Cached(result));
             }
             memo.stats.misses += 1;
             memo_slot = Some((Arc::clone(&self.memo), key, memo.generation));
@@ -654,7 +699,6 @@ impl WasoSession {
         // the Arc, never a solve: concurrent jobs proceed in parallel.
         let pool = solver.pool_threads().map(|t| self.session_pool(t));
 
-        let control = Arc::new(JobControl::new());
         // `deadline_from_submit=` is armed *here*, the moment the job is
         // accepted — time spent queued behind other jobs counts against
         // it, unlike `deadline_ms=`, whose clock starts at solve start.
@@ -664,17 +708,35 @@ impl WasoSession {
         if let Some(ms) = spec.deadline_from_submit {
             control.arm_deadline(std::time::Duration::from_millis(ms));
         }
-        let incumbents = control.take_incumbents();
-        let (result_tx, result_rx) = channel();
-        let task = JobTask {
+        Ok(Job::Run(JobTask {
             solver,
             instance: Arc::clone(instance),
             required,
             seed: self.seed,
             pool,
-            control: Arc::clone(&control),
-            result_tx,
+            control,
             memo: memo_slot,
+        }))
+    }
+
+    /// [`WasoSession::prepare_job`] for the handle path: a fresh control
+    /// with its incumbent stream attached, and the result channel the
+    /// job's coordinator answers on. A memo hit yields no task: the
+    /// handle is pre-loaded with the cached result, and no thread runs.
+    fn submit_job(
+        &self,
+        instance: &Arc<WasoInstance>,
+        spec: &SolverSpec,
+    ) -> Result<(Option<QueuedJob>, SolveHandle), SessionError> {
+        let control = Arc::new(JobControl::new());
+        let incumbents = control.take_incumbents();
+        let (result_tx, result_rx) = channel();
+        let queued = match self.prepare_job(instance, spec, Arc::clone(&control))? {
+            Job::Run(task) => Some((task, result_tx)),
+            Job::Cached(result) => {
+                let _ = result_tx.send(Ok(result));
+                None
+            }
         };
         let handle = SolveHandle {
             control,
@@ -682,7 +744,7 @@ impl WasoSession {
             result_rx,
             result: None,
         };
-        Ok((Some(task), handle))
+        Ok((queued, handle))
     }
 
     /// A snapshot of the session's memo counters (hits, misses,
@@ -737,7 +799,7 @@ impl WasoSession {
     /// Queues `tasks` on the session's FIFO and starts coordinators for
     /// them, so that at most [`WasoSession::batch_width`] run in all —
     /// and never more than there are queued jobs to take.
-    fn enqueue(&self, tasks: impl IntoIterator<Item = JobTask>) {
+    fn enqueue(&self, tasks: impl IntoIterator<Item = QueuedJob>) {
         let width = self.batch_width.unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map_or(1, |c| c.get())
@@ -771,10 +833,14 @@ impl WasoSession {
     }
 }
 
+/// A submitted job waiting for a coordinator, with the channel its
+/// [`SolveHandle`] receives the outcome on.
+type QueuedJob = (JobTask, Sender<Result<SolveResult, SessionError>>);
+
 /// The session's job FIFO and the number of coordinators draining it.
 #[derive(Default)]
 struct JobQueue {
-    tasks: VecDeque<JobTask>,
+    tasks: VecDeque<QueuedJob>,
     coordinators: usize,
 }
 
@@ -787,8 +853,15 @@ impl fmt::Debug for JobQueue {
     }
 }
 
-/// One prepared solve job: everything its coordinator thread needs, fully
-/// owned (the thread outlives the `submit` call's borrows).
+/// What [`WasoSession::prepare_job`] hands back: a solve to run, or the
+/// memo's answer to it.
+enum Job {
+    Run(JobTask),
+    Cached(SolveResult),
+}
+
+/// One prepared solve job: everything the thread that runs it needs,
+/// fully owned (a coordinator outlives the `submit` call's borrows).
 struct JobTask {
     solver: Box<dyn Solver + Send>,
     instance: Arc<WasoInstance>,
@@ -797,7 +870,6 @@ struct JobTask {
     /// The shared pool the solve runs over, when its spec asks for one.
     pool: Option<Arc<SharedPool>>,
     control: Arc<JobControl>,
-    result_tx: Sender<Result<SolveResult, SessionError>>,
     /// Memo insertion slot of a cacheable miss: the memo, the key, and
     /// the generation the miss read. A cleanly-completed result is
     /// cached only if that generation is still current.
@@ -805,9 +877,10 @@ struct JobTask {
 }
 
 impl JobTask {
-    /// Runs the solve and reports through the job's channels. A panic
-    /// unwinds out of here; [`drain_jobs`] answers it.
-    fn run(mut self) {
+    /// Runs the solve, memoizes a clean completion, and finishes the
+    /// control. A panic unwinds out of here; [`JobTask::run_caught`]
+    /// answers it.
+    fn run(mut self) -> Result<SolveResult, SessionError> {
         let req = SolveRequest::new(&self.instance, self.seed)
             .required(&self.required)
             .pool(self.pool.as_deref())
@@ -834,46 +907,49 @@ impl JobTask {
             }
         }
         // Release the job's resources — above all its pool Arc — BEFORE
-        // publishing the result: a caller that has observed the outcome
+        // the outcome is returned: a caller that has observed the outcome
         // must also observe the job's references gone (e.g. a session
         // dropped right after a batch asserts the pool was released).
         self.pool = None;
         drop(self.solver);
         self.control.finish();
-        let _ = self.result_tx.send(outcome);
+        outcome
+    }
+
+    /// [`JobTask::run`] with the job's panic contained: a panicking
+    /// solver (a solver bug) finishes the control and answers
+    /// [`SessionError::Panicked`], and the calling thread lives on. The
+    /// control must be finished on the unwind path too, or
+    /// `incumbents()` iterators would block forever and `progress()`
+    /// would report the dead job as running.
+    fn run_caught(self) -> Result<SolveResult, SessionError> {
+        let control = Arc::clone(&self.control);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run())).unwrap_or_else(|_| {
+            control.finish();
+            Err(SessionError::Panicked)
+        })
     }
 }
 
 /// One coordinator's work loop: pop and run jobs in FIFO order until
 /// the queue is empty, then leave the crew. Deciding to leave and
 /// uncounting itself happen under the queue lock, so a job enqueued at
-/// that moment sees the freed place and starts a new coordinator.
-///
-/// A panicking job (a solver bug) is contained: its control is
-/// finished, its waiter receives [`SessionError::Panicked`], and the
-/// coordinator moves on to the next queued job — one bad job cannot
-/// starve the rest.
+/// that moment sees the freed place and starts a new coordinator. A
+/// panicking job answers its waiter and the coordinator moves on (see
+/// [`JobTask::run_caught`]), so one bad job cannot starve the rest.
 fn drain_jobs(jobs: &Mutex<JobQueue>) {
     loop {
-        let task = {
+        let (task, result_tx) = {
             let mut jobs = jobs.lock().unwrap_or_else(PoisonError::into_inner);
             match jobs.tasks.pop_front() {
-                Some(task) => task,
+                Some(queued) => queued,
                 None => {
                     jobs.coordinators -= 1;
                     return;
                 }
             }
         };
-        // The control must still be finished on the unwind path, or
-        // incumbents() iterators would block forever and progress()
-        // would report the dead job as running.
-        let control = Arc::clone(&task.control);
-        let result_tx = task.result_tx.clone();
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run())).is_err() {
-            control.finish();
-            let _ = result_tx.send(Err(SessionError::Panicked));
-        }
+        let _ = result_tx.send(task.run_caught());
     }
 }
 
@@ -911,32 +987,9 @@ impl SolveHandle {
         }
     }
 
-    /// A handle whose job was answered from the session memo: the cached
-    /// result is pre-loaded (bit-identical to the solve that produced
-    /// it), the control reports the original solve's final progress, and
-    /// no thread is spawned — `wait`/`try_result` return in O(1).
-    fn cached(result: SolveResult) -> Self {
-        let control = Arc::new(JobControl::new());
-        let incumbents = control.take_incumbents();
-        control.publish_stage(
-            result.stats.stages,
-            result.stats.samples_drawn,
-            Some((result.group.willingness(), result.group.nodes())),
-        );
-        control.finish();
-        let (result_tx, result_rx) = channel();
-        let _ = result_tx.send(Ok(result));
-        Self {
-            control,
-            incumbents,
-            result_rx,
-            result: None,
-        }
-    }
-
     /// Blocks until the job finishes and returns its result. Bit-identical
-    /// to what the blocking [`WasoSession::solve`] returns — `solve` *is*
-    /// this call. A solver that panicked answers
+    /// to what the blocking [`WasoSession::solve`] returns: both run
+    /// `JobTask::run`. A solver that panicked answers
     /// [`SessionError::Panicked`].
     pub fn wait(mut self) -> Result<SolveResult, SessionError> {
         match self.result.take() {

@@ -475,3 +475,84 @@ fn submitted_jobs_share_a_crew_of_batch_width_threads() {
         "32 submits started {rise} threads on a width-2 session"
     );
 }
+
+/// The threads the probe solver ran on, in solve order. Only the test
+/// below registers the probe, so nothing else appends here.
+static PROBE_THREADS: std::sync::Mutex<Vec<std::thread::ThreadId>> =
+    std::sync::Mutex::new(Vec::new());
+
+/// A registered solver that records the thread it runs on, then solves
+/// as `cbas-nd:budget=60,stages=3` would.
+struct ThreadProbe(Box<dyn Solver + Send>);
+
+impl Solver for ThreadProbe {
+    fn name(&self) -> &'static str {
+        "thread-probe"
+    }
+
+    fn solve(&mut self, req: &SolveRequest<'_>) -> Result<SolveResult, SolveError> {
+        PROBE_THREADS
+            .lock()
+            .unwrap()
+            .push(std::thread::current().id());
+        self.0.solve(req)
+    }
+}
+
+/// The full registry plus the thread probe.
+fn probe_registry() -> SolverRegistry {
+    let mut registry = waso::registry();
+    registry.register(waso::algos::RegistryEntry {
+        name: "thread-probe",
+        aliases: &[],
+        label: "ThreadProbe",
+        summary: "records the thread it solves on",
+        capabilities: Capabilities::default(),
+        roster_rank: None,
+        costly: false,
+        options: &[],
+        build: |_| {
+            Ok(Box::new(ThreadProbe(
+                waso::registry().build(&quick_spec())?,
+            )))
+        },
+    });
+    registry
+}
+
+#[test]
+fn blocking_solves_run_on_the_caller_and_submits_on_a_coordinator() {
+    let probe = SolverSpec::parse("thread-probe").unwrap();
+    // A fresh session per path: a shared one would answer the second
+    // and third solves from its memo without running the probe.
+    let session = || {
+        WasoSession::new(graph(60))
+            .k(4)
+            .seed(16)
+            .with_registry(probe_registry())
+    };
+    let solved = session().solve(&probe).unwrap();
+    let control = Arc::new(JobControl::new());
+    let solved_with = session().solve_with(&probe, Arc::clone(&control)).unwrap();
+    assert!(
+        control.progress().finished,
+        "solve_with finishes its control"
+    );
+    let submitted = session().submit(&probe).unwrap().wait().unwrap();
+
+    let here = std::thread::current().id();
+    let threads = PROBE_THREADS.lock().unwrap().clone();
+    assert_eq!(threads.len(), 3, "the probe ran once per path");
+    assert_eq!(threads[0], here, "solve runs on the caller's thread");
+    assert_eq!(threads[1], here, "solve_with runs on the caller's thread");
+    assert_ne!(threads[2], here, "submit runs on a coordinator");
+    for other in [&solved_with, &submitted] {
+        assert_eq!(other.group, solved.group);
+        assert_eq!(other.stats.samples_drawn, solved.stats.samples_drawn);
+        assert_eq!(other.stats.stages, solved.stats.stages);
+        assert_eq!(
+            other.group.willingness().to_bits(),
+            solved.group.willingness().to_bits()
+        );
+    }
+}
