@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -180,10 +180,6 @@ pub struct PoolStats {
     pub threads: usize,
     /// Jobs currently attached (submitted, not yet finished/dropped).
     pub active_jobs: usize,
-    /// Per-job queue depth: chunks dispatched to workers and not yet
-    /// collected, keyed by job id. A consistently deep entry is a job
-    /// whose coordinator is falling behind (or a saturated pool).
-    pub queued_chunks: Vec<(u64, u64)>,
     /// Per-slot busy/idle flags and lifetime chunk counters.
     pub workers: Vec<WorkerStats>,
     /// Chunk draws that panicked and were discarded
@@ -192,11 +188,6 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    /// Total in-flight chunks across every active job.
-    pub fn total_queued(&self) -> u64 {
-        self.queued_chunks.iter().map(|&(_, d)| d).sum()
-    }
-
     /// Workers busy at snapshot time.
     pub fn busy_workers(&self) -> usize {
         self.workers.iter().filter(|w| w.busy).count()
@@ -204,16 +195,14 @@ impl PoolStats {
 }
 
 impl std::fmt::Display for PoolStats {
-    /// One line for logs/benches: `3 workers (1 busy), 2 jobs, 5 queued
-    /// chunks, 0 re-draws`.
+    /// One line for logs/benches: `3 workers (1 busy), 2 jobs, 0 re-draws`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} workers ({} busy), {} jobs, {} queued chunks, {} re-draws",
+            "{} workers ({} busy), {} jobs, {} re-draws",
             self.threads,
             self.busy_workers(),
             self.active_jobs,
-            self.total_queued(),
             self.redrawn_chunks
         )
     }
@@ -228,8 +217,8 @@ pub struct SharedPool {
     workers: Vec<JoinHandle<()>>,
     gauges: Vec<Arc<WorkerGauge>>,
     next_job: AtomicU64,
-    /// In-flight chunk counts per active job (dispatched, not collected).
-    job_depths: Mutex<BTreeMap<u64, u64>>,
+    /// Jobs submitted and not yet dropped.
+    active_jobs: AtomicUsize,
     shared: Arc<PoolShared>,
 }
 
@@ -357,7 +346,7 @@ impl SharedPool {
             workers,
             gauges,
             next_job: AtomicU64::new(0),
-            job_depths: Mutex::new(BTreeMap::new()),
+            active_jobs: AtomicUsize::new(0),
             shared,
         }
     }
@@ -376,23 +365,14 @@ impl SharedPool {
         self.shared.redraws.load(Ordering::SeqCst)
     }
 
-    /// A point-in-time health snapshot: active jobs, per-job queue
-    /// depths (chunks dispatched but not yet collected), per-worker
+    /// A point-in-time health snapshot: active jobs, per-worker
     /// busy/idle flags and lifetime chunk counters, and the re-draw
-    /// count. Cheap — a handful of relaxed atomic loads plus one short
-    /// lock — so serving deployments can scrape it on every health poll.
+    /// count. Cheap — a handful of atomic loads, no lock — so serving
+    /// deployments can scrape it on every health poll.
     pub fn stats(&self) -> PoolStats {
-        let queued_chunks: Vec<(u64, u64)> = self
-            .job_depths
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&job, &depth)| (job, depth))
-            .collect();
         PoolStats {
             threads: self.threads(),
-            active_jobs: queued_chunks.len(),
-            queued_chunks,
+            active_jobs: self.active_jobs.load(Ordering::SeqCst),
             workers: self
                 .gauges
                 .iter()
@@ -402,23 +382,6 @@ impl SharedPool {
                 })
                 .collect(),
             redrawn_chunks: self.redrawn_chunks(),
-        }
-    }
-
-    /// Adjusts one job's in-flight chunk gauge (`None` removes the job).
-    fn track_depth(&self, job: u64, delta: Option<i64>) {
-        let mut depths = self
-            .job_depths
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match delta {
-            None => {
-                depths.remove(&job);
-            }
-            Some(d) => {
-                let slot = depths.entry(job).or_insert(0);
-                *slot = slot.saturating_add_signed(d);
-            }
         }
     }
 
@@ -440,7 +403,7 @@ impl SharedPool {
     /// Dropping the handle detaches the job.
     pub(crate) fn submit(&self, ctx: Arc<SolveCtx>) -> PoolJob<'_> {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        self.track_depth(id, Some(0)); // job is now visible in stats()
+        self.active_jobs.fetch_add(1, Ordering::SeqCst);
         let links = self
             .inboxes
             .iter()
@@ -534,9 +497,7 @@ impl PoolJob<'_> {
             buf,
             recycled,
         };
-        if link.tx.send(msg).is_ok() {
-            self.pool.track_depth(self.id, Some(1));
-        }
+        let _ = link.tx.send(msg);
     }
 
     /// Collects `slot`'s reply for the current chunk and merges it into
@@ -567,7 +528,6 @@ impl PoolJob<'_> {
         }
         self.spare_bufs.push(buf);
         self.spare_containers.push(empties);
-        self.pool.track_depth(self.id, Some(-1));
         complete
     }
 }
@@ -597,7 +557,7 @@ impl StageExec for PoolJob<'_> {
 
 impl Drop for PoolJob<'_> {
     fn drop(&mut self) {
-        self.pool.track_depth(self.id, None);
+        self.pool.active_jobs.fetch_sub(1, Ordering::SeqCst);
         for link in &self.links {
             // Explicit detach; an exited worker (send error) holds no
             // state for this job anyway, and replies still in flight are
@@ -738,6 +698,7 @@ mod tests {
             // Dropped here: detach overtakes (or trails) the in-flight
             // reply — either order must be harmless.
         }
+        assert_eq!(pool.stats().active_jobs, 0, "the dropped job detached");
         let ctx = ctx_with_items(&inst, 8, 9);
         let results = stage_results(&pool, &ctx, 8);
         assert!(results.iter().any(|s| s.is_some()));
@@ -749,29 +710,22 @@ mod tests {
     fn stats_track_jobs_chunks_and_workers() {
         let inst = instance(40, 4, 8);
         let pool = SharedPool::new(2);
-        // Idle pool: no jobs, nothing queued, nobody busy, no work done.
+        // Idle pool: no jobs, nobody busy, no work done.
         let idle = pool.stats();
         assert_eq!(idle.threads, 2);
         assert_eq!(idle.active_jobs, 0);
-        assert_eq!(idle.total_queued(), 0);
         assert_eq!(idle.busy_workers(), 0);
         assert_eq!(idle.workers.len(), 2);
 
-        // A job with one dispatched, uncollected chunk shows up in the
-        // per-job queue depths.
+        // A submitted job counts as active until it is dropped, also
+        // after its chunk is collected.
         let ctx = ctx_with_items(&inst, 8, 3);
         let mut job = pool.submit(Arc::clone(&ctx));
         let mut slab = Vec::new();
-        let mid = pool.stats();
-        assert_eq!(mid.active_jobs, 1);
+        assert_eq!(pool.stats().active_jobs, 1);
         job.dispatch(0, 0, Span::stripe(0, 2), &mut slab, 0);
-        let busy = pool.stats();
-        assert_eq!(busy.queued_chunks.len(), 1);
-        assert_eq!(busy.total_queued(), 1);
         job.collect(0, 0, &mut vec![None; 8]);
-        let collected = pool.stats();
-        assert_eq!(collected.total_queued(), 0);
-        assert_eq!(collected.active_jobs, 1, "job still attached");
+        assert_eq!(pool.stats().active_jobs, 1, "job still attached");
         drop(job);
 
         // After a full stage the job is gone and the workers have

@@ -15,8 +15,6 @@
 //!   --max-running N       concurrent dispatch width (default 2)
 //!   --shed-queued N       refuse SUBMITs once N jobs are queued
 //!                         (default 16)
-//!   --shed-pool-depth N   also refuse while the pool's chunk backlog
-//!                         exceeds N (off by default)
 //! ```
 //!
 //! The server prints `listening on <addr>` to stdout once bound —
@@ -40,7 +38,7 @@ struct Args {
 
 const USAGE: &str = "usage: waso-serve --graph FILE --k N --tenant NAME=QUOTA... \
      [--listen ADDR] [--seed N] [--pool-threads N] [--max-running N] \
-     [--shed-queued N] [--shed-pool-depth N]";
+     [--shed-queued N]";
 
 /// Parses a numeric flag **at its native type**: a negative or
 /// overflowing value is the usual typed usage error, never a silent
@@ -59,7 +57,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut tenants = Vec::new();
     let mut max_running = None;
     let mut shed_queued = None;
-    let mut shed_pool_depth = None;
 
     let mut i = 0;
     while let Some(arg) = argv.get(i).cloned() {
@@ -84,9 +81,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--shed-queued" => {
                 shed_queued = Some(parse_num(value("--shed-queued")?, "shed-queued")?)
             }
-            "--shed-pool-depth" => {
-                shed_pool_depth = Some(parse_num(value("--shed-pool-depth")?, "shed-pool-depth")?)
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
         }
@@ -110,9 +104,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if let Some(n) = shed_queued {
         config = config.shed_queued_jobs(n);
-    }
-    if let Some(n) = shed_pool_depth {
-        config = config.shed_pool_depth(n);
     }
     Ok(Args {
         graph: graph.ok_or_else(|| format!("--graph is required\n{USAGE}"))?,

@@ -13,9 +13,8 @@
 //!   inflight jobs ([`TenantConfig::max_inflight`] → `ERR QUOTA`);
 //! * **fairness** — queued jobs are dispatched round-robin across
 //!   tenants, so one flooding tenant cannot starve the rest;
-//! * **load shedding** — past a configurable queue depth (or pool
-//!   chunk backlog) new submissions get `ERR SHED` instead of an
-//!   ever-growing queue;
+//! * **load shedding** — past a configurable queue depth new
+//!   submissions get `ERR SHED` instead of an ever-growing queue;
 //! * **submit-anchored deadlines** — a spec's `deadline_from_submit=`
 //!   is armed against the admission timestamp, so time queued behind
 //!   other tenants counts against the SLA.

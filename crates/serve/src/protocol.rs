@@ -35,7 +35,7 @@
 //! RUNNING <stages> <samples> [<willingness> <node,node,...>]
 //! DONE <termination> <willingness> <node,node,...> <samples>
 //! CANCELLED
-//! STATS queued=N running=N finished=N shed=N tenants=N pool_queued=N pool_workers=N memo_hits=N memo_misses=N memo_invalidated=N memo_evicted=N
+//! STATS queued=N running=N finished=N shed=N tenants=N pool_workers=N memo_hits=N memo_misses=N memo_invalidated=N memo_evicted=N
 //! ERR <CODE> [<message>]
 //! ```
 //!
@@ -98,13 +98,17 @@ const MAX_LEN_LINE: u64 = 32;
 /// between frames); an EOF *inside* a frame is an
 /// [`io::ErrorKind::UnexpectedEof`] error.
 pub fn read_frame(r: &mut impl BufRead) -> io::Result<Option<Result<String, FrameError>>> {
-    let mut line = String::new();
-    let n = Read::take(&mut *r, MAX_LEN_LINE).read_line(&mut line)?;
+    let mut raw = Vec::new();
+    let n = Read::take(&mut *r, MAX_LEN_LINE).read_until(b'\n', &mut raw)?;
     if n == 0 {
         return Ok(None);
     }
+    // Lossy, not strict: a non-UTF-8 prefix is garbage like any other
+    // and fails the parse below (the peer gets `ERR BAD_FRAME`), where a
+    // strict decode would be an I/O error that drops the connection.
+    let line = String::from_utf8_lossy(&raw);
     if !line.ends_with('\n') && n as u64 == MAX_LEN_LINE {
-        return Ok(Some(Err(FrameError::BadLength(line))));
+        return Ok(Some(Err(FrameError::BadLength(line.into_owned()))));
     }
     let trimmed = line.trim_end_matches('\n');
     let len: usize = match trimmed.parse() {
@@ -213,8 +217,8 @@ pub enum ErrCode {
     /// The tenant is at its `max_inflight` quota; retry after one of its
     /// jobs finishes.
     Quota,
-    /// The server is load-shedding: its queue (or the pool's chunk
-    /// backlog) crossed the configured threshold. Retry with backoff.
+    /// The server is load-shedding: its queue crossed the configured
+    /// depth. Retry with backoff.
     Shed,
     /// The spec did not resolve to a buildable solver.
     BadSpec,
@@ -275,8 +279,6 @@ pub struct StatsReply {
     pub shed: u64,
     /// Configured tenants.
     pub tenants: u64,
-    /// The shared pool's in-flight chunk backlog at snapshot time.
-    pub pool_queued: u64,
     /// The shared pool's worker count.
     pub pool_workers: u64,
     /// Solves the session answered from its memo (no solver ran).
@@ -434,7 +436,6 @@ impl Response {
                         "finished" => stats.finished = value,
                         "shed" => stats.shed = value,
                         "tenants" => stats.tenants = value,
-                        "pool_queued" => stats.pool_queued = value,
                         "pool_workers" => stats.pool_workers = value,
                         "memo_hits" => stats.memo_hits = value,
                         "memo_misses" => stats.memo_misses = value,
@@ -494,14 +495,13 @@ impl fmt::Display for Response {
             Response::Stats(s) => write!(
                 f,
                 "STATS queued={} running={} finished={} shed={} tenants={} \
-                 pool_queued={} pool_workers={} memo_hits={} memo_misses={} \
+                 pool_workers={} memo_hits={} memo_misses={} \
                  memo_invalidated={} memo_evicted={}",
                 s.queued,
                 s.running,
                 s.finished,
                 s.shed,
                 s.tenants,
-                s.pool_queued,
                 s.pool_workers,
                 s.memo_hits,
                 s.memo_misses,
@@ -559,6 +559,12 @@ mod tests {
         assert_eq!(
             read_frame(&mut r).unwrap().unwrap().unwrap_err(),
             FrameError::BadUtf8
+        );
+        // A non-UTF-8 length line is a bad length too, not an io error.
+        let mut r = io::BufReader::new(&b"\xff\n"[..]);
+        assert_eq!(
+            read_frame(&mut r).unwrap().unwrap().unwrap_err(),
+            FrameError::BadLength("\u{FFFD}".to_string())
         );
         // EOF mid-payload is an io error, not a clean close.
         let mut r = io::BufReader::new(&b"10\nshort"[..]);

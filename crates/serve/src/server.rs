@@ -33,10 +33,10 @@
 //!
 //! Load shedding is admission-time: a `SUBMIT` is refused with
 //! `ERR SHED` when the server-wide queue reaches
-//! [`ServeConfig::shed_queued_jobs`], or when the shared pool's
-//! in-flight chunk backlog exceeds [`ServeConfig::shed_pool_depth`] —
-//! the queue bound is the deterministic signal, the pool bound the
-//! saturation backstop.
+//! [`ServeConfig::shed_queued_jobs`]. The pool needs no bound of its
+//! own: each running job keeps at most one chunk per pool worker in
+//! flight, so `max_running` × pool workers bounds the chunks this
+//! server's jobs queue on it.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
@@ -63,9 +63,6 @@ pub struct ServeConfig {
     /// Load-shed bound: refuse `SUBMIT`s while this many jobs are
     /// already queued (waiting for a dispatch slot). Clamped to ≥ 1.
     pub shed_queued_jobs: usize,
-    /// Optional second load-shed signal: refuse `SUBMIT`s while the
-    /// shared pool's in-flight chunk backlog exceeds this.
-    pub shed_pool_depth: Option<u64>,
     /// Finished-job retention: the server keeps at most this many
     /// terminal jobs' responses around for later `POLL`/`WAIT`; beyond
     /// it the oldest are evicted and answer `ERR UNKNOWN_JOB`. Bounds
@@ -92,7 +89,6 @@ impl ServeConfig {
             tenants,
             max_running: 2,
             shed_queued_jobs: 16,
-            shed_pool_depth: None,
             retain_finished: 1024,
         }
     }
@@ -104,11 +100,6 @@ impl ServeConfig {
 
     pub fn shed_queued_jobs(mut self, n: usize) -> Self {
         self.shed_queued_jobs = n.max(1);
-        self
-    }
-
-    pub fn shed_pool_depth(mut self, depth: u64) -> Self {
-        self.shed_pool_depth = Some(depth);
         self
     }
 
@@ -381,16 +372,6 @@ impl Inner {
                 ),
             );
         }
-        if let Some(bound) = self.config.shed_pool_depth {
-            let depth = self.session.pool_stats().map_or(0, |s| s.total_queued());
-            if depth > bound {
-                st.shed += 1;
-                return err(
-                    ErrCode::Shed,
-                    format!("pool backlog {depth} chunks (bound {bound})"),
-                );
-            }
-        }
         // `tidx` comes from the name lookup above, so these lookups cannot
         // miss; `get` keeps the connection path panic-free regardless.
         let quota = self.config.tenants.get(tidx).map_or(0, |t| t.max_inflight);
@@ -503,8 +484,7 @@ impl Inner {
             finished: st.finished,
             shed: st.shed,
             tenants: self.config.tenants.len() as u64,
-            pool_queued: pool.as_ref().map_or(0, PoolStats::total_queued),
-            pool_workers: pool.as_ref().map_or(0, |p| p.threads as u64),
+            pool_workers: pool.map_or(0, |p| p.threads as u64),
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_invalidated: memo.invalidated,

@@ -82,7 +82,7 @@ proptest! {
         willingness in -1.0e15..1.0e15f64,
         nodes in collection::vec(0u32..2_000_000, 0..12),
         has_incumbent: bool,
-        counters in collection::vec(0u64..10_000_000, 11),
+        counters in collection::vec(0u64..10_000_000, 10),
         code_pick in 0u8..8,
         msg_seed in collection::vec(0u8..=255, 0..48),
         term_pick in 0u8..3,
@@ -108,12 +108,11 @@ proptest! {
                 finished: counters[2],
                 shed: counters[3],
                 tenants: counters[4],
-                pool_queued: counters[5],
-                pool_workers: counters[6],
-                memo_hits: counters[7],
-                memo_misses: counters[8],
-                memo_invalidated: counters[9],
-                memo_evicted: counters[10],
+                pool_workers: counters[5],
+                memo_hits: counters[6],
+                memo_misses: counters[7],
+                memo_invalidated: counters[8],
+                memo_evicted: counters[9],
             }),
             _ => Response::Error {
                 code: CODES[code_pick as usize],

@@ -243,66 +243,13 @@ fn dispatch_is_round_robin_across_tenants() {
 }
 
 // ---------------------------------------------------------------------
-// Load shedding against a saturated width-1 pool
+// Load shedding by queue depth
 // ---------------------------------------------------------------------
 
 #[test]
-fn saturation_sheds_submissions_until_the_backlog_drains() {
-    // A width-1 pool: one worker serves every tenant, so a single huge
-    // pooled job keeps an in-flight chunk backlog the whole time.
-    let pool = Arc::new(SharedPool::new(1));
-    let config = ServeConfig::new(vec![TenantConfig::new("alice", 10)])
-        .max_running(1)
-        .shed_queued_jobs(64)
-        .shed_pool_depth(0);
-    let server = Server::start(session(60, 4, 3, &pool), config);
-
-    let blocker = job_id(submit(&server, "alice", blocker_spec()));
-    await_dispatch(&server, blocker);
-    // Wait until the pool reports in-flight chunks — the saturation
-    // signal the admission check reads.
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while pool.stats().total_queued() == 0 {
-        assert!(Instant::now() < deadline, "pool never saturated");
-        std::thread::yield_now();
-    }
-    match submit(&server, "alice", "dgreedy") {
-        Response::Error { code, .. } => assert_eq!(code, ErrCode::Shed),
-        other => panic!("expected ERR SHED, got {other}"),
-    }
-    // The refusal is counted.
-    match server.handle(Request::Stats) {
-        Response::Stats(stats) => assert_eq!(stats.shed, 1),
-        other => panic!("expected STATS, got {other}"),
-    }
-
-    // Draining the backlog reopens admission.
-    server.handle(Request::Cancel { job: blocker });
-    server.handle(Request::Wait { job: blocker });
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        match submit(&server, "alice", "dgreedy") {
-            Response::Job(job) => {
-                server.handle(Request::Wait { job });
-                break;
-            }
-            Response::Error {
-                code: ErrCode::Shed,
-                ..
-            } => {
-                // The pool backlog drains asynchronously after cancel.
-                assert!(Instant::now() < deadline, "admission never reopened");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            other => panic!("expected JOB or ERR SHED, got {other}"),
-        }
-    }
-}
-
-#[test]
-fn queue_depth_alone_sheds_independently_of_the_pool() {
-    // No shed_pool_depth here, and the blocker plus queued jobs are all
-    // serial — the deterministic queue-depth bound is what trips.
+fn queue_depth_sheds_and_reopens() {
+    // The blocker plus queued jobs are all serial, so the deterministic
+    // queue-depth bound is what trips.
     let pool = Arc::new(SharedPool::new(2));
     let config = ServeConfig::new(vec![TenantConfig::new("alice", 10)])
         .max_running(1)
@@ -319,6 +266,11 @@ fn queue_depth_alone_sheds_independently_of_the_pool() {
             assert!(message.contains("queued"), "{message}");
         }
         other => panic!("expected ERR SHED, got {other}"),
+    }
+    // The refusal is counted.
+    match server.handle(Request::Stats) {
+        Response::Stats(stats) => assert_eq!(stats.shed, 1),
+        other => panic!("expected STATS, got {other}"),
     }
 
     // The queue drains once the slot frees; admission reopens.

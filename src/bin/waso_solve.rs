@@ -269,8 +269,45 @@ fn run_local(graph: &PathBuf, k: usize, args: &Args) -> Result<(), String> {
 /// One `SUBMIT` + blocking `WAIT` against a running `waso-serve`,
 /// speaking its length-prefixed frame protocol directly (see the
 /// `waso-serve` crate docs for the grammar).
+/// The largest reply frame accepted: the server's own frame cap
+/// (`waso_serve::protocol::MAX_FRAME`, restated because this binary has
+/// no serve dependency). A longer declared length is refused before any
+/// buffer is allocated.
+const MAX_FRAME: usize = 64 * 1024;
+
+/// The most bytes read while looking for a reply's length line; a valid
+/// one is far shorter, so a peer that never sends a newline is refused
+/// after this many bytes instead of buffered without limit.
+const MAX_LEN_LINE: u64 = 32;
+
+/// Reads one reply frame: decimal length, newline, that many UTF-8 bytes.
+fn read_reply(reader: &mut impl std::io::BufRead) -> Result<String, String> {
+    use std::io::{BufRead, Read};
+
+    let mut raw = Vec::new();
+    let n = Read::take(&mut *reader, MAX_LEN_LINE)
+        .read_until(b'\n', &mut raw)
+        .map_err(|e| e.to_string())?;
+    if n == 0 {
+        return Err("server closed the connection".to_string());
+    }
+    let line = String::from_utf8_lossy(&raw);
+    let len: usize = line
+        .strip_suffix('\n')
+        .and_then(|digits| digits.parse().ok())
+        .ok_or_else(|| format!("bad frame length {line:?} from server"))?;
+    if len > MAX_FRAME {
+        return Err(format!(
+            "reply frame of {len} bytes from server exceeds the {MAX_FRAME}-byte cap"
+        ));
+    }
+    let mut buf = vec![0u8; len];
+    reader.read_exact(&mut buf).map_err(|e| e.to_string())?;
+    String::from_utf8(buf).map_err(|_| "non-UTF-8 reply from server".to_string())
+}
+
 fn run_remote(server: &str, tenant: &str, spec: &SolverSpec) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufReader, Write};
 
     let stream = std::net::TcpStream::connect(server)
         .map_err(|e| format!("cannot connect to {server}: {e}"))?;
@@ -279,17 +316,7 @@ fn run_remote(server: &str, tenant: &str, spec: &SolverSpec) -> Result<(), Strin
     let mut call = move |payload: String| -> Result<String, String> {
         write!(writer, "{}\n{payload}", payload.len()).map_err(|e| e.to_string())?;
         writer.flush().map_err(|e| e.to_string())?;
-        let mut line = String::new();
-        if reader.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
-            return Err("server closed the connection".to_string());
-        }
-        let len: usize = line
-            .trim_end_matches('\n')
-            .parse()
-            .map_err(|_| format!("bad frame length {line:?} from server"))?;
-        let mut buf = vec![0u8; len];
-        reader.read_exact(&mut buf).map_err(|e| e.to_string())?;
-        String::from_utf8(buf).map_err(|_| "non-UTF-8 reply from server".to_string())
+        read_reply(&mut reader)
     };
 
     let reply = call(format!("SUBMIT {tenant} {spec}"))?;
@@ -422,5 +449,49 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, "bad budget '99999999999999999999'");
+    }
+
+    /// Runs `run_remote` against a one-shot local peer that reads the
+    /// `SUBMIT` frame and answers it with `answer`, raw.
+    fn remote_error(answer: Vec<u8>) -> String {
+        use std::io::{BufRead, BufReader, Read, Write};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let mut payload = vec![0u8; line.trim_end().parse().unwrap()];
+            reader.read_exact(&mut payload).unwrap();
+            // A client that refuses the answer hangs up mid-write, so
+            // write errors are expected. Closing our half makes a client
+            // that waits for more bytes fail instead of hang.
+            let _ = (&stream).write_all(&answer);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = reader.read_to_end(&mut Vec::new());
+        });
+        let spec = waso::registry().parse("dgreedy").unwrap();
+        let err = run_remote(&addr, "alice", &spec).unwrap_err();
+        peer.join().unwrap();
+        err
+    }
+
+    #[test]
+    fn oversized_reply_length_is_refused_before_allocating() {
+        let err = remote_error(b"70000\n".to_vec());
+        assert!(err.contains("70000"), "{err}");
+        assert!(err.contains("65536-byte cap"), "{err}");
+    }
+
+    #[test]
+    fn newline_free_reply_length_is_refused_after_32_bytes() {
+        let err = remote_error(vec![b'1'; 1 << 20]);
+        let quoted = err
+            .strip_prefix("bad frame length \"")
+            .and_then(|rest| rest.strip_suffix("\" from server"))
+            .unwrap_or_else(|| panic!("unexpected error: {err}"));
+        assert!(quoted.len() <= 32, "quoted {} bytes", quoted.len());
     }
 }
