@@ -88,25 +88,15 @@ impl CbasConfig {
 
     /// The staged-sampling settings a [`crate::SolverSpec`] carries
     /// (budget, stages, start-node count, pinned starts, `threads=`, the
-    /// anytime `deadline_ms=`/`patience=` knobs); everything else keeps the
+    /// anytime deadline and `patience=` knobs); everything else keeps the
     /// paper's defaults. Shared with [`crate::CbasNdConfig::from_spec`].
-    ///
-    /// `deadline_from_submit=` folds in by earliest-deadline-wins: a
-    /// session arms it from the actual submit instant (so queue wait
-    /// counts), but for direct `registry.build` callers — where submit
-    /// and start coincide — treating it as a start-relative deadline
-    /// keeps the knob from being silently inert.
+    /// The deadline is [`crate::SolverSpec::deadline`].
     pub fn from_spec(spec: &crate::SolverSpec) -> Self {
         Self {
             stages: spec.stages,
             num_start_nodes: spec.start_nodes,
             start_override: spec.starts.clone(),
-            deadline: spec
-                .deadline_ms
-                .into_iter()
-                .chain(spec.deadline_from_submit)
-                .min()
-                .map(std::time::Duration::from_millis),
+            deadline: spec.deadline(),
             patience: spec.patience,
             threads: spec.threads,
             ..Self::with_budget(spec.budget_or_default())

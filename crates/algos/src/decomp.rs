@@ -30,7 +30,7 @@
 //! `tests/properties.rs`.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use waso_core::{Group, GrowthWorkspace, WasoInstance};
 use waso_graph::subgraph::{induced_subgraph, Induced};
@@ -189,8 +189,8 @@ impl Decomp {
         if let Some(reason) = control.stop_reason() {
             return Err(SolveError::NoIncumbent { reason });
         }
-        if let Some(ms) = self.spec.deadline_ms {
-            control.arm_deadline(Duration::from_millis(ms));
+        if let Some(deadline) = self.spec.deadline() {
+            control.arm_deadline(deadline);
         }
         // A threaded solve handed no pool runs every inner job on one
         // pool of its own, created here and dropped when the solve ends.

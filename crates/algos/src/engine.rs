@@ -406,10 +406,6 @@ impl StagedEngine {
         // (workers read it), results and the per-start sample buffer here.
         let mut results: Vec<Option<Sample>> = Vec::new();
         let mut stage_samples: Vec<Sample> = Vec::new();
-        // Spent samples' node buffers, fed back to the executor each stage
-        // (and from there to the samplers — inside the chunk messages on
-        // a pool), so steady-state sampling allocates nothing.
-        let mut slab: Vec<Vec<NodeId>> = Vec::new();
         // Consecutive stages without an incumbent improvement (patience).
         let mut non_improving = 0u32;
 
@@ -470,7 +466,7 @@ impl StagedEngine {
             }
             results.clear();
             results.resize(n_items, None);
-            if !exec.run_stage(stage as u64, &mut results, &mut slab) {
+            if !exec.run_stage(stage as u64, &mut results) {
                 // The stop signal tripped mid-stage and the executor quit
                 // early: some result slots were never drawn. Abandon the
                 // stage wholesale — nothing merges, no stats move, the
@@ -515,7 +511,6 @@ impl StagedEngine {
                                     && instance.requires_connectivity()
                                     && !waso_graph::traversal::is_connected_subset(g, &s.nodes)
                                 {
-                                    slab.push(s.nodes);
                                     continue;
                                 }
                             }
@@ -568,9 +563,8 @@ impl StagedEngine {
                         ) as u32;
                     }
                 }
-                // The samples are fully consumed — their node buffers go
-                // back into the slab for the next stage's draws.
-                slab.extend(stage_samples.drain(..).map(|s| s.nodes));
+                // The samples are spent: drop them.
+                stage_samples.clear();
             }
 
             // End-of-stage anytime bookkeeping: publish progress (and the

@@ -19,11 +19,9 @@
 //! seed set, so they deal across workers exactly like fresh samples.
 //!
 //! Each worker owns one `Sampler` (and thus its `GrowthWorkspace` and
-//! weight buffer) per attached job, result buffers are recycled through
-//! the chunk messages, and the per-sample `Vec<NodeId>` node lists flow
-//! coordinator → worker → coordinator through a slab (chunk messages
-//! carry spent buffers back; see `StageExec::run_stage`) — steady-state
-//! stages allocate nothing.
+//! weight buffer) per attached job. A drawn [`Sample`] owns its node
+//! list: the engine merges a stage's samples, feeds them to the
+//! cross-entropy update and drops them.
 //!
 //! Determinism: every `(start node, stage, sample)` triple draws from its
 //! own RNG stream (`sample_seed`), and results are keyed by item
@@ -232,20 +230,12 @@ fn draw_span(
 }
 
 /// A stage executor: fills `results[j]` with the outcome of item `j`.
-/// `slab` carries the node buffers of already-consumed samples *into* the
-/// call (the executor hands them to its samplers for reuse); executors
-/// take what they need and leave the rest.
 ///
 /// Returns whether the stage ran to completion: `false` means the job's
 /// stop signal tripped mid-stage, some result slots were never drawn,
 /// and the engine must abandon the stage unmerged.
 pub(crate) trait StageExec {
-    fn run_stage(
-        &mut self,
-        stage: u64,
-        results: &mut [Option<Sample>],
-        slab: &mut Vec<Vec<NodeId>>,
-    ) -> bool;
+    fn run_stage(&mut self, stage: u64, results: &mut [Option<Sample>]) -> bool;
 }
 
 /// The calling-thread executor: one sampler, items drawn in order.
@@ -257,15 +247,7 @@ pub(crate) struct SerialExec<'a> {
 }
 
 impl StageExec for SerialExec<'_> {
-    fn run_stage(
-        &mut self,
-        stage: u64,
-        results: &mut [Option<Sample>],
-        slab: &mut Vec<Vec<NodeId>>,
-    ) -> bool {
-        for spent in slab.drain(..) {
-            self.sampler.recycle(spent);
-        }
+    fn run_stage(&mut self, stage: u64, results: &mut [Option<Sample>]) -> bool {
         self.buf.clear();
         let complete = draw_span(
             &mut self.sampler,

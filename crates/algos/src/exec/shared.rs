@@ -40,8 +40,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-use waso_graph::NodeId;
-
 use super::{draw_span, SolveCtx, Span, StageExec};
 use crate::sampler::{Sample, Sampler};
 
@@ -73,22 +71,14 @@ enum WorkerMsg {
         reply: Sender<ChunkReply>,
     },
     /// Draw one span of the job's current stage.
-    Chunk {
-        job: u64,
-        stage: u64,
-        span: Span,
-        buf: Vec<(usize, Option<Sample>)>,
-        recycled: Vec<Vec<NodeId>>,
-    },
+    Chunk { job: u64, stage: u64, span: Span },
     /// The job is over; drop its context, sampler and reply sender.
     Detach { job: u64 },
 }
 
-/// One chunk's answer: the drawn `(item index, sample)` pairs plus the
-/// emptied recycling container going back to the job's spares.
+/// One chunk's answer: the drawn `(item index, sample)` pairs.
 struct ChunkReply {
     buf: Vec<(usize, Option<Sample>)>,
-    empties: Vec<Vec<NodeId>>,
     /// Whether the span was drawn in full (`false`: the job's stop signal
     /// tripped mid-span; the engine abandons the stage). `None`: every
     /// one of [`MAX_REDRAWS_PER_CHUNK`] draws panicked and the worker
@@ -254,34 +244,19 @@ fn worker_loop(slot: usize, rx: Receiver<WorkerMsg>, shared: &PoolShared, gauge:
             WorkerMsg::Detach { job } => {
                 jobs.remove(&job);
             }
-            WorkerMsg::Chunk {
-                job,
-                stage,
-                span,
-                mut buf,
-                mut recycled,
-            } => {
+            WorkerMsg::Chunk { job, stage, span } => {
                 let Some(entry) = jobs.get_mut(&job) else {
                     continue; // stale chunk of a detached job
                 };
                 gauge.busy.store(true, Ordering::Relaxed);
-                for spent in recycled.drain(..) {
-                    entry.sampler.recycle(spent);
-                }
+                let mut buf = Vec::new();
                 let complete = draw_chunk(slot, shared, entry, stage, span, &mut buf);
                 // Gauge updates precede the reply send: the channel's
                 // synchronization publishes them, so a coordinator that
                 // has collected every reply observes an idle pool.
                 gauge.chunks.fetch_add(1, Ordering::Relaxed);
                 gauge.busy.store(false, Ordering::Relaxed);
-                let gone = entry
-                    .reply
-                    .send(ChunkReply {
-                        buf,
-                        empties: recycled,
-                        complete,
-                    })
-                    .is_err();
+                let gone = entry.reply.send(ChunkReply { buf, complete }).is_err();
                 if gone {
                     jobs.remove(&job); // coordinator gone: explicit detach
                 }
@@ -426,8 +401,6 @@ impl SharedPool {
             pool: self,
             id,
             links,
-            spare_bufs: Vec::new(),
-            spare_containers: Vec::new(),
         }
     }
 }
@@ -461,57 +434,36 @@ pub(crate) struct PoolJob<'p> {
     pool: &'p SharedPool,
     id: u64,
     links: Vec<Link>,
-    /// Result buffers returned by collected chunks, reused by the next
-    /// stage's dispatches.
-    spare_bufs: Vec<Vec<(usize, Option<Sample>)>>,
-    /// Emptied node-buffer containers, refilled from the slab on dispatch.
-    spare_containers: Vec<Vec<Vec<NodeId>>>,
 }
 
 impl PoolJob<'_> {
     /// Sends one chunk to `slot`. A send to an exited worker is dropped:
     /// its reply channel is disconnected too, and `collect` reports it.
-    fn dispatch(
-        &mut self,
-        slot: usize,
-        stage: u64,
-        span: Span,
-        slab: &mut Vec<Vec<NodeId>>,
-        per_worker: usize,
-    ) {
+    fn dispatch(&self, slot: usize, stage: u64, span: Span) {
         // deal_spans only produces slots in 0..links.len(), so a
         // missing link is unreachable; drop the chunk over panicking.
         let Some(link) = self.links.get(slot) else {
             debug_assert!(false, "dispatch to unlinked slot {slot}");
             return;
         };
-        let buf = self.spare_bufs.pop().unwrap_or_default();
-        // Up to `per_worker` spent node buffers ride along to the worker.
-        let mut recycled = self.spare_containers.pop().unwrap_or_default();
-        let cut = slab.len().saturating_sub(per_worker);
-        recycled.extend(slab.drain(cut..));
-        let msg = WorkerMsg::Chunk {
+        let _ = link.tx.send(WorkerMsg::Chunk {
             job: self.id,
             stage,
             span,
-            buf,
-            recycled,
-        };
-        let _ = link.tx.send(msg);
+        });
     }
 
     /// Collects `slot`'s reply for the current chunk and merges it into
     /// `results`. Returns whether the chunk was drawn in full (`false`:
     /// the job's stop signal tripped mid-span).
-    fn collect(&mut self, slot: usize, stage: u64, results: &mut [Option<Sample>]) -> bool {
+    fn collect(&self, slot: usize, stage: u64, results: &mut [Option<Sample>]) -> bool {
         // Same invariant as dispatch: every dealt slot has a link.
         let Some(link) = self.links.get(slot) else {
             debug_assert!(false, "collect from unlinked slot {slot}");
             return false;
         };
         let Ok(ChunkReply {
-            mut buf,
-            empties,
+            buf,
             complete: Some(complete),
         }) = link.reply_rx.recv()
         else {
@@ -521,28 +473,20 @@ impl PoolJob<'_> {
                  {MAX_REDRAWS_PER_CHUNK} panics in a row, or the worker exited; giving up"
             );
         };
-        for (j, s) in buf.drain(..) {
+        for (j, s) in buf {
             if let Some(r) = results.get_mut(j) {
                 *r = s;
             }
         }
-        self.spare_bufs.push(buf);
-        self.spare_containers.push(empties);
         complete
     }
 }
 
 impl StageExec for PoolJob<'_> {
-    fn run_stage(
-        &mut self,
-        stage: u64,
-        results: &mut [Option<Sample>],
-        slab: &mut Vec<Vec<NodeId>>,
-    ) -> bool {
+    fn run_stage(&mut self, stage: u64, results: &mut [Option<Sample>]) -> bool {
         let spans = deal_spans(results.len(), self.links.len());
-        let per_worker = slab.len().div_ceil(spans.len().max(1));
         for &(slot, span) in &spans {
-            self.dispatch(slot, stage, span, slab, per_worker);
+            self.dispatch(slot, stage, span);
         }
         // Every dispatched chunk is collected even after one comes back
         // incomplete — workers answer in order, and leaving a reply in
@@ -609,8 +553,7 @@ mod tests {
     fn stage_results(pool: &SharedPool, ctx: &Arc<SolveCtx>, samples: usize) -> Vec<Option<f64>> {
         let mut job = pool.submit(Arc::clone(ctx));
         let mut results: Vec<Option<Sample>> = vec![None; samples];
-        let mut slab = Vec::new();
-        job.run_stage(0, &mut results, &mut slab);
+        job.run_stage(0, &mut results);
         results
             .into_iter()
             .map(|s| s.map(|s| s.willingness))
@@ -692,9 +635,8 @@ mod tests {
         let pool = SharedPool::new(2);
         {
             let ctx = ctx_with_items(&inst, 8, 9);
-            let mut job = pool.submit(Arc::clone(&ctx));
-            let mut slab = Vec::new();
-            job.dispatch(0, 0, Span::stripe(0, 2), &mut slab, 0);
+            let job = pool.submit(Arc::clone(&ctx));
+            job.dispatch(0, 0, Span::stripe(0, 2));
             // Dropped here: detach overtakes (or trails) the in-flight
             // reply — either order must be harmless.
         }
@@ -720,10 +662,9 @@ mod tests {
         // A submitted job counts as active until it is dropped, also
         // after its chunk is collected.
         let ctx = ctx_with_items(&inst, 8, 3);
-        let mut job = pool.submit(Arc::clone(&ctx));
-        let mut slab = Vec::new();
+        let job = pool.submit(Arc::clone(&ctx));
         assert_eq!(pool.stats().active_jobs, 1);
-        job.dispatch(0, 0, Span::stripe(0, 2), &mut slab, 0);
+        job.dispatch(0, 0, Span::stripe(0, 2));
         job.collect(0, 0, &mut vec![None; 8]);
         assert_eq!(pool.stats().active_jobs, 1, "job still attached");
         drop(job);
@@ -762,8 +703,7 @@ mod tests {
         assert_eq!(a, healthy);
         assert_eq!(pool.redrawn_chunks(), 1);
         let mut results: Vec<Option<Sample>> = vec![None; 6];
-        let mut slab = Vec::new();
-        job_b.run_stage(0, &mut results, &mut slab);
+        job_b.run_stage(0, &mut results);
         let b: Vec<_> = results
             .into_iter()
             .map(|s| s.map(|s| s.willingness))

@@ -57,9 +57,10 @@ pub struct Sampler {
     /// `dense[v]` = floored explicit probability of `v` during a weighted
     /// draw, [`UNSET`] otherwise. Empty until the first weighted draw.
     dense: Vec<f64>,
-    /// Recycled node buffers: successful draws pop one instead of
-    /// allocating, so a steady-state stage whose consumed samples are fed
-    /// back via [`Sampler::recycle`] allocates nothing at all.
+    /// Node buffers handed back via [`Sampler::recycle`]: a successful
+    /// draw pops one instead of allocating. No executor feeds this list
+    /// (the engine drops its spent samples); it serves callers that loop
+    /// draws themselves.
     spare: Vec<Vec<NodeId>>,
 }
 
@@ -99,9 +100,9 @@ impl Sampler {
     }
 
     /// Returns a spent sample's node buffer for reuse by a future draw.
-    /// The staged engine feeds the buffers of merged samples back through
-    /// here (via the executors' slab), making its sample hot path
-    /// allocation-free after the first stage.
+    /// For callers that loop draws themselves (a kernel probe that times
+    /// one draw at a time, say); the staged engine and its executors drop
+    /// spent samples instead.
     pub fn recycle(&mut self, buf: Vec<NodeId>) {
         self.spare.push(buf);
     }

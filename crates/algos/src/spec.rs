@@ -35,6 +35,7 @@
 //! registry in scope.
 
 use std::fmt;
+use std::time::Duration;
 
 use waso_graph::NodeId;
 
@@ -373,6 +374,19 @@ impl SolverSpec {
     /// The budget, or the workspace default.
     pub fn budget_or_default(&self) -> u64 {
         self.budget.unwrap_or(DEFAULT_BUDGET)
+    }
+
+    /// The solve's start-relative deadline: the earlier of `deadline_ms=`
+    /// and `deadline_from_submit=`. A session also arms the latter from
+    /// the submit instant (so queue wait counts); for a direct
+    /// `registry.build` caller, where submit and start coincide, reading
+    /// it as start-relative keeps the knob from being silently inert.
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline_ms
+            .into_iter()
+            .chain(self.deadline_from_submit)
+            .min()
+            .map(Duration::from_millis)
     }
 
     /// Parses the `name[:key=value,...]` grammar (see the module docs).

@@ -209,13 +209,13 @@ impl Server {
     /// `(spec, seed)` submissions return identical groups no matter how
     /// they interleave.
     pub fn start(session: WasoSession, config: ServeConfig) -> Self {
-        // An empty batch validates and caches the session's instance on
-        // this thread and starts no job. Otherwise whichever dispatch
-        // thread takes the first job would build it: that job would pay
-        // for it, and the graph-sized copy would land in that thread's
-        // allocator arena. A session that cannot build an instance (no
-        // `k`) still fails each job at dispatch, with the typed error.
-        let _ = session.submit_batch(&[]);
+        // Build and cache the session's instance on this thread.
+        // Otherwise whichever dispatch thread takes the first job would
+        // build it: that job would pay for it, and the graph-sized copy
+        // would land in that thread's allocator arena. A session that
+        // cannot build an instance (no `k`) still fails each job at
+        // dispatch, with the typed error.
+        let _ = session.instance();
         let tenants = config.tenants.len();
         let inner = Arc::new(Inner {
             session,

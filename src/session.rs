@@ -449,8 +449,17 @@ impl WasoSession {
         &self.graph
     }
 
-    /// Builds and validates the [`WasoInstance`] this session describes.
-    pub fn instance(&self) -> Result<WasoInstance, SessionError> {
+    /// The validated [`WasoInstance`] this session describes, shared by
+    /// every solve: built once per session configuration and cached until
+    /// a delta or a result-relevant setting drops it.
+    pub fn instance(&self) -> Result<Arc<WasoInstance>, SessionError> {
+        let mut cache = self
+            .instance_cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(instance) = cache.as_ref() {
+            return Ok(Arc::clone(instance));
+        }
         let k = self.k.ok_or(SessionError::GroupSizeNotSet)?;
         let graph = match &self.lambda {
             Some(l) => waso_core::instance::apply_lambda(&self.graph, l)?,
@@ -462,20 +471,7 @@ impl WasoSession {
             WasoInstance::without_connectivity(graph, k)?
         };
         validate_required(&instance, &self.required)?;
-        Ok(instance)
-    }
-
-    /// The session's validated instance, built and cloned **once** and
-    /// shared by every solve (the batch API's "validate once" half).
-    fn shared_instance(&self) -> Result<Arc<WasoInstance>, SessionError> {
-        let mut cache = self
-            .instance_cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(instance) = cache.as_ref() {
-            return Ok(Arc::clone(instance));
-        }
-        let instance = Arc::new(self.instance()?);
+        let instance = Arc::new(instance);
         *cache = Some(Arc::clone(&instance));
         Ok(instance)
     }
@@ -511,7 +507,7 @@ impl WasoSession {
         control: Arc<JobControl>,
     ) -> Result<SolveResult, SessionError> {
         let prepared = self
-            .shared_instance()
+            .instance()
             .and_then(|instance| self.prepare_job(&instance, spec, Arc::clone(&control)));
         match prepared {
             Ok(Job::Run(task)) => task.run_caught(),
@@ -548,7 +544,7 @@ impl WasoSession {
     /// is **bit-identical** to [`WasoSession::solve`] with the same spec:
     /// both run `JobTask::run`; `submit` adds a coordinator.
     pub fn submit(&self, spec: &SolverSpec) -> Result<SolveHandle, SessionError> {
-        let instance = self.shared_instance()?;
+        let instance = self.instance()?;
         let (task, handle) = self.submit_job(&instance, spec)?;
         self.enqueue(task);
         Ok(handle)
@@ -584,7 +580,7 @@ impl WasoSession {
         &self,
         specs: impl IntoIterator<Item = Result<S, SessionError>>,
     ) -> Result<Vec<SolveHandle>, SessionError> {
-        let instance = self.shared_instance()?;
+        let instance = self.instance()?;
         // Jobs are prepared in slice order on the caller's thread, so the
         // lazily-sized session pool always takes its worker count from
         // the *first* pooled spec — exactly as sequential solves would —
@@ -1139,6 +1135,26 @@ mod tests {
         assert_eq!(again.group, first.group);
         let stats = session.memo_stats();
         assert_eq!((stats.hits, stats.invalidated), (1, 0));
+    }
+
+    #[test]
+    fn the_instance_is_built_once_per_configuration() {
+        let session = WasoSession::new(path4()).k(3);
+        let first = session.instance().unwrap();
+        assert!(Arc::ptr_eq(&first, &session.instance().unwrap()));
+        let mut reseeded = session.seed(11);
+        let after_seed = reseeded.instance().unwrap();
+        assert!(!Arc::ptr_eq(&first, &after_seed));
+        reseeded
+            .apply(&GraphDelta::SetInterest {
+                v: NodeId(1),
+                interest: 2.0,
+            })
+            .unwrap();
+        let after_delta = reseeded.instance().unwrap();
+        assert!(!Arc::ptr_eq(&after_seed, &after_delta));
+        assert_eq!(after_delta.graph().interest(NodeId(1)), 2.0);
+        assert!(Arc::ptr_eq(&after_delta, &reseeded.instance().unwrap()));
     }
 
     #[test]

@@ -175,6 +175,33 @@ fn deadline_of_zero_returns_the_typed_error_not_infeasibility() {
 }
 
 #[test]
+fn deadline_from_submit_binds_direct_registry_solves() {
+    // A direct `registry.build` caller has no submit instant, so the
+    // knob reads as start-relative — for the composite solver as much as
+    // for the engine it wraps.
+    let instance = Arc::new(WasoInstance::new(graph(300), 5).unwrap());
+    let registry = waso::registry();
+    for text in [
+        "cbas-nd:budget=400,deadline_from_submit=0",
+        "decomp:budget=400,deadline_from_submit=0",
+        "decomp:budget=400,deadline_ms=0",
+    ] {
+        let mut solver = registry.build(&registry.parse(text).unwrap()).unwrap();
+        let err = solver
+            .solve(&SolveRequest::new(&instance, 1))
+            .map(|r| (r.stats.termination, r.stats.samples_drawn))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SolveError::NoIncumbent {
+                reason: Termination::Deadline
+            },
+            "{text}"
+        );
+    }
+}
+
+#[test]
 fn short_deadline_returns_a_feasible_incumbent_tagged_deadline() {
     let session = WasoSession::new(graph(120)).k(6).seed(8);
     // A deadline that trips mid-run: enough for some stages of a huge
