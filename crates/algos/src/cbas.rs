@@ -20,6 +20,14 @@ use waso_graph::{BitSet, NodeId};
 use crate::ocba::derive_stages;
 use crate::sampler::{default_num_start_nodes, select_start_nodes};
 
+/// Closeness ratio α of Theorem 4 (the paper's default; Example 1 uses
+/// 0.9) for a derived stage count.
+const ALPHA: f64 = 0.99;
+
+/// Correct-selection probability target `P_b` (pseudo-code `P(CS)`, as in
+/// Example 1) for a derived stage count.
+const P_B: f64 = 0.7;
+
 /// Configuration shared by CBAS and (via [`crate::CbasNdConfig`]) CBAS-ND.
 #[derive(Debug, Clone)]
 pub struct CbasConfig {
@@ -30,14 +38,8 @@ pub struct CbasConfig {
     /// Number of start nodes `m`; `None` → the paper's default `⌈n/k⌉`.
     pub num_start_nodes: Option<usize>,
     /// Stage count `r`; `None` → derived per Example 1
-    /// ([`crate::ocba::derive_stages`]).
+    /// ([`crate::ocba::derive_stages`], with α = 0.99 and `P_b` = 0.7).
     pub stages: Option<u32>,
-    /// Closeness ratio α of Theorem 4 (paper default 0.99; Example 1 uses
-    /// 0.9). Only used when `stages` is `None`.
-    pub alpha: f64,
-    /// Correct-selection probability target `P_b` (pseudo-code `P(CS)`,
-    /// Example 1 uses 0.7). Only used when `stages` is `None`.
-    pub p_b: f64,
     /// Pinned start nodes (user-study "-i" mode); overrides phase 1.
     pub start_override: Option<Vec<NodeId>>,
     /// Nodes that may not appear in any solution (declined invitees,
@@ -68,8 +70,6 @@ impl CbasConfig {
             budget,
             num_start_nodes: None,
             stages: None,
-            alpha: 0.99,
-            p_b: 0.7,
             start_override: None,
             blocked: None,
             deadline: None,
@@ -123,8 +123,8 @@ impl CbasConfig {
                 instance.k(),
                 instance.graph().num_nodes(),
                 m,
-                self.alpha,
-                self.p_b,
+                ALPHA,
+                P_B,
             )
         })
     }

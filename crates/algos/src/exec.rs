@@ -7,10 +7,11 @@
 //! * `SerialExec` — one reusable [`Sampler`] on the calling thread
 //!   (engines without a `threads` count), drawing each stage as a
 //!   single span with the pool workers' own span loop;
-//! * a job of a [`SharedPool`] — a pool of owned
-//!   threads that any number of sessions and solves attach to
-//!   concurrently, with a job-level scheduler and workers that re-draw
-//!   a panicking chunk in place.
+//! * a job of a [`SharedPool`] — a pool of owned threads that any
+//!   number of sessions and solves submit jobs to concurrently. Each
+//!   stage deals one chunk per worker; a chunk carries its job's context
+//!   and a sender on the stage's reply channel, and workers re-draw a
+//!   panicking chunk in place.
 //!   A threaded solve that is handed no pool creates a `SharedPool` of
 //!   its own and drops it when the solve ends.
 //!
@@ -18,9 +19,11 @@
 //! partial solve's samples are independent draws growing from the same
 //! seed set, so they deal across workers exactly like fresh samples.
 //!
-//! Each worker owns one `Sampler` (and thus its `GrowthWorkspace` and
-//! weight buffer) per attached job. A drawn [`Sample`] owns its node
-//! list: the engine merges a stage's samples, feeds them to the
+//! Each pool worker owns one `Sampler` (and thus its `GrowthWorkspace`
+//! and weight buffer), sized to the largest graph it has served and
+//! reused by every job: a draw resets the workspace, and the chunk's
+//! blocked set is applied before each chunk. A drawn [`Sample`] owns its
+//! node list: the engine merges a stage's samples, feeds them to the
 //! cross-entropy update and drops them.
 //!
 //! Determinism: every `(start node, stage, sample)` triple draws from its
@@ -66,8 +69,8 @@ pub(crate) struct WorkItem {
 
 /// Read-mostly state shared between the engine (coordinator) and pool
 /// workers. The coordinator mutates the locked fields only *between*
-/// stages — while every worker is parked on its job channel — under a
-/// write lock; workers hold read locks for the duration of one stage. The
+/// stages — when every chunk of the stage has been answered — under a
+/// write lock; workers hold read locks for the duration of one chunk. The
 /// serial executor reads the same structure (uncontended, one lock per
 /// stage) so the engine has a single code path.
 ///

@@ -5,20 +5,24 @@
 //! same pool, and independent jobs of a `solve_batch` run over it at the
 //! same time. Three ideas make that safe and fast:
 //!
-//! * **Job-level scheduling.** Every solve submits itself as a job with a
-//!   unique id. Per stage, the job's coordinator deals the stage's item
-//!   list round-robin across the workers and tags each chunk with its
-//!   job id and stage number (the job's *epoch*). Workers interleave
-//!   chunks of different jobs in FIFO order, so a light job's chunks flow
-//!   between a heavy job's chunks instead of queueing behind the heavy
-//!   job as a whole.
-//! * **Per-(job, worker) reply channels.** Each job attaches to each
-//!   worker with its own reply channel, so a worker's answers reach
-//!   exactly the job that asked. A worker that somehow exits drops every
-//!   reply sender it held, and every attached job observes that as a
-//!   disconnect on its own channel and panics loudly — never a hang.
+//! * **Stateless workers.** Per stage, a job deals its item list
+//!   round-robin across the workers. Each chunk carries everything a
+//!   worker needs: the job's context, the stage number (the epoch tag
+//!   the failure-injection hook keys on), the span, and a sender on the
+//!   stage's own reply channel. Workers interleave chunks of different
+//!   jobs in FIFO order, so a light job's chunks flow between a heavy
+//!   job's chunks instead of queueing behind the heavy job as a whole.
+//!   A worker's only state is one scratch `Sampler`, sized to the
+//!   largest graph it has served: a sampler draws any graph of at most
+//!   its node count, every draw resets its workspace, and the chunk's
+//!   blocked set is applied before each chunk.
+//! * **One reply channel per stage.** The job holds the only receiver
+//!   and drops its own sender once the stage's chunks are sent, so the
+//!   reply senders live only inside chunks. A worker that somehow exits
+//!   drops the chunks queued for it, the stage's channel disconnects
+//!   before all replies arrive, and the job panics loudly — never a hang.
 //! * **Re-draw in place.** A worker draws each chunk under
-//!   `catch_unwind`. A panicking draw costs the job's sampler (its
+//!   `catch_unwind`. A panicking draw costs the worker its sampler (its
 //!   workspace may be mid-update): the worker builds a fresh one and
 //!   draws the whole span again. The thread never dies, so no job ever
 //!   loses its worker. After `MAX_REDRAWS_PER_CHUNK` panics in a row
@@ -27,13 +31,12 @@
 //!
 //! Determinism is untouched by any of this: samples draw from per-item
 //! RNG streams and merge by item index, so *which* worker draws a
-//! sample, and how many times, is invisible in results. A solve over a
-//! shared pool is bit-identical to the same solve run serially,
-//! regardless of how many other jobs or sessions share the pool
-//! (`tests/properties.rs` pins this down; the failure-injection suite
-//! pins the re-draw path).
+//! sample, in which order the replies arrive, and how many times a
+//! chunk is drawn are invisible in results. A solve over a shared pool
+//! is bit-identical to the same solve run serially, regardless of how
+//! many other jobs or sessions share the pool (`tests/properties.rs`
+//! pins this down; the failure-injection suite pins the re-draw path).
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -59,21 +62,13 @@ fn deal_spans(n_items: usize, workers: usize) -> Vec<(usize, Span)> {
         .collect()
 }
 
-/// A message to a shared-pool worker. Every variant names the job it
-/// belongs to; `Chunk` additionally carries the job's stage number — the
-/// epoch tag the failure-injection hook keys on.
-enum WorkerMsg {
-    /// Start serving a job: build a sampler for its instance, hold its
-    /// context and reply sender until `Detach`.
-    Attach {
-        job: u64,
-        ctx: Arc<SolveCtx>,
-        reply: Sender<ChunkReply>,
-    },
-    /// Draw one span of the job's current stage.
-    Chunk { job: u64, stage: u64, span: Span },
-    /// The job is over; drop its context, sampler and reply sender.
-    Detach { job: u64 },
+/// One span of one job's stage, for one worker to draw.
+struct Chunk {
+    ctx: Arc<SolveCtx>,
+    stage: u64,
+    span: Span,
+    /// A sender on the stage's reply channel.
+    reply: Sender<ChunkReply>,
 }
 
 /// One chunk's answer: the drawn `(item index, sample)` pairs.
@@ -84,20 +79,6 @@ struct ChunkReply {
     /// one of [`MAX_REDRAWS_PER_CHUNK`] draws panicked and the worker
     /// gave the chunk up.
     complete: Option<bool>,
-}
-
-/// Worker-side state for one attached job.
-struct WorkerJob {
-    ctx: Arc<SolveCtx>,
-    sampler: Sampler,
-    reply: Sender<ChunkReply>,
-}
-
-/// A sampler for `ctx`'s instance, honouring its blocked set.
-fn job_sampler(ctx: &SolveCtx) -> Sampler {
-    let mut sampler = Sampler::for_instance(&ctx.instance);
-    sampler.set_blocked(ctx.blocked.clone());
-    sampler
 }
 
 /// The test-only failure hook: arms one `(slot, stage)` pair with a
@@ -168,7 +149,7 @@ pub struct WorkerStats {
 pub struct PoolStats {
     /// Worker count (fixed at construction).
     pub threads: usize,
-    /// Jobs currently attached (submitted, not yet finished/dropped).
+    /// Jobs submitted and not yet dropped.
     pub active_jobs: usize,
     /// Per-slot busy/idle flags and lifetime chunk counters.
     pub workers: Vec<WorkerStats>,
@@ -203,10 +184,9 @@ impl std::fmt::Display for PoolStats {
 /// across sessions with `Arc<SharedPool>` — every method takes `&self`.
 pub struct SharedPool {
     /// Each worker's inbox, by slot.
-    inboxes: Vec<Sender<WorkerMsg>>,
+    inboxes: Vec<Sender<Chunk>>,
     workers: Vec<JoinHandle<()>>,
     gauges: Vec<Arc<WorkerGauge>>,
-    next_job: AtomicU64,
     /// Jobs submitted and not yet dropped.
     active_jobs: AtomicUsize,
     shared: Arc<PoolShared>,
@@ -221,73 +201,55 @@ impl std::fmt::Debug for SharedPool {
     }
 }
 
-/// The worker body: a job table keyed by job id, chunks drawn with the
-/// job's own sampler and answered on the job's own reply channel. A chunk
-/// for an unknown job id is stale (the job detached or its coordinator
-/// died) and is dropped; a reply that cannot be delivered detaches the
-/// job explicitly — teardown never depends on channel-drop ordering.
-fn worker_loop(slot: usize, rx: Receiver<WorkerMsg>, shared: &PoolShared, gauge: &WorkerGauge) {
-    let mut jobs: BTreeMap<u64, WorkerJob> = BTreeMap::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Attach { job, ctx, reply } => {
-                let sampler = job_sampler(&ctx);
-                jobs.insert(
-                    job,
-                    WorkerJob {
-                        ctx,
-                        sampler,
-                        reply,
-                    },
-                );
-            }
-            WorkerMsg::Detach { job } => {
-                jobs.remove(&job);
-            }
-            WorkerMsg::Chunk { job, stage, span } => {
-                let Some(entry) = jobs.get_mut(&job) else {
-                    continue; // stale chunk of a detached job
-                };
-                gauge.busy.store(true, Ordering::Relaxed);
-                let mut buf = Vec::new();
-                let complete = draw_chunk(slot, shared, entry, stage, span, &mut buf);
-                // Gauge updates precede the reply send: the channel's
-                // synchronization publishes them, so a coordinator that
-                // has collected every reply observes an idle pool.
-                gauge.chunks.fetch_add(1, Ordering::Relaxed);
-                gauge.busy.store(false, Ordering::Relaxed);
-                let gone = entry.reply.send(ChunkReply { buf, complete }).is_err();
-                if gone {
-                    jobs.remove(&job); // coordinator gone: explicit detach
-                }
-            }
-        }
+/// The worker body: draw each chunk with the worker's scratch sampler and
+/// answer on the chunk's own reply sender. A job that stopped listening
+/// (its receiver is gone) just loses the reply.
+fn worker_loop(slot: usize, rx: Receiver<Chunk>, shared: &PoolShared, gauge: &WorkerGauge) {
+    // The worker's one sampler and the node count it was built for.
+    let mut scratch: Option<(usize, Sampler)> = None;
+    while let Ok(chunk) = rx.recv() {
+        gauge.busy.store(true, Ordering::Relaxed);
+        let mut buf = Vec::new();
+        let complete = draw_chunk(slot, shared, &mut scratch, &chunk, &mut buf);
+        // Gauge updates precede the reply send: the channel's
+        // synchronization publishes them, so a coordinator that has
+        // collected every reply observes an idle pool.
+        gauge.chunks.fetch_add(1, Ordering::Relaxed);
+        gauge.busy.store(false, Ordering::Relaxed);
+        let _ = chunk.reply.send(ChunkReply { buf, complete });
     }
 }
 
-/// Draws `span` into `buf`, catching panics: a panicked draw's samples
-/// and sampler are discarded and the whole span is drawn again by a
-/// fresh sampler — bit-identically, since every item has its own RNG
-/// stream. `None` after [`MAX_REDRAWS_PER_CHUNK`] panics in a row.
+/// Draws `chunk` into `buf`, catching panics. The scratch sampler is
+/// rebuilt for the chunk's instance when it holds fewer nodes than the
+/// chunk's graph, and after a panicked draw (its workspace may be
+/// mid-update); the whole span is then drawn again, bit-identically,
+/// since every item has its own RNG stream. `None` after
+/// [`MAX_REDRAWS_PER_CHUNK`] panics in a row.
 fn draw_chunk(
     slot: usize,
     shared: &PoolShared,
-    entry: &mut WorkerJob,
-    stage: u64,
-    span: Span,
+    scratch: &mut Option<(usize, Sampler)>,
+    chunk: &Chunk,
     buf: &mut Vec<(usize, Option<Sample>)>,
 ) -> Option<bool> {
+    let ctx = &chunk.ctx;
+    let nodes = ctx.instance.graph().num_nodes();
     for _ in 0..MAX_REDRAWS_PER_CHUNK {
         buf.clear();
+        let kept = scratch.take().filter(|&(held, _)| held >= nodes);
+        let (_, sampler) =
+            scratch.insert(kept.unwrap_or_else(|| (nodes, Sampler::for_instance(&ctx.instance))));
+        sampler.set_blocked(ctx.blocked.clone());
         let drawn = catch_unwind(AssertUnwindSafe(|| {
-            shared.fail.check(slot, stage);
-            draw_span(&mut entry.sampler, &entry.ctx, stage, span, buf)
+            shared.fail.check(slot, chunk.stage);
+            draw_span(sampler, ctx, chunk.stage, chunk.span, buf)
         }));
         match drawn {
             Ok(complete) => return Some(complete),
             Err(_) => {
                 shared.redraws.fetch_add(1, Ordering::SeqCst);
-                entry.sampler = job_sampler(&entry.ctx);
+                *scratch = None;
             }
         }
     }
@@ -306,7 +268,7 @@ impl SharedPool {
             .iter()
             .enumerate()
             .map(|(slot, gauge)| {
-                let (tx, rx) = channel::<WorkerMsg>();
+                let (tx, rx) = channel::<Chunk>();
                 let (shared, gauge) = (Arc::clone(&shared), Arc::clone(gauge));
                 let handle = std::thread::Builder::new()
                     .name(format!("waso-pool-{slot}"))
@@ -320,7 +282,6 @@ impl SharedPool {
             inboxes,
             workers,
             gauges,
-            next_job: AtomicU64::new(0),
             active_jobs: AtomicUsize::new(0),
             shared,
         }
@@ -373,35 +334,12 @@ impl SharedPool {
         self.shared.fail.arm(slot, stage, 1);
     }
 
-    /// Submits one solve as a job: attaches it to every worker and
-    /// returns its coordinator handle (the solve's [`StageExec`]).
-    /// Dropping the handle detaches the job.
+    /// Submits one solve as a job and returns its coordinator handle
+    /// (the solve's [`StageExec`]). The job counts as active until the
+    /// handle drops.
     pub(crate) fn submit(&self, ctx: Arc<SolveCtx>) -> PoolJob<'_> {
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
         self.active_jobs.fetch_add(1, Ordering::SeqCst);
-        let links = self
-            .inboxes
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = channel();
-                // A send to an exited worker fails here; the job then
-                // sees the disconnect at its first collect.
-                let _ = tx.send(WorkerMsg::Attach {
-                    job: id,
-                    ctx: Arc::clone(&ctx),
-                    reply: reply_tx,
-                });
-                Link {
-                    tx: tx.clone(),
-                    reply_rx,
-                }
-            })
-            .collect();
-        PoolJob {
-            pool: self,
-            id,
-            links,
-        }
+        PoolJob { pool: self, ctx }
     }
 }
 
@@ -409,8 +347,7 @@ impl Drop for SharedPool {
     fn drop(&mut self) {
         // Explicit shutdown: close every worker's inbox first (all
         // workers start exiting concurrently), then join. Jobs cannot be
-        // in flight here — a live job borrows the pool (and its links'
-        // senders are dropped with it).
+        // in flight here: a live job borrows the pool.
         self.inboxes.clear();
         for handle in self.workers.drain(..) {
             // Workers catch their draws' panics, so a join error adds
@@ -420,80 +357,54 @@ impl Drop for SharedPool {
     }
 }
 
-/// A job's link to one worker slot: the worker's inbox plus the job's
-/// private reply channel for that worker.
-struct Link {
-    tx: Sender<WorkerMsg>,
-    reply_rx: Receiver<ChunkReply>,
-}
-
-/// One solve's coordinator handle over a [`SharedPool`]: submits a chunk
-/// per worker per stage and collects and merges the replies. Detaches
-/// the job from every worker on drop.
+/// One solve's coordinator handle over a [`SharedPool`]: per stage,
+/// sends a chunk per worker and merges the replies.
 pub(crate) struct PoolJob<'p> {
     pool: &'p SharedPool,
-    id: u64,
-    links: Vec<Link>,
-}
-
-impl PoolJob<'_> {
-    /// Sends one chunk to `slot`. A send to an exited worker is dropped:
-    /// its reply channel is disconnected too, and `collect` reports it.
-    fn dispatch(&self, slot: usize, stage: u64, span: Span) {
-        // deal_spans only produces slots in 0..links.len(), so a
-        // missing link is unreachable; drop the chunk over panicking.
-        let Some(link) = self.links.get(slot) else {
-            debug_assert!(false, "dispatch to unlinked slot {slot}");
-            return;
-        };
-        let _ = link.tx.send(WorkerMsg::Chunk {
-            job: self.id,
-            stage,
-            span,
-        });
-    }
-
-    /// Collects `slot`'s reply for the current chunk and merges it into
-    /// `results`. Returns whether the chunk was drawn in full (`false`:
-    /// the job's stop signal tripped mid-span).
-    fn collect(&self, slot: usize, stage: u64, results: &mut [Option<Sample>]) -> bool {
-        // Same invariant as dispatch: every dealt slot has a link.
-        let Some(link) = self.links.get(slot) else {
-            debug_assert!(false, "collect from unlinked slot {slot}");
-            return false;
-        };
-        let Ok(ChunkReply {
-            buf,
-            complete: Some(complete),
-        }) = link.reply_rx.recv()
-        else {
-            // audit:allow(P2): designed abort — the worker gave the chunk up after MAX_REDRAWS_PER_CHUNK panics in a row (or exited), so the failure is deterministic and no answer exists; the session hands it to the waiter as SessionError::Panicked
-            panic!(
-                "shared-pool worker {slot} could not draw its stage-{stage} chunk: \
-                 {MAX_REDRAWS_PER_CHUNK} panics in a row, or the worker exited; giving up"
-            );
-        };
-        for (j, s) in buf {
-            if let Some(r) = results.get_mut(j) {
-                *r = s;
-            }
-        }
-        complete
-    }
+    ctx: Arc<SolveCtx>,
 }
 
 impl StageExec for PoolJob<'_> {
     fn run_stage(&mut self, stage: u64, results: &mut [Option<Sample>]) -> bool {
-        let spans = deal_spans(results.len(), self.links.len());
+        let spans = deal_spans(results.len(), self.pool.threads());
+        let (reply, replies) = channel();
         for &(slot, span) in &spans {
-            self.dispatch(slot, stage, span);
+            // A chunk that cannot be sent (its worker exited) drops its
+            // reply sender, so the stage's channel disconnects below.
+            if let Some(inbox) = self.pool.inboxes.get(slot) {
+                let _ = inbox.send(Chunk {
+                    ctx: Arc::clone(&self.ctx),
+                    stage,
+                    span,
+                    reply: reply.clone(),
+                });
+            }
         }
-        // Every dispatched chunk is collected even after one comes back
-        // incomplete — workers answer in order, and leaving a reply in
-        // flight would corrupt the next stage.
+        drop(reply);
+        // Every chunk's reply is merged, in arrival order, even after one
+        // comes back incomplete: results merge by item index.
         let mut all_complete = true;
-        for &(slot, _) in &spans {
-            all_complete &= self.collect(slot, stage, results);
+        for _ in &spans {
+            let Ok(ChunkReply {
+                buf,
+                complete: Some(complete),
+            }) = replies.recv()
+            else {
+                // Designed abort: a worker gave its chunk up after
+                // MAX_REDRAWS_PER_CHUNK panics in a row (or exited), so no
+                // answer exists; the session hands the panic to the waiter
+                // as `SessionError::Panicked`.
+                panic!(
+                    "a shared-pool worker could not draw its stage-{stage} chunk: \
+                     {MAX_REDRAWS_PER_CHUNK} panics in a row, or the worker exited; giving up"
+                );
+            };
+            for (j, s) in buf {
+                if let Some(r) = results.get_mut(j) {
+                    *r = s;
+                }
+            }
+            all_complete &= complete;
         }
         all_complete
     }
@@ -502,12 +413,6 @@ impl StageExec for PoolJob<'_> {
 impl Drop for PoolJob<'_> {
     fn drop(&mut self) {
         self.pool.active_jobs.fetch_sub(1, Ordering::SeqCst);
-        for link in &self.links {
-            // Explicit detach; an exited worker (send error) holds no
-            // state for this job anyway, and replies still in flight are
-            // dropped with our receiver — teardown is ordering-free.
-            let _ = link.tx.send(WorkerMsg::Detach { job: self.id });
-        }
     }
 }
 
@@ -626,21 +531,27 @@ mod tests {
 
     #[test]
     fn job_drop_with_chunk_in_flight_neither_hangs_nor_wedges_the_pool() {
-        // The regression for relying on channel-drop ordering: a job is
-        // dropped with a dispatched, uncollected chunk. The worker's
-        // reply send fails (our receiver is gone) and it must detach the
-        // job explicitly; the pool then serves the next job normally and
-        // drops without hanging.
+        // A job is dropped with a chunk in flight whose reply receiver
+        // is already gone. The worker's reply send fails and is ignored;
+        // the pool then serves the next job normally and drops without
+        // hanging.
         let inst = instance(30, 3, 4);
         let pool = SharedPool::new(2);
         {
             let ctx = ctx_with_items(&inst, 8, 9);
-            let job = pool.submit(Arc::clone(&ctx));
-            job.dispatch(0, 0, Span::stripe(0, 2));
-            // Dropped here: detach overtakes (or trails) the in-flight
-            // reply — either order must be harmless.
+            let _job = pool.submit(Arc::clone(&ctx));
+            let (reply, replies) = channel();
+            drop(replies);
+            pool.inboxes[0]
+                .send(Chunk {
+                    ctx,
+                    stage: 0,
+                    span: Span::stripe(0, 2),
+                    reply,
+                })
+                .unwrap();
         }
-        assert_eq!(pool.stats().active_jobs, 0, "the dropped job detached");
+        assert_eq!(pool.stats().active_jobs, 0, "the dropped job is gone");
         let ctx = ctx_with_items(&inst, 8, 9);
         let results = stage_results(&pool, &ctx, 8);
         assert!(results.iter().any(|s| s.is_some()));
@@ -660,13 +571,12 @@ mod tests {
         assert_eq!(idle.workers.len(), 2);
 
         // A submitted job counts as active until it is dropped, also
-        // after its chunk is collected.
+        // after its stage is merged.
         let ctx = ctx_with_items(&inst, 8, 3);
-        let job = pool.submit(Arc::clone(&ctx));
+        let mut job = pool.submit(Arc::clone(&ctx));
         assert_eq!(pool.stats().active_jobs, 1);
-        job.dispatch(0, 0, Span::stripe(0, 2));
-        job.collect(0, 0, &mut vec![None; 8]);
-        assert_eq!(pool.stats().active_jobs, 1, "job still attached");
+        job.run_stage(0, &mut vec![None; 8]);
+        assert_eq!(pool.stats().active_jobs, 1, "job still active");
         drop(job);
 
         // After a full stage the job is gone and the workers have

@@ -306,16 +306,23 @@ fn read_reply(reader: &mut impl std::io::BufRead) -> Result<String, String> {
     String::from_utf8(buf).map_err(|_| "non-UTF-8 reply from server".to_string())
 }
 
+/// Sends one request frame (decimal length, newline, payload) in a
+/// single write, so the payload never waits behind a partial frame for
+/// the server's delayed ACK.
+fn send_frame(writer: &mut impl std::io::Write, payload: &str) -> std::io::Result<()> {
+    writer.write_all(format!("{}\n{payload}", payload.len()).as_bytes())?;
+    writer.flush()
+}
+
 fn run_remote(server: &str, tenant: &str, spec: &SolverSpec) -> Result<(), String> {
-    use std::io::{BufReader, Write};
+    use std::io::BufReader;
 
     let stream = std::net::TcpStream::connect(server)
         .map_err(|e| format!("cannot connect to {server}: {e}"))?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
     let mut writer = stream;
     let mut call = move |payload: String| -> Result<String, String> {
-        write!(writer, "{}\n{payload}", payload.len()).map_err(|e| e.to_string())?;
-        writer.flush().map_err(|e| e.to_string())?;
+        send_frame(&mut writer, &payload).map_err(|e| e.to_string())?;
         read_reply(&mut reader)
     };
 
@@ -476,6 +483,33 @@ mod tests {
         let err = run_remote(&addr, "alice", &spec).unwrap_err();
         peer.join().unwrap();
         err
+    }
+
+    /// Counts `write` calls and keeps the bytes written.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_frame_is_one_write() {
+        let mut w = CountingWriter::default();
+        send_frame(&mut w, "WAIT 42").unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, b"7\nWAIT 42");
     }
 
     #[test]

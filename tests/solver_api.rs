@@ -348,6 +348,77 @@ fn every_threaded_entry_is_executor_invariant() {
     assert_eq!(pool.stats().active_jobs, 0, "every job detached");
 }
 
+/// A one-worker pool serves blocked and unblocked CBAS-ND solves on
+/// graphs of two sizes, in turn. Its worker reuses one sampler across
+/// them all, so each solve must still see exactly its own blocked set:
+/// group, `samples_drawn` and pruned starts match the serial solve.
+#[test]
+fn a_pooled_blocked_set_applies_to_its_own_solve_only() {
+    let small =
+        Arc::new(WasoInstance::new(waso::datasets::synthetic::facebook_like_n(120, 3), 6).unwrap());
+    let large =
+        Arc::new(WasoInstance::new(waso::datasets::synthetic::facebook_like_n(300, 3), 6).unwrap());
+    let config = |blocked: Option<waso::graph::BitSet>, threads: Option<usize>| {
+        let mut cfg = CbasNdConfig::with_budget(300);
+        cfg.base.stages = Some(4);
+        cfg.base.blocked = blocked;
+        cfg.base.threads = threads;
+        StagedEngine::from_cbasnd(&cfg)
+    };
+    let serial = |inst: &Arc<WasoInstance>, blocked: &Option<waso::graph::BitSet>| {
+        config(blocked.clone(), None)
+            .solve(&SolveRequest::new(inst, 5))
+            .unwrap()
+    };
+    let unblocked_answer = serial(&small, &None);
+    let mut members = waso::graph::BitSet::new(small.graph().num_nodes());
+    for v in unblocked_answer.group.nodes().iter().take(3) {
+        members.insert(v.index());
+    }
+    let blocked = Some(members);
+
+    let pool = SharedPool::new(1);
+    for (label, inst, blocked) in [
+        ("small blocked", &small, &blocked),
+        ("small unblocked", &small, &None),
+        ("large unblocked", &large, &None),
+        ("small blocked again", &small, &blocked),
+        ("small unblocked again", &small, &None),
+    ] {
+        let want = serial(inst, blocked);
+        let got = config(blocked.clone(), Some(1))
+            .solve(&SolveRequest::new(inst, 5).pool(&pool))
+            .unwrap();
+        assert_eq!(got.group.nodes(), want.group.nodes(), "{label}");
+        assert_eq!(
+            got.group.willingness().to_bits(),
+            want.group.willingness().to_bits(),
+            "{label}"
+        );
+        assert_eq!(got.stats.samples_drawn, want.stats.samples_drawn, "{label}");
+        assert_eq!(
+            got.stats.pruned_start_nodes, want.stats.pruned_start_nodes,
+            "{label}"
+        );
+        // A stale sampler (the wrong blocked set, too few nodes) can
+        // make a draw panic, and the rebuild and re-draw would then hide
+        // it: a healthy pool never re-draws.
+        assert_eq!(pool.redrawn_chunks(), 0, "{label}");
+        if let Some(b) = blocked {
+            assert!(
+                got.group.nodes().iter().all(|v| !b.contains(v.index())),
+                "{label}: a blocked node was selected"
+            );
+        }
+    }
+    assert_ne!(
+        serial(&small, &blocked).group.nodes(),
+        unblocked_answer.group.nodes(),
+        "the blocked set must change the answer"
+    );
+    assert_eq!(pool.stats().active_jobs, 0);
+}
+
 /// The staged entries all build one `StagedEngine`, whose name comes
 /// from its axes; the uniform (CBAS) engine rejects required attendees
 /// under that name.
